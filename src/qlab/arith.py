@@ -14,6 +14,18 @@ class ZeroArgument(ValueError):
     """nu_p(0) is infinite."""
 
 
+class InexactDivision(ArithmeticError):
+    """A division that the mathematics says is exact left a remainder."""
+
+
+def exact_div(num: int, den: int) -> int:
+    """num // den, raising InexactDivision unless den divides num."""
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivision(f"{den} does not divide {num}")
+    return q
+
+
 def is_prime(n: int) -> bool:
     """Trial division; inputs here are tiny."""
     if n < 2:
@@ -64,10 +76,7 @@ def nu_binomial_kummer(p: int, n: int, m: int) -> int:
         raise NonPrime(f"{p} is not prime")
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    num = digit_sum(p, m) + digit_sum(p, n - m) - digit_sum(p, n)
-    q, r = divmod(num, p - 1)
-    assert r == 0, "digit-sum difference must be a multiple of p-1"
-    return q
+    return exact_div(digit_sum(p, m) + digit_sum(p, n - m) - digit_sum(p, n), p - 1)
 
 
 def pow2_poly_congruence(s: int, step: int = 1) -> bool:

@@ -91,7 +91,7 @@ def cmd_verify(args) -> int:
                     reports.append(congruences.verify_family(
                         fid,
                         j_values=args.j,
-                        n_budget=args.budget or congruences.DEFAULT_BUDGET,
+                        n_budget=args.budget,
                         cache=cache))
             else:
                 reports = congruences.verify_all(args.profile, ids=args.family,
@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep congruence families")
     p.add_argument("--family", action="append", help="family id (repeatable)")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
-    p.add_argument("--budget", type=int, help="override the argument bound")
+    p.add_argument("--budget", type=int,
+                   help="override the argument bound (default: the family's quick budget)")
     p.add_argument("--j", type=int, nargs="+", help="explicit J values")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_verify)

@@ -17,7 +17,7 @@ Sequence evaluation routes:
   odd-parts dynamic program instead.
 * prefactor / overpartition families read one shared eta-quotient
   expansion.
-* coefficient families evaluate c_n(a, t) directly.
+* coefficient families read one c_n(a, t) column per swept t.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from math import isqrt
 from threading import Lock
 
 from .arith import nu_int
-from .macmahon import coeff_c, direct_utilde, modd_explicit_batch
+from .macmahon import coeff_column, direct_utilde, modd_explicit_batch
 from .special import overpartition_gf, prefactor_a
 
 DEFAULT_BUDGET = 20000
 FULL_BUDGET = 150000
 OVC_MIN_BUDGET = 50000
+COEFF_BUDGET = 1500
 DP_WINDOW = 2000
 
 # expected-outcome kinds
@@ -114,7 +115,8 @@ class VerifyReport:
     checked: int = 0
 
     def __post_init__(self):
-        assert self.status != "fail" or self.counterexample is not None
+        if self.status == "fail" and self.counterexample is None:
+            raise ValueError(f"{self.family_id}: a failed report needs a counterexample")
 
     @property
     def passed(self) -> bool:
@@ -317,7 +319,8 @@ def _build_registry() -> list[CongruenceFamily]:
                          arg_mod=6, arg_residues=(5,)))
 
     ids = [f.id for f in fams]
-    assert len(set(ids)) == len(ids), "duplicate family ids"
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate family ids")
     return fams
 
 
@@ -464,22 +467,20 @@ def _sweep_modd0_dp(fam, j_values, cache):
     return checked, max_order, None
 
 
-def _sweep_coeff(fam, j_values, n_budget, cache):
+def _sweep_coeff(fam, j_values, n_budget):
     a = int(fam.sequence[6:-1])
-    n_top = min(n_budget, 1500)
     mod_, excluded = fam.n_excluded if fam.n_excluded else (1, ())
+    ns = [n for n in range(1, n_budget + 1) if n % mod_ not in excluded]
+    if not ns:
+        raise BudgetTooSmall(f"{fam.id}: no admissible n below {n_budget}")
     checked = 0
     for j in j_values:
-        t = fam.t_of(j)
-        ns = [n for n in range(1, n_top + 1) if n % mod_ not in excluded]
-        if not ns:
-            raise BudgetTooSmall(f"{fam.id}: no admissible n below {n_top}")
+        column = coeff_column(a, fam.t_of(j), n_budget)
         for n in ns:
             checked += 1
-            v = coeff_c(a, t, n)
-            if v % fam.modulus:
-                return checked, n_top, _cex(j, n, v, fam.modulus)
-    return checked, n_top, None
+            if column[n] % fam.modulus:
+                return checked, n_budget, _cex(j, n, column[n], fam.modulus)
+    return checked, n_budget, None
 
 
 def _sweep_sequence(fam, n_budget, cache):
@@ -526,15 +527,19 @@ def _cex(j, n, value, modulus, **extra):
 # ---------------------------------------------------------------------
 
 
-def verify_family(family, j_values=None, n_budget: int = DEFAULT_BUDGET,
+def verify_family(family, j_values=None, n_budget: int | None = None,
                   cache: SweepCache | None = None) -> VerifyReport:
     """Sweep one family (by id or record) and report pass/fail.
 
-    For m_odd families with t*t above the budget, the bound is extended to
+    Without `n_budget` the family's quick-profile budget applies (see
+    ``_budget_for``); an explicit budget is honoured as given.  For m_odd
+    families with t*t above the budget, the bound is extended to
     t^2 + 2000 so the sweep always sees coefficients beyond the series'
     leading exponent.  Raises BudgetTooSmall if no argument qualifies.
     """
     fam = lookup(family) if isinstance(family, str) else family
+    if n_budget is None:
+        n_budget = _budget_for(fam, "quick")
     if cache is None:
         cache = SweepCache()
     if j_values is None:
@@ -550,7 +555,7 @@ def verify_family(family, j_values=None, n_budget: int = DEFAULT_BUDGET,
             checked, bound, cex = _sweep_modd(fam, j_values, n_budget, cache)
         ranges = {"J": list(j_values), "max_arg": bound}
     elif fam.sequence.startswith("COEFF"):
-        checked, bound, cex = _sweep_coeff(fam, j_values, n_budget, cache)
+        checked, bound, cex = _sweep_coeff(fam, j_values, n_budget)
         ranges = {"J": list(j_values), "max_n": bound}
     else:
         checked, bound, cex = _sweep_sequence(fam, n_budget, cache)
@@ -574,6 +579,8 @@ def verify_family(family, j_values=None, n_budget: int = DEFAULT_BUDGET,
 def _budget_for(fam: CongruenceFamily, profile: str) -> int:
     if fam.sequence == "OVERPARTITION":
         return OVC_MIN_BUDGET
+    if fam.sequence.startswith("COEFF"):
+        return COEFF_BUDGET
     if profile == "full" and fam.id in ("v1-2b", "v1-2c"):
         return FULL_BUDGET
     return DEFAULT_BUDGET
@@ -582,7 +589,8 @@ def _budget_for(fam: CongruenceFamily, profile: str) -> int:
 def verify_all(profile: str = "quick", ids=None, threads: int | None = None) -> list[VerifyReport]:
     """Sweep every registered family (or the selected ids).
 
-    quick: arguments to 20000 (50000 for the overpartition tables);
+    quick: arguments to 20000 (50000 for the overpartition tables, n to
+           1500 for the coefficient families);
     full:  additionally pushes the deep a=1 families to 150000.
     Families run against one shared cache; QLAB_THREADS (or `threads`)
     caps concurrent family checks.

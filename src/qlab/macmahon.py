@@ -19,12 +19,15 @@ test suite:
 
 On top of these sit the coefficient families c_n(a, t), their Riordan-array
 representation, and the even Chebyshev polynomials te_n used to derive them.
+Batches of c_n(a, t) come from ``coeff_column``: for a = 1 one Riordan-array
+division yields the whole column, and ``te_sum`` stays as its oracle.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from .arith import exact_div
 from .series import Poly, Series, _mul_dense_terms, series_of_rational
 from .special import overpartition_gf, prefactor_a
 
@@ -138,25 +141,50 @@ def coeff_c(a: int, t: int, n: int) -> int:
     a =  1: sum_{k=t}^n (-1)^(n-k) (2n/(n+k)) C(n+k,2k) C(k,t) 3^(k-t)
             (weight at q^(n^2))
 
-    All three are exact integers; the divisions are checked.
+    All three are exact integers; the divisions are checked.  For many n
+    at once use ``coeff_column``.
     """
-    if a not in _EXPLICIT_AS:
-        raise UnsupportedA(f"no closed-form coefficients for a={a}")
+    _check_coeff_args(a, t)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if a == 1:
+        return te_sum(1, t, n)
+    return _binomial_c(a, t, n)
+
+
+def coeff_column(a: int, t: int, n_top: int) -> list[int]:
+    """[c_0, c_1, ..., c_(n_top)] of c_n(a, t); c_0 is not part of the
+    family and reads 0.
+
+    a = 1 takes the whole column from one Riordan-array expansion,
+    c_n(1, t) = [z^n] (z^t - z^(t+2)) / (1 - z + z^2)^(t+1), which the
+    acceptance gate checks against ``te_sum``; a = -2 and a = 0 evaluate
+    their one-binomial closed forms per entry.
+    """
+    _check_coeff_args(a, t)
+    if n_top < 0:
+        raise ValueError("n_top must be >= 0")
+    if a == 1:
+        column = list(riordan_series(1, t, n_top).coeffs)
+        column[0] = 0
+        return column
+    return [0] + [_binomial_c(a, t, n) for n in range(1, n_top + 1)]
+
+
+def _check_coeff_args(a: int, t: int) -> None:
+    if a not in _EXPLICIT_AS:
+        raise UnsupportedA(f"no closed-form coefficients for a={a}")
     if t < 0:
         raise ValueError("t must be >= 0")
+
+
+def _binomial_c(a: int, t: int, n: int) -> int:
+    """c_n(a, t) for a = -2 or 0 from its closed form (n >= 1)."""
     if a == -2:
-        num = 2 * n * comb(n + t, 2 * t)
-        q, r = divmod(num, n + t)
-        assert r == 0
+        q = exact_div(2 * n * comb(n + t, 2 * t), n + t)
         return q if (n + t) % 2 == 0 else -q
-    if a == 0:
-        num = (2 * n - 1) * comb(n + t, 2 * t + 1)
-        q, r = divmod(num, n + t)
-        assert r == 0
-        return q if (n - t - 1) % 2 == 0 else -q
-    return te_sum(1, t, n)
+    q = exact_div((2 * n - 1) * comb(n + t, 2 * t + 1), n + t)
+    return q if (n - t - 1) % 2 == 0 else -q
 
 
 def te_sum(a: int, t: int, n: int) -> int:
@@ -178,8 +206,7 @@ def te_sum(a: int, t: int, n: int) -> int:
     sign = -1 if (n - t) % 2 else 1
     total = 0
     for k in range(t, n + 1):
-        g, r = divmod(2 * n * u, n + k)
-        assert r == 0
+        g = exact_div(2 * n * u, n + k)
         if sign > 0:
             total += g * b * p
         else:
@@ -194,9 +221,13 @@ def te_sum(a: int, t: int, n: int) -> int:
 
 
 def riordan_series(a: int, t: int, nmax: int) -> Series:
-    """(z^t - z^(t+2)) / (1 - a z + z^2)^(t+1) expanded to order nmax+1."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    """(z^t - z^(t+2)) / (1 - a z + z^2)^(t+1) expanded to order nmax+1.
+
+    For n >= 1 the z^n coefficient is te_sum(a, t, n); at t = 0 that is
+    2*T_n(a/2), since (1 - z^2)/(1 - a z + z^2) = (2 - a z)/(1 - a z + z^2) - 1.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     num = Poly([0] * t + [1, 0, -1])
     den = Poly([1, -a, 1]) ** (t + 1)
     return series_of_rational(num, den, nmax + 1)
@@ -243,12 +274,7 @@ def two_te_quarter_shift(n: int, shift: int) -> Poly:
             acc = acc + (2 * cj * 4 ** (n - j)) * power
         power = power * binom
     scale = 4 ** n
-    out = []
-    for c in acc.coeffs:
-        q, r = divmod(c, scale)
-        assert r == 0
-        out.append(q)
-    return Poly(out)
+    return Poly([exact_div(c, scale) for c in acc.coeffs])
 
 
 def two_te_at_quarter(n: int, w: int) -> int:
@@ -262,22 +288,23 @@ def two_te_at_quarter(n: int, w: int) -> int:
 
 
 def theta_weight_terms(a: int, t: int, order: int) -> list[tuple[int, int]]:
-    """Sparse terms sum_n c_n(a,t) q^(r(n)) with r(n) = n^2 (a=-2,1)
-    or n(n-1) (the a=0 odd-case family), truncated below `order`."""
+    """Nonzero terms of sum_n c_n(a,t) q^(r(n)) with r(n) = n^2 (a=-2,1)
+    or n(n-1) (the a=0 odd-case family), truncated below `order`, in
+    increasing exponent order.  One ``coeff_column`` call supplies every c_n.
+    """
     if a not in _EXPLICIT_AS:
         raise UnsupportedA(f"no closed form for a={a}")
-    terms = []
     if a == 0:
-        n = t + 1
-        while n * (n - 1) < order:
-            terms.append((n * (n - 1), coeff_c(0, t, n)))
-            n += 1
+        first, r = t + 1, lambda n: n * (n - 1)
     else:
-        n = max(1, t)
-        while n * n < order:
-            terms.append((n * n, coeff_c(a, t, n)))
-            n += 1
-    return terms
+        first, r = max(1, t), lambda n: n * n
+    n_top = first - 1
+    while r(n_top + 1) < order:
+        n_top += 1
+    if n_top < first:
+        return []
+    column = coeff_column(a, t, n_top)
+    return [(r(n), column[n]) for n in range(first, n_top + 1) if column[n]]
 
 
 def w_series(t: int, order: int) -> Series:
@@ -346,53 +373,35 @@ def modd_explicit_batch(a: int, t: int, args, pref=None) -> list[int]:
         return []
     if t == 0:
         return [1 if n == 0 else 0 for n in args]
-    top = max(args)
     if a == 0:
         if t % 2 == 0:
             inner = [n // 4 for n in args if n % 4 == 0]
             vals = iter(modd_explicit_batch(-2, t // 2, inner, pref))
             return [next(vals) if n % 4 == 0 else 0 for n in args]
         inner = [(n - 1) // 4 for n in args if n % 4 == 1]
-        vals = iter(_w_batch((t - 1) // 2, inner, pref))
+        vals = iter(_theta_batch(0, (t - 1) // 2, inner, pref))
         return [next(vals) if n % 4 == 1 else 0 for n in args]
-    if pref is None:
-        pref = (overpartition_gf(top + 1) if a == -2 else prefactor_a(top + 1)).coeffs
-    cs = {}
-    n = max(1, t)
-    while n * n <= top:
-        c = coeff_c(a, t, n)
-        if c:
-            cs[n * n] = c
-        n += 1
-    out = []
-    for x in args:
-        acc = 0
-        for e, c in cs.items():
-            if e <= x:
-                acc += c * pref[x - e]
-        out.append(acc)
-    return out
+    return _theta_batch(a, t, args, pref)
 
 
-def _w_batch(t: int, args, pref=None) -> list[int]:
-    """[q^n] W_t for each n in args."""
+def _theta_batch(a: int, t: int, args, pref=None) -> list[int]:
+    """[q^x] of prefactor * sum_n c_n(a,t) q^(r(n)) for each x in args.
+
+    The prefactor is the f1f6/(f2^2 f3) expansion for a = 1 and the
+    overpartition counts otherwise; a = 0 gives W_t.
+    """
     if not args:
         return []
     top = max(args)
     if pref is None:
-        pref = overpartition_gf(top + 1).coeffs
-    cs = {}
-    n = t + 1
-    while n * (n - 1) <= top:
-        c = coeff_c(0, t, n)
-        if c:
-            cs[n * (n - 1)] = c
-        n += 1
+        pref = (prefactor_a(top + 1) if a == 1 else overpartition_gf(top + 1)).coeffs
+    terms = theta_weight_terms(a, t, top + 1)
     out = []
     for x in args:
         acc = 0
-        for e, c in cs.items():
-            if e <= x:
-                acc += c * pref[x - e]
+        for e, c in terms:
+            if e > x:
+                break
+            acc += c * pref[x - e]
         out.append(acc)
     return out

@@ -84,6 +84,16 @@ def test_verify_custom_budget_and_j(capsys):
     assert blob["ranges"]["J"] == [0, 2]
 
 
+def test_verify_j_without_budget_uses_family_budget(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "c0-1a", "--j", "1")
+    assert code == 0
+    assert json.loads(out.strip())["ranges"]["max_n"] == 1500
+    code, out, _ = run(capsys, "verify", "--family", "c0-1a", "--j", "1",
+                       "--budget", "2500")
+    assert code == 0
+    assert json.loads(out.strip())["ranges"]["max_n"] == 2500
+
+
 def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--family", "nonexistent")
     assert code == 2 and "nonexistent" in err

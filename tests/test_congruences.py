@@ -183,8 +183,26 @@ def test_report_json_shape():
 
 
 def test_report_invariant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         VerifyReport("x", "MODD(1)", None, "8N+7", 8, {}, "fail", None, 1.0)
+
+
+def test_coeff_budget_is_honoured():
+    # the default is the quick profile's n <= 1500 ...
+    r = verify_family("c1-1", j_values=(1,))
+    assert r.passed and r.ranges["max_n"] == 1500
+    assert r.checked == 750                      # even n only
+    # ... and an explicit budget is swept in full, not capped
+    r = verify_family("c1-1", j_values=(1,), n_budget=3000)
+    assert r.passed and r.ranges["max_n"] == 3000
+    assert r.checked == 1500
+
+
+def test_default_budget_follows_profile():
+    r = verify_family("ovc-16n10-mod8")
+    assert r.passed and r.ranges["max_arg"] == 50000
+    r = verify_family("vm2A-3", n_budget=None)
+    assert r.ranges["max_arg"] == 20000
 
 
 def test_verify_all_selection():

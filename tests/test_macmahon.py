@@ -5,10 +5,13 @@ import pytest
 
 from qlab.series import Series
 from qlab.special import eta, eta_quotient
+from qlab.special import overpartition_gf, prefactor_a
 from qlab.macmahon import (
     UnsupportedA,
+    _theta_batch,
     chebyshev_T,
     coeff_c,
+    coeff_column,
     direct_utilde,
     explicit_utilde,
     local_factor_coeffs,
@@ -20,6 +23,7 @@ from qlab.macmahon import (
     riordan_series,
     te,
     te_sum,
+    theta_weight_terms,
     two_te_at_quarter,
     two_te_quarter_shift,
     w_series,
@@ -137,6 +141,83 @@ def test_coeff_c_closed_forms():
         coeff_c(2, 1, 1)
     with pytest.raises(ValueError):
         coeff_c(1, 1, 0)
+
+
+def test_coeff_column_matches_coeff_c():
+    for a in (-2, 0, 1):
+        for t in (0, 1, 2, 3, 7, 31):
+            column = coeff_column(a, t, 300)
+            assert column == [0] + [coeff_c(a, t, n) for n in range(1, 301)], (a, t)
+    assert coeff_column(1, 5, 0) == [0]
+    with pytest.raises(UnsupportedA):
+        coeff_column(2, 1, 10)
+    with pytest.raises(ValueError):
+        coeff_column(1, -1, 10)
+    with pytest.raises(ValueError):
+        coeff_column(1, 1, -1)
+
+
+def test_coeff_column_deep_a1_against_te_sum():
+    # the largest a=1 column the quick sweep reads: t = 127, n <= 1500
+    column = coeff_column(1, 127, 1500)
+    assert len(column) == 1501
+    for n in (1, 126, 127, 128, 700, 1377, 1400, 1499, 1500):
+        assert column[n] == te_sum(1, 127, n), n
+    assert column[1500] != 0
+
+
+def test_riordan_series_t0_is_twice_chebyshev():
+    # (1 - z^2)/(1 - a z + z^2) = (2 - a z)/(1 - a z + z^2) - 1, so for
+    # n >= 1 the coefficient is 2*T_n(a/2): u_n = a*u_(n-1) - u_(n-2)
+    for a in (-2, -1, 0, 1, 2):
+        rs = riordan_series(a, 0, 40)
+        assert rs.coeff(0) == 1
+        u = [2, a]
+        for n in range(2, 41):
+            u.append(a * u[-1] - u[-2])
+        for n in range(1, 41):
+            assert rs.coeff(n) == u[n] == te_sum(a, 0, n), (a, n)
+    with pytest.raises(ValueError):
+        riordan_series(1, -1, 5)
+
+
+def _per_entry_terms(a, t, order):
+    """theta-weight terms built one coeff_c call at a time."""
+    r = (lambda n: n * (n - 1)) if a == 0 else (lambda n: n * n)
+    n = t + 1 if a == 0 else max(1, t)
+    terms = []
+    while r(n) < order:
+        c = coeff_c(a, t, n)
+        if c:
+            terms.append((r(n), c))
+        n += 1
+    return terms
+
+
+def _per_entry_convolution(a, t, args, pref):
+    terms = _per_entry_terms(a, t, max(args) + 1)
+    return [sum(c * pref[x - e] for e, c in terms if e <= x) for x in args]
+
+
+def test_theta_routes_match_per_entry():
+    for a, t, order in ((-2, 0, 50), (-2, 3, 400), (0, 0, 30), (0, 4, 500),
+                        (1, 1, 90), (1, 7, 700), (1, 31, 1200)):
+        assert theta_weight_terms(a, t, order) == _per_entry_terms(a, t, order), (a, t)
+    args = [0, 1, 5, 17, 64, 99, 255, 256, 399]
+    pref_m2 = overpartition_gf(400).coeffs
+    pref_1 = prefactor_a(400).coeffs
+    for a, t in ((-2, 1), (-2, 5), (1, 2), (1, 9), (1, 15)):
+        pref = pref_1 if a == 1 else pref_m2
+        want = _per_entry_convolution(a, t, args, pref)
+        assert modd_explicit_batch(a, t, args) == want, (a, t)
+        assert _theta_batch(a, t, args) == want, (a, t)
+    # the a=0 odd case: W_t read on 4n+1
+    for t in (0, 1, 3):
+        want = _per_entry_convolution(0, t, args, pref_m2)
+        assert _theta_batch(0, t, args) == want, t
+        assert want == [w_series(t, 400).coeff(x) for x in args], t
+        odd = [4 * x + 1 for x in args]
+        assert modd_explicit_batch(0, 2 * t + 1, odd) == want, t
 
 
 def test_te_sum_matches_riordan():
