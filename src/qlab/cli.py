@@ -82,24 +82,10 @@ def cmd_modd(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        if args.family:
-            if args.budget or args.j:
-                # explicit ranges: run families one by one
-                cache = congruences.SweepCache()
-                reports = []
-                for fid in args.family:
-                    reports.append(congruences.verify_family(
-                        fid,
-                        j_values=args.j,
-                        n_budget=args.budget,
-                        cache=cache))
-            else:
-                reports = congruences.verify_all(args.profile, ids=args.family,
-                                                 threads=args.threads)
-        else:
-            reports = congruences.verify_all(args.profile, threads=args.threads)
-    except (congruences.UnknownFamily, congruences.BudgetTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        reports = congruences.verify_all(args.profile, ids=args.family,
+                                         j_values=args.j, n_budget=args.budget)
+    except (congruences.UnknownFamily, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for r in reports:
         print(json.dumps(r.to_json()))
@@ -173,13 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", help="family id (repeatable)")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--budget", type=int,
-                   help="override the argument bound (default: the family's quick budget)")
-    p.add_argument("--j", type=int, nargs="+", help="explicit J values")
-    p.add_argument("--threads", type=int, default=None)
+                   help="override every family's argument bound (default: the profile's)")
+    p.add_argument("--j", type=int, nargs="+",
+                   help="explicit J values (default: the family's first two)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemmas", help="check a fixture file of identities")
-    p.add_argument("path", help="fixture file (.qx)")
+    p.add_argument("path", nargs="?", default=None,
+                   help="fixture file (.qx; default: the packaged dissection corpus)")
     p.add_argument("--order", type=int, default=None,
                    help="override each fixture's check order")
     p.set_defaults(func=cmd_lemmas)

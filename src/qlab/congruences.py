@@ -22,12 +22,9 @@ Sequence evaluation routes:
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from threading import Lock
 
 from .arith import nu_int
 from .macmahon import coeff_column, direct_utilde, modd_explicit_batch
@@ -39,7 +36,13 @@ OVC_MIN_BUDGET = 50000
 COEFF_BUDGET = 1500
 DP_WINDOW = 2000
 
-# expected-outcome kinds
+# sequence kinds; MODD and COEFF families also carry the parameter a
+MODD = "MODD"
+COEFF = "COEFF"
+PREFACTOR_A = "PREFACTOR_A"
+OVERPARTITION = "OVERPARTITION"
+
+# expected outcomes
 CONG_ZERO = "CONG_ZERO"
 EXACT_ZERO = "EXACT_ZERO"
 PARITY_A2N = "PARITY_A2N"
@@ -61,8 +64,9 @@ class CongruenceFamily:
     """One verifiable claim about a coefficient sequence."""
 
     id: str
-    sequence: str                 # MODD(a) | PREFACTOR_A | OVERPARTITION | COEFF(a)
-    expected: str                 # one of the kind constants above
+    kind: str                     # MODD | COEFF | PREFACTOR_A | OVERPARTITION
+    a: int | None                 # the m_odd / c_n parameter; None for the others
+    expected: str                 # one of the expected outcomes above
     modulus: int = 0              # >= 2 for CONG_ZERO; 0 for exact checks
     t_rule: tuple[int, int] | None = None    # t = alpha*J + beta
     j_min: int = 0
@@ -73,6 +77,11 @@ class CongruenceFamily:
     dp_backed: bool = False
     easy3_cross: bool = False     # also assert m_odd(1) == m_odd(-2) mod 3
     note: str = ""
+
+    @property
+    def sequence(self) -> str:
+        """The report label: MODD(a), COEFF(a), PREFACTOR_A or OVERPARTITION."""
+        return self.kind if self.a is None else f"{self.kind}({self.a})"
 
     def t_of(self, j: int) -> int:
         alpha, beta = self.t_rule
@@ -90,12 +99,18 @@ class CongruenceFamily:
         return f"{head}{beta:+d}"
 
     def arg_rule_str(self) -> str:
+        """The arguments the sweep reads."""
         if self.expected == PARITY_A2N:
             return "2n, all n"
+        if self.kind == COEFF and self.n_excluded:
+            mod_, excluded = self.n_excluded
+            return f"n ≢ {','.join(map(str, sorted(set(excluded))))} (mod {mod_})"
         if self.arg_mod == 1:
             return "all n"
-        rs = ",".join(str(r) for r in self.arg_residues)
-        rs = rs if len(self.arg_residues) == 1 else "{" + rs + "}"
+        residues = (sorted(r for r, _ in self.val_table) if self.expected == VALUATION_TABLE
+                    else self.arg_residues)
+        rs = ",".join(map(str, residues))
+        rs = rs if len(residues) == 1 else "{" + rs + "}"
         return f"{self.arg_mod}N+{rs}"
 
 
@@ -147,7 +162,7 @@ def _build_registry() -> list[CongruenceFamily]:
 
     # ----- prefactor a(n) = [q^n] f1 f6/(f2^2 f3) ---------------------
     add(CongruenceFamily(
-        "a2n-parity", "PREFACTOR_A", PARITY_A2N, modulus=2, arg_mod=2,
+        "a2n-parity", PREFACTOR_A, None, PARITY_A2N, modulus=2, arg_mod=2,
         note="a(2n) odd exactly when n=0 or n is a square not divisible by 3"))
     for label, mod_, m, r in (
         ("a6n4-mod2", 2, 6, 4), ("a6n6-mod2", 2, 6, 6),
@@ -158,164 +173,164 @@ def _build_registry() -> list[CongruenceFamily]:
         ("a12n9-mod8", 8, 12, 9), ("a24n19-mod8", 8, 24, 19),
         ("a32n28-mod8", 8, 32, 28), ("a32n20-mod4", 4, 32, 20),
     ):
-        add(CongruenceFamily(label, "PREFACTOR_A", CONG_ZERO, modulus=mod_,
+        add(CongruenceFamily(label, PREFACTOR_A, None, CONG_ZERO, modulus=mod_,
                              arg_mod=m, arg_residues=(r,)))
     for p in (5, 7, 11):
         residues = tuple(2 * r for r in _quadratic_nonresidues(p))
         add(CongruenceFamily(
-            f"a2pn-mod2-p{p}", "PREFACTOR_A", CONG_ZERO, modulus=2,
+            f"a2pn-mod2-p{p}", PREFACTOR_A, None, CONG_ZERO, modulus=2,
             arg_mod=2 * p, arg_residues=residues,
             note=f"arguments 2(pn+r), r a quadratic nonresidue mod {p}"))
     add(CongruenceFamily(
-        "pre1-24", "PREFACTOR_A", VALUATION_TABLE, arg_mod=24,
+        "pre1-24", PREFACTOR_A, None, VALUATION_TABLE, arg_mod=24,
         val_table=((0, 1), (4, 1), (10, 1), (12, 1), (13, 1), (14, 1), (20, 1),
                    (6, 2), (16, 2), (18, 2), (22, 2), (9, 3), (19, 3), (21, 3))))
     add(CongruenceFamily(
-        "pre1-32", "PREFACTOR_A", VALUATION_TABLE, arg_mod=32,
+        "pre1-32", PREFACTOR_A, None, VALUATION_TABLE, arg_mod=32,
         val_table=((4, 1), (10, 1), (12, 1), (14, 1), (16, 1), (24, 1), (26, 1),
                    (30, 1), (6, 2), (20, 2), (22, 2), (28, 3))))
 
     # ----- overpartition counts --------------------------------------
     add(CongruenceFamily(
-        "ovc8", "OVERPARTITION", VALUATION_TABLE, arg_mod=8,
+        "ovc8", OVERPARTITION, None, VALUATION_TABLE, arg_mod=8,
         val_table=((0, 1), (1, 1), (4, 1), (2, 2), (3, 3), (5, 3), (6, 3), (7, 6))))
     add(CongruenceFamily(
-        "ovc9", "OVERPARTITION", VALUATION_TABLE, arg_mod=9,
+        "ovc9", OVERPARTITION, None, VALUATION_TABLE, arg_mod=9,
         val_table=((0, 1), (1, 1), (4, 1), (7, 1), (2, 2), (5, 2), (8, 2), (3, 3), (6, 3))))
     add(CongruenceFamily(
-        "ovc-16n10-mod8", "OVERPARTITION", CONG_ZERO, modulus=8,
+        "ovc-16n10-mod8", OVERPARTITION, None, CONG_ZERO, modulus=8,
         arg_mod=16, arg_residues=(10,)))
     add(CongruenceFamily(
-        "ovc3-27n18-mod3", "OVERPARTITION", CONG_ZERO, modulus=3,
+        "ovc3-27n18-mod3", OVERPARTITION, None, CONG_ZERO, modulus=3,
         arg_mod=27, arg_residues=(18,)))
 
     # ----- coefficient families c_n(a, t) -----------------------------
     for s in range(1, 6):
         add(CongruenceFamily(
-            f"cm2-1-s{s}", "COEFF(-2)", CONG_ZERO, modulus=2 ** (s + 1),
+            f"cm2-1-s{s}", COEFF, -2, CONG_ZERO, modulus=2 ** (s + 1),
             t_rule=(2 ** s, -1), j_min=1, n_excluded=(2, (1,)),
             note="even n only"))
-    add(CongruenceFamily("cm2-2", "COEFF(-2)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("cm2-2", COEFF, -2, CONG_ZERO, modulus=3,
                          t_rule=(27, 13), j_min=0, n_excluded=(27, (13, 14))))
-    add(CongruenceFamily("cm2-3", "COEFF(-2)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("cm2-3", COEFF, -2, CONG_ZERO, modulus=3,
                          t_rule=(27, -1), j_min=1, n_excluded=(27, (1, 26))))
-    add(CongruenceFamily("c0-1a", "COEFF(0)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("c0-1a", COEFF, 0, CONG_ZERO, modulus=4,
                          t_rule=(4, -1), j_min=1, n_excluded=(4, (0, 1))))
-    add(CongruenceFamily("c0-1b", "COEFF(0)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("c0-1b", COEFF, 0, CONG_ZERO, modulus=8,
                          t_rule=(8, -1), j_min=1, n_excluded=(4, (0, 1))))
-    add(CongruenceFamily("c0-2a", "COEFF(0)", CONG_ZERO, modulus=16,
+    add(CongruenceFamily("c0-2a", COEFF, 0, CONG_ZERO, modulus=16,
                          t_rule=(32, -1), j_min=1, n_excluded=(8, (0, 1))))
-    add(CongruenceFamily("c0-2b", "COEFF(0)", CONG_ZERO, modulus=32,
+    add(CongruenceFamily("c0-2b", COEFF, 0, CONG_ZERO, modulus=32,
                          t_rule=(64, -1), j_min=1, n_excluded=(8, (0, 1))))
-    add(CongruenceFamily("c0-3", "COEFF(0)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("c0-3", COEFF, 0, CONG_ZERO, modulus=3,
                          t_rule=(27, 12), j_min=0, n_excluded=(27, (13, 15))))
     # exceptional set {0,1} mod 27: the n(n-1) support is symmetric under
     # n -> 1-n, and the leading coefficient sits at n = t+1 = 27J
-    add(CongruenceFamily("c0-4", "COEFF(0)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("c0-4", COEFF, 0, CONG_ZERO, modulus=3,
                          t_rule=(27, -1), j_min=1, n_excluded=(27, (0, 1))))
-    add(CongruenceFamily("c1-1", "COEFF(1)", CONG_ZERO, modulus=2,
+    add(CongruenceFamily("c1-1", COEFF, 1, CONG_ZERO, modulus=2,
                          t_rule=(2, -1), j_min=1, n_excluded=(2, (1,))))
     for s in range(2, 6):
         half = 2 ** (s - 1)
         add(CongruenceFamily(
-            f"c1-2-s{s}", "COEFF(1)", CONG_ZERO, modulus=4,
+            f"c1-2-s{s}", COEFF, 1, CONG_ZERO, modulus=4,
             t_rule=(2 ** s, -1), j_min=1,
             n_excluded=(half, (1 % half, (half - 1) % half))))
     # halving (1+z)^(64J) mod 8 stops at (1+z^16)^(4J), so the mod-8
     # support of c_n(1,64J-1) is n = +-1 mod 16 (and n^2 = 1 mod 32 still)
-    add(CongruenceFamily("c1-3", "COEFF(1)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("c1-3", COEFF, 1, CONG_ZERO, modulus=8,
                          t_rule=(64, -1), j_min=1, n_excluded=(16, (1, 15))))
 
     # ----- m_odd(-2, t; .) --------------------------------------------
     add(CongruenceFamily(
-        "m2-parity-t1", "MODD(-2)", PARITY_M2_T1, modulus=2, t_rule=(0, 1),
+        "m2-parity-t1", MODD, -2, PARITY_M2_T1, modulus=2, t_rule=(0, 1),
         note="m_odd(-2,1;N) odd exactly when N is an odd square"))
-    add(CongruenceFamily("m2-6n5-mod6", "MODD(-2)", CONG_ZERO, modulus=6,
+    add(CongruenceFamily("m2-6n5-mod6", MODD, -2, CONG_ZERO, modulus=6,
                          t_rule=(0, 1), arg_mod=6, arg_residues=(5,)))
-    add(CongruenceFamily("vm2A-1", "MODD(-2)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("vm2A-1", MODD, -2, CONG_ZERO, modulus=4,
                          t_rule=(1, 1), arg_mod=8, arg_residues=(3, 6)))
-    add(CongruenceFamily("vm2A-2", "MODD(-2)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("vm2A-2", MODD, -2, CONG_ZERO, modulus=4,
                          t_rule=(1, 1), arg_mod=9, arg_residues=(3, 6)))
-    add(CongruenceFamily("vm2A-3", "MODD(-2)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("vm2A-3", MODD, -2, CONG_ZERO, modulus=8,
                          t_rule=(1, 1), arg_mod=8, arg_residues=(7,)))
-    add(CongruenceFamily("vm2-1", "MODD(-2)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("vm2-1", MODD, -2, CONG_ZERO, modulus=4,
                          t_rule=(2, 1), arg_mod=8, arg_residues=(0, 4)))
-    add(CongruenceFamily("vm2-1b", "MODD(-2)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("vm2-1b", MODD, -2, CONG_ZERO, modulus=4,
                          t_rule=(2, 0), arg_mod=8, arg_residues=(2,)))
-    add(CongruenceFamily("vm2-2", "MODD(-2)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("vm2-2", MODD, -2, CONG_ZERO, modulus=8,
                          t_rule=(2, 1), arg_mod=8, arg_residues=(6,)))
-    add(CongruenceFamily("vm2-2b", "MODD(-2)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("vm2-2b", MODD, -2, CONG_ZERO, modulus=8,
                          t_rule=(2, 0), arg_mod=8, arg_residues=(3,)))
-    add(CongruenceFamily("vm2-2c", "MODD(-2)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("vm2-2c", MODD, -2, CONG_ZERO, modulus=8,
                          t_rule=(4, 3), arg_mod=8, arg_residues=(0, 4)))
-    add(CongruenceFamily("vm2-2d", "MODD(-2)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("vm2-2d", MODD, -2, CONG_ZERO, modulus=8,
                          t_rule=(4, 2), arg_mod=16, arg_residues=(14,)))
-    add(CongruenceFamily("vm2-3", "MODD(-2)", CONG_ZERO, modulus=16,
+    add(CongruenceFamily("vm2-3", MODD, -2, CONG_ZERO, modulus=16,
                          t_rule=(4, 0), arg_mod=8, arg_residues=(7,)))
-    add(CongruenceFamily("vm2-3a", "MODD(-2)", CONG_ZERO, modulus=16,
+    add(CongruenceFamily("vm2-3a", MODD, -2, CONG_ZERO, modulus=16,
                          t_rule=(8, 7), arg_mod=8, arg_residues=(0,)))
-    add(CongruenceFamily("vm2-4", "MODD(-2)", CONG_ZERO, modulus=32,
+    add(CongruenceFamily("vm2-4", MODD, -2, CONG_ZERO, modulus=32,
                          t_rule=(16, 15), arg_mod=8, arg_residues=(0,)))
-    add(CongruenceFamily("vm2-5", "MODD(-2)", CONG_ZERO, modulus=64,
+    add(CongruenceFamily("vm2-5", MODD, -2, CONG_ZERO, modulus=64,
                          t_rule=(32, 31), arg_mod=8, arg_residues=(0,)))
-    add(CongruenceFamily("vm2-10", "MODD(-2)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("vm2-10", MODD, -2, CONG_ZERO, modulus=3,
                          t_rule=(27, 13), arg_mod=27, arg_residues=(25,)))
-    add(CongruenceFamily("vm2-11", "MODD(-2)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("vm2-11", MODD, -2, CONG_ZERO, modulus=3,
                          t_rule=(27, 26), arg_mod=27, arg_residues=(19,)))
 
     # ----- m_odd(0, t; .) ---------------------------------------------
     add(CongruenceFamily(
-        "m0-even-vanish", "MODD(0)", EXACT_ZERO, t_rule=(2, 0),
+        "m0-even-vanish", MODD, 0, EXACT_ZERO, t_rule=(2, 0),
         arg_mod=4, arg_residues=(1, 2, 3), dp_backed=True,
         note="even t: support lies on 4N"))
     add(CongruenceFamily(
-        "m0-even-reinterp", "MODD(0)", EQUALS_MODD_M2, t_rule=(2, 0),
+        "m0-even-reinterp", MODD, 0, EQUALS_MODD_M2, t_rule=(2, 0),
         arg_mod=4, arg_residues=(0,), dp_backed=True,
         note="m_odd(0,2t;4N) = m_odd(-2,t;N)"))
     add(CongruenceFamily(
-        "m0-odd-vanish", "MODD(0)", EXACT_ZERO, t_rule=(2, 1),
+        "m0-odd-vanish", MODD, 0, EXACT_ZERO, t_rule=(2, 1),
         arg_mod=4, arg_residues=(0, 2, 3), dp_backed=True,
         note="odd t: support lies on 4N+1"))
-    add(CongruenceFamily("m0-36n-mod4", "MODD(0)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("m0-36n-mod4", MODD, 0, CONG_ZERO, modulus=4,
                          t_rule=(2, 1), arg_mod=36, arg_residues=(21, 33)))
-    add(CongruenceFamily("v0odd-1", "MODD(0)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("v0odd-1", MODD, 0, CONG_ZERO, modulus=4,
                          t_rule=(8, 7), arg_mod=16, arg_residues=(9, 13)))
-    add(CongruenceFamily("v0odd-2", "MODD(0)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("v0odd-2", MODD, 0, CONG_ZERO, modulus=8,
                          t_rule=(16, 15), arg_mod=16, arg_residues=(13,)))
-    add(CongruenceFamily("v0odd-3", "MODD(0)", CONG_ZERO, modulus=16,
+    add(CongruenceFamily("v0odd-3", MODD, 0, CONG_ZERO, modulus=16,
                          t_rule=(64, 63), arg_mod=32, arg_residues=(29,)))
-    add(CongruenceFamily("v0odd-3b", "MODD(0)", CONG_ZERO, modulus=32,
+    add(CongruenceFamily("v0odd-3b", MODD, 0, CONG_ZERO, modulus=32,
                          t_rule=(128, 127), arg_mod=32, arg_residues=(29,)))
-    add(CongruenceFamily("v0odd-4", "MODD(0)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("v0odd-4", MODD, 0, CONG_ZERO, modulus=3,
                          t_rule=(54, 25), arg_mod=108, arg_residues=(49,)))
-    add(CongruenceFamily("v0odd-5", "MODD(0)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("v0odd-5", MODD, 0, CONG_ZERO, modulus=3,
                          t_rule=(54, 53), arg_mod=108, arg_residues=(73,)))
-    add(CongruenceFamily("m0-t1-vanish", "MODD(0)", EXACT_ZERO, t_rule=(0, 1),
+    add(CongruenceFamily("m0-t1-vanish", MODD, 0, EXACT_ZERO, t_rule=(0, 1),
                          arg_mod=36, arg_residues=(21, 33),
                          note="t=1: arguments 4(9n+5)+1 and 4(9n+8)+1"))
 
     # ----- m_odd(1, t; .) ---------------------------------------------
-    add(CongruenceFamily("v1-0", "MODD(1)", CONG_ZERO, modulus=2,
+    add(CongruenceFamily("v1-0", MODD, 1, CONG_ZERO, modulus=2,
                          t_rule=(1, 0), arg_mod=24, arg_residues=(22,)))
-    add(CongruenceFamily("v1-0b", "MODD(1)", CONG_ZERO, modulus=2,
+    add(CongruenceFamily("v1-0b", MODD, 1, CONG_ZERO, modulus=2,
                          t_rule=(2, 1), arg_mod=12, arg_residues=(7,)))
-    add(CongruenceFamily("v1-0c", "MODD(1)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("v1-0c", MODD, 1, CONG_ZERO, modulus=4,
                          t_rule=(4, 3), arg_mod=24, arg_residues=(7,)))
-    add(CongruenceFamily("v1-1", "MODD(1)", CONG_ZERO, modulus=2,
+    add(CongruenceFamily("v1-1", MODD, 1, CONG_ZERO, modulus=2,
                          t_rule=(2, 1), arg_mod=8, arg_residues=(5, 7)))
-    add(CongruenceFamily("v1-2", "MODD(1)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("v1-2", MODD, 1, CONG_ZERO, modulus=4,
                          t_rule=(16, 15), arg_mod=16, arg_residues=(7,)))
-    add(CongruenceFamily("v1-2b", "MODD(1)", CONG_ZERO, modulus=4,
+    add(CongruenceFamily("v1-2b", MODD, 1, CONG_ZERO, modulus=4,
                          t_rule=(32, 31), arg_mod=32, arg_residues=(21, 29)))
-    add(CongruenceFamily("v1-2c", "MODD(1)", CONG_ZERO, modulus=8,
+    add(CongruenceFamily("v1-2c", MODD, 1, CONG_ZERO, modulus=8,
                          t_rule=(64, 63), arg_mod=32, arg_residues=(29,)))
-    add(CongruenceFamily("v1-mod3-13", "MODD(1)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("v1-mod3-13", MODD, 1, CONG_ZERO, modulus=3,
                          t_rule=(27, 13), arg_mod=27, arg_residues=(25,),
                          easy3_cross=True))
-    add(CongruenceFamily("v1-mod3-26", "MODD(1)", CONG_ZERO, modulus=3,
+    add(CongruenceFamily("v1-mod3-26", MODD, 1, CONG_ZERO, modulus=3,
                          t_rule=(27, 26), arg_mod=27, arg_residues=(19,),
                          easy3_cross=True))
-    add(CongruenceFamily("m1-t1-6n5", "MODD(1)", EXACT_ZERO, t_rule=(0, 1),
+    add(CongruenceFamily("m1-t1-6n5", MODD, 1, EXACT_ZERO, t_rule=(0, 1),
                          arg_mod=6, arg_residues=(5,)))
 
     ids = [f.id for f in fams]
@@ -348,6 +363,7 @@ def lookup(family_id: str) -> CongruenceFamily:
 class SweepCache:
     """Prefactor expansions and DP runs, computed once and shared read-only."""
 
+    # keyed by the lower-cased kind of the families that read each expansion
     _BUILDERS = {
         "overpartition": overpartition_gf,
         "prefactor_a": prefactor_a,
@@ -356,23 +372,23 @@ class SweepCache:
     def __init__(self):
         self._series: dict[str, tuple] = {}
         self._dp: dict[tuple, list] = {}
-        self._lock = Lock()
 
     def coeffs(self, kind: str, min_len: int) -> tuple:
-        with self._lock:
-            have = self._series.get(kind)
-            if have is not None and len(have) >= min_len:
-                return have
-            built = self._BUILDERS[kind](min_len).coeffs
-            self._series[kind] = built
-            return built
+        have = self._series.get(kind)
+        if have is None or len(have) < min_len:
+            have = self._series[kind] = self._BUILDERS[kind](min_len).coeffs
+        return have
+
+    def reserve(self, *needs: dict[str, int]) -> None:
+        """Build each expansion once, at the largest length any need asks of it."""
+        for kind in dict.fromkeys(kind for need in needs for kind in need):
+            self.coeffs(kind, max(need.get(kind, 0) for need in needs))
 
     def dp_utilde(self, a: int, t_max: int, order: int) -> list:
         key = (a, t_max, order)
-        with self._lock:
-            if key not in self._dp:
-                self._dp[key] = direct_utilde(a, t_max, order)
-            return self._dp[key]
+        if key not in self._dp:
+            self._dp[key] = direct_utilde(a, t_max, order)
+        return self._dp[key]
 
 
 def _modd_pref_kind(a: int) -> str:
@@ -397,19 +413,23 @@ def _args_of(fam: CongruenceFamily, bound: int) -> list[int]:
     return out
 
 
+def _modd_bound(t: int, n_budget: int) -> int:
+    """m_odd sweeps always reach 2000 past the series' leading exponent t^2."""
+    return max(n_budget, t * t + 2000)
+
+
 def _sweep_modd(fam, j_values, n_budget, cache):
-    a = int(fam.sequence[5:-1])
     checked = 0
     max_budget = 0
     for j in j_values:
         t = fam.t_of(j)
-        bound = max(n_budget, t * t + 2000)
+        bound = _modd_bound(t, n_budget)
         max_budget = max(max_budget, bound)
         args = _args_of(fam, bound)
         if not args:
             raise BudgetTooSmall(f"{fam.id}: no arguments below {bound}")
-        pref = cache.coeffs(_modd_pref_kind(a), bound + 1)
-        values = modd_explicit_batch(a, t, args, pref)
+        pref = cache.coeffs(_modd_pref_kind(fam.a), bound + 1)
+        values = modd_explicit_batch(fam.a, t, args, pref)
         cross = None
         if fam.easy3_cross:
             pref2 = cache.coeffs("overpartition", bound + 1)
@@ -468,14 +488,13 @@ def _sweep_modd0_dp(fam, j_values, cache):
 
 
 def _sweep_coeff(fam, j_values, n_budget):
-    a = int(fam.sequence[6:-1])
     mod_, excluded = fam.n_excluded if fam.n_excluded else (1, ())
     ns = [n for n in range(1, n_budget + 1) if n % mod_ not in excluded]
     if not ns:
         raise BudgetTooSmall(f"{fam.id}: no admissible n below {n_budget}")
     checked = 0
     for j in j_values:
-        column = coeff_column(a, fam.t_of(j), n_budget)
+        column = coeff_column(fam.a, fam.t_of(j), n_budget)
         for n in ns:
             checked += 1
             if column[n] % fam.modulus:
@@ -484,14 +503,10 @@ def _sweep_coeff(fam, j_values, n_budget):
 
 
 def _sweep_sequence(fam, n_budget, cache):
-    kind = "prefactor_a" if fam.sequence == "PREFACTOR_A" else "overpartition"
-    coeffs = cache.coeffs(kind, n_budget + 1)
+    coeffs = cache.coeffs(fam.kind.lower(), n_budget + 1)
     checked = 0
     if fam.expected == CONG_ZERO:
-        args = _args_of(fam, n_budget)
-        if not args:
-            raise BudgetTooSmall(f"{fam.id}: no arguments below {n_budget}")
-        for x in args:
+        for x in _args_of(fam, n_budget):
             checked += 1
             if coeffs[x] % fam.modulus:
                 return checked, n_budget, _cex(None, x, coeffs[x], fam.modulus)
@@ -527,6 +542,38 @@ def _cex(j, n, value, modulus, **extra):
 # ---------------------------------------------------------------------
 
 
+def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = None,
+                profile: str = "quick") -> tuple[tuple, int, dict[str, int]]:
+    """(J values, budget, {expansion kind: length it reads}) of one sweep.
+
+    `None` takes the profile's value: J from the family's ``j_min`` on, the
+    budget from ``_budget_for``.  Raises ValueError for J values the family
+    cannot take.
+    """
+    if fam.t_rule is None:
+        if j_values:
+            raise ValueError(f"{fam.id}: the family has no t rule, so no J values")
+        j_values = ()
+    else:
+        j_values = tuple((fam.j_min, fam.j_min + 1) if j_values is None else j_values)
+        if not j_values or min(j_values) < fam.j_min:
+            raise ValueError(f"{fam.id}: needs J values >= the theorem's {fam.j_min}")
+    if n_budget is None:
+        n_budget = _budget_for(fam, profile)
+    ts = [fam.t_of(j) for j in j_values]
+    lengths = {}
+    if fam.kind in (PREFACTOR_A, OVERPARTITION):
+        lengths[fam.kind.lower()] = n_budget + 1
+    elif fam.expected == EQUALS_MODD_M2:      # m_odd(-2, t/2; n) for 4n in the DP window
+        lengths["overpartition"] = max((t * t + DP_WINDOW) // 4 + 1 for t in ts)
+    elif fam.kind == MODD and not fam.dp_backed:
+        top = max(_modd_bound(t, n_budget) for t in ts) + 1
+        lengths[_modd_pref_kind(fam.a)] = top
+        if fam.easy3_cross:
+            lengths["overpartition"] = top
+    return j_values, n_budget, lengths
+
+
 def verify_family(family, j_values=None, n_budget: int | None = None,
                   cache: SweepCache | None = None) -> VerifyReport:
     """Sweep one family (by id or record) and report pass/fail.
@@ -535,26 +582,22 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
     ``_budget_for``); an explicit budget is honoured as given.  For m_odd
     families with t*t above the budget, the bound is extended to
     t^2 + 2000 so the sweep always sees coefficients beyond the series'
-    leading exponent.  Raises BudgetTooSmall if no argument qualifies.
+    leading exponent.  Each expansion is sized once, before the J loop.
+    Raises BudgetTooSmall if no argument qualifies.
     """
     fam = lookup(family) if isinstance(family, str) else family
-    if n_budget is None:
-        n_budget = _budget_for(fam, "quick")
+    j_values, n_budget, lengths = _sweep_plan(fam, j_values, n_budget)
     if cache is None:
         cache = SweepCache()
-    if j_values is None:
-        j_values = (0, 1) if fam.j_min == 0 else (1, 2)
-    j_values = tuple(j_values)
-    if fam.t_rule is not None and any(j < fam.j_min for j in j_values):
-        raise ValueError(f"{fam.id}: J values below the theorem's J >= {fam.j_min}")
     start = time.perf_counter()
-    if fam.sequence.startswith("MODD"):
+    cache.reserve(lengths)
+    if fam.kind == MODD:
         if fam.dp_backed:
             checked, bound, cex = _sweep_modd0_dp(fam, j_values, cache)
         else:
             checked, bound, cex = _sweep_modd(fam, j_values, n_budget, cache)
         ranges = {"J": list(j_values), "max_arg": bound}
-    elif fam.sequence.startswith("COEFF"):
+    elif fam.kind == COEFF:
         checked, bound, cex = _sweep_coeff(fam, j_values, n_budget)
         ranges = {"J": list(j_values), "max_n": bound}
     else:
@@ -577,63 +620,32 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
 
 
 def _budget_for(fam: CongruenceFamily, profile: str) -> int:
-    if fam.sequence == "OVERPARTITION":
+    if fam.kind == OVERPARTITION:
         return OVC_MIN_BUDGET
-    if fam.sequence.startswith("COEFF"):
+    if fam.kind == COEFF:
         return COEFF_BUDGET
     if profile == "full" and fam.id in ("v1-2b", "v1-2c"):
         return FULL_BUDGET
     return DEFAULT_BUDGET
 
 
-def verify_all(profile: str = "quick", ids=None, threads: int | None = None) -> list[VerifyReport]:
-    """Sweep every registered family (or the selected ids).
+def verify_all(profile: str = "quick", ids=None, j_values=None,
+               n_budget: int | None = None) -> list[VerifyReport]:
+    """Sweep every registered family (or the selected ids), in order.
 
     quick: arguments to 20000 (50000 for the overpartition tables, n to
            1500 for the coefficient families);
     full:  additionally pushes the deep a=1 families to 150000.
-    Families run against one shared cache; QLAB_THREADS (or `threads`)
-    caps concurrent family checks.
+    `j_values` and `n_budget` apply to every selected family; `None` takes
+    the profile's value.  Families share one cache, sized once up front
+    at the largest order any of them reads.
     """
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
-    fams = registry()
-    if ids is not None:
-        ids = list(ids)
-        fams = [lookup(i) for i in ids]
+    fams = registry() if ids is None else [lookup(i) for i in ids]
     if not fams:
         raise ValueError("no families selected")
+    plans = [(fam, *_sweep_plan(fam, j_values, n_budget, profile)) for fam in fams]
     cache = SweepCache()
-    # warm the shared prefactor arrays at the largest order any family needs
-    need: dict[str, int] = {}
-    for fam in fams:
-        budget = _budget_for(fam, profile)
-        if fam.sequence.startswith("MODD") and not fam.dp_backed:
-            j_top = 1 if fam.j_min == 0 else 2
-            t = fam.t_of(j_top)
-            bound = max(budget, t * t + 2000) + 1
-            kind = _modd_pref_kind(int(fam.sequence[5:-1]))
-            need[kind] = max(need.get(kind, 0), bound)
-            if fam.easy3_cross:
-                need["overpartition"] = max(need.get("overpartition", 0), bound)
-        elif fam.sequence == "PREFACTOR_A":
-            need["prefactor_a"] = max(need.get("prefactor_a", 0), budget + 1)
-        elif fam.sequence == "OVERPARTITION":
-            need["overpartition"] = max(need.get("overpartition", 0), budget + 1)
-    for kind, order in need.items():
-        cache.coeffs(kind, order)
-
-    env_cap = os.environ.get("QLAB_THREADS")
-    if threads is None:
-        threads = int(env_cap) if env_cap else 1
-    elif env_cap:
-        threads = min(threads, int(env_cap))
-    threads = max(1, min(threads, len(fams)))
-
-    def run(fam):
-        return verify_family(fam, n_budget=_budget_for(fam, profile), cache=cache)
-
-    if threads == 1:
-        return [run(fam) for fam in fams]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, fams))
+    cache.reserve(*(lengths for *_, lengths in plans))
+    return [verify_family(fam, js, budget, cache) for fam, js, budget, _ in plans]

@@ -138,7 +138,7 @@ def _div_terms(u: Sequence[int], dterms, order: int) -> list[int]:
 class Series:
     """Truncated power series with exact integer coefficients.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction, so safe to share.
     """
 
     __slots__ = ("coeffs", "order")

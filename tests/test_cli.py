@@ -1,11 +1,13 @@
 """CLI surface: flags, output shapes, exit codes, method agreement."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
-from qlab.cli import main
+from qlab.cli import build_parser, main
 
-FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures" / "dissections.qx")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -99,8 +101,23 @@ def test_verify_unknown_family(capsys):
     assert code == 2 and "nonexistent" in err
 
 
+def test_verify_budget_zero_is_honoured(capsys):
+    code, out, err = run(capsys, "verify", "--family", "c1-1", "--budget", "0")
+    assert code == 2 and out == ""
+    assert "BudgetTooSmall" in err
+
+
+def test_verify_j_needs_a_t_rule(capsys):
+    code, out, err = run(capsys, "verify", "--family", "ovc8", "--j", "7")
+    assert code == 2 and out == ""
+    assert "ovc8" in err and "no t rule" in err
+    # without --family, --j still applies, and the prefactor families take none
+    code, out, err = run(capsys, "verify", "--j", "1")
+    assert code == 2 and out == "" and "no t rule" in err
+
+
 def test_lemmas(capsys):
-    code, out, _ = run(capsys, "lemmas", FIXTURES, "--order", "400")
+    code, out, _ = run(capsys, "lemmas", "--order", "400")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[-1] == "16/16 pass"
@@ -135,3 +152,14 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     blob = json.loads(out.strip())
     assert blob["status"] == "fail" and blob["counterexample"] is not None
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text("utf-8"), re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.splitlines()
+                if line.startswith("qlab ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])     # argparse exits on an unknown flag

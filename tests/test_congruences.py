@@ -107,12 +107,23 @@ def test_manifest_covers_every_statement_once():
 
 def test_lookup():
     fam = lookup("v1-2c")
+    assert fam.kind == "MODD" and fam.a == 1
     assert fam.sequence == "MODD(1)"
     assert fam.t_rule == (64, 63)
     assert fam.arg_mod == 32 and fam.arg_residues == (29,)
     assert fam.modulus == 8
     fam = lookup("vm2A-3")
     assert fam.arg_rule_str() == "8N+7"
+    fam = lookup("a24n13-mod2")
+    assert fam.kind == "PREFACTOR_A" and fam.a is None
+    assert fam.sequence == "PREFACTOR_A"
+    assert lookup("cm2-2").sequence == "COEFF(-2)"
+    # the argument rule names the arguments the sweep reads
+    assert lookup("c1-1").arg_rule_str() == "n ≢ 1 (mod 2)"
+    assert lookup("c0-1a").arg_rule_str() == "n ≢ 0,1 (mod 4)"
+    assert lookup("c1-2-s2").arg_rule_str() == "n ≢ 1 (mod 2)"    # excludes (1, 1)
+    assert lookup("ovc8").arg_rule_str() == "8N+{0,1,2,3,4,5,6,7}"
+    assert lookup("pre1-32").arg_rule_str() == "32N+{4,6,10,12,14,16,20,22,24,26,28,30}"
     with pytest.raises(UnknownFamily):
         lookup("nonexistent")
 
@@ -171,6 +182,13 @@ def test_budget_too_small():
 def test_j_range_validation():
     with pytest.raises(ValueError):
         verify_family("cm2-3", j_values=(0, 1))  # theorem needs J >= 1
+    with pytest.raises(ValueError):
+        verify_family("v1-1", j_values=())
+    # a family without a t rule takes no J, rather than dropping it
+    with pytest.raises(ValueError, match="no t rule"):
+        verify_family("ovc8", j_values=(7,))
+    with pytest.raises(ValueError, match="no t rule"):
+        verify_all("quick", ids=["v1-1", "ovc8"], j_values=(1,))
 
 
 def test_report_json_shape():
@@ -217,12 +235,33 @@ def test_verify_all_selection():
         verify_all("nightly")
 
 
-def test_verify_all_threaded_matches_sequential():
-    ids = ["vm2A-1", "v1-1", "ovc3-27n18-mod3", "cm2-2", "a8n4-mod2"]
-    seq = verify_all("quick", ids=ids, threads=1)
-    par = verify_all("quick", ids=ids, threads=4)
-    assert [r.family_id for r in seq] == [r.family_id for r in par]
-    assert all(r.passed for r in seq + par)
+def test_verify_all_overrides_j_and_budget():
+    ids = ["v1-1", "c1-1"]
+    reports = verify_all("quick", ids=ids, j_values=(2,), n_budget=3000)
+    assert [r.ranges["J"] for r in reports] == [[2], [2]]
+    assert reports[0].ranges["max_arg"] == 3000 and reports[1].ranges["max_n"] == 3000
+    solo = [verify_family(i, j_values=(2,), n_budget=3000) for i in ids]
+    assert [r.to_json() | {"millis": 0} for r in reports] == \
+        [r.to_json() | {"millis": 0} for r in solo]
+
+
+def test_each_expansion_is_built_once(monkeypatch):
+    builds = []
+
+    def counted(kind, build):
+        def wrapper(order):
+            builds.append((kind, order))
+            return build(order)
+        return wrapper
+
+    monkeypatch.setattr(SweepCache, "_BUILDERS", {
+        kind: counted(kind, build) for kind, build in SweepCache._BUILDERS.items()})
+    # t = 63 and t = 95 read the expansion to 63^2 + 2000 and 95^2 + 2000
+    r = verify_family("vm2-5", j_values=(1, 2), n_budget=100)
+    assert r.passed and r.ranges["max_arg"] == 95 * 95 + 2000
+    assert len(builds) == 1
+    kind, order = builds[0]
+    assert kind == "overpartition" and order >= 11026
 
 
 def test_budget_extension_beyond_leading_exponent():

@@ -1,7 +1,5 @@
 """Expression DSL: parser, pretty-printer, evaluator, fixture corpus."""
 
-from pathlib import Path
-
 import pytest
 
 from qlab.series import Series
@@ -20,9 +18,6 @@ from qlab.qexpr import (
     parse_fixture_file,
     pretty,
 )
-
-REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "dissections.qx"
-
 
 # -- parsing -------------------------------------------------------------
 
@@ -135,16 +130,6 @@ def test_fixture_corpus_shape():
     assert len(fixtures) == 16
     assert len({fx.name for fx in fixtures}) == 16
     assert all(fx.check_to >= 400 for fx in fixtures)
-
-
-def test_repo_copy_matches_packaged_corpus():
-    packaged = [
-        (fx.name, fx.lhs, fx.rhs, fx.check_to) for fx in load_fixtures()
-    ]
-    repo = [
-        (fx.name, fx.lhs, fx.rhs, fx.check_to) for fx in load_fixtures(REPO_FIXTURES)
-    ]
-    assert packaged == repo
 
 
 def test_fixture_corpus_passes():
