@@ -112,12 +112,16 @@ def cmd_table(args) -> int:
     if not len(args.n):
         print("error: empty range", file=sys.stderr)
         return 2
+    if args.n.start < 0:
+        print("error: the range must start at n >= 0", file=sys.stderr)
+        return 2
+    if args.mod < 0:
+        print("error: --mod must be >= 0", file=sys.stderr)
+        return 2
     top = args.n[-1]
-    if args.seq == "prefA":
-        coeffs = prefactor_a(top + 1).coeffs
-        values = [coeffs[n] for n in args.n]
-    elif args.seq == "overp":
-        coeffs = overpartition_gf(top + 1).coeffs
+    if args.seq in ("prefA", "overp"):
+        build = prefactor_a if args.seq == "prefA" else overpartition_gf
+        coeffs = build(top + 1, args.mod).coeffs
         values = [coeffs[n] for n in args.n]
     else:
         if args.a is None or args.t is None:

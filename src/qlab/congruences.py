@@ -15,9 +15,13 @@ Sequence evaluation routes:
   values), except the a=0 support-pattern families, which would be
   trivially true by construction of the closed form; those run against the
   odd-parts dynamic program instead.
-* prefactor / overpartition families read one shared eta-quotient
-  expansion.
+* prefactor / overpartition families read one shared expansion.
 * coefficient families read one c_n(a, t) column per swept t.
+
+A family whose every checked modulus divides SWEEP_MOD reads its prefactor
+expansions reduced mod SWEEP_MOD (see ``_sweep_modulus``); exact-value
+claims read exact ones.  Either way a reported counterexample carries the
+exact value.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import time
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import nu_int
 from .macmahon import coeff_column, direct_utilde, modd_explicit_batch
 from .special import overpartition_gf, prefactor_a
 
@@ -35,6 +38,7 @@ FULL_BUDGET = 150000
 OVC_MIN_BUDGET = 50000
 COEFF_BUDGET = 1500
 DP_WINDOW = 2000
+SWEEP_MOD = 192               # 2^6 * 3: every congruence modulus in the registry divides it
 
 # sequence kinds; MODD and COEFF families also carry the parameter a
 MODD = "MODD"
@@ -363,26 +367,30 @@ def lookup(family_id: str) -> CongruenceFamily:
 class SweepCache:
     """Prefactor expansions and DP runs, computed once and shared read-only."""
 
-    # keyed by the lower-cased kind of the families that read each expansion
+    # keyed by the lower-cased kind of the families that read each expansion;
+    # each builder takes (order, mod)
     _BUILDERS = {
         "overpartition": overpartition_gf,
         "prefactor_a": prefactor_a,
     }
 
     def __init__(self):
-        self._series: dict[str, tuple] = {}
+        self._series: dict[tuple[str, int], tuple] = {}
         self._dp: dict[tuple, list] = {}
 
-    def coeffs(self, kind: str, min_len: int) -> tuple:
-        have = self._series.get(kind)
+    def coeffs(self, kind: str, min_len: int, mod: int = 0) -> tuple:
+        """At least `min_len` coefficients of `kind`, exact for mod=0 and
+        reduced into [0, mod) otherwise; each (kind, mod) is its own entry."""
+        key = (kind, mod)
+        have = self._series.get(key)
         if have is None or len(have) < min_len:
-            have = self._series[kind] = self._BUILDERS[kind](min_len).coeffs
+            have = self._series[key] = self._BUILDERS[kind](min_len, mod).coeffs
         return have
 
-    def reserve(self, *needs: dict[str, int]) -> None:
-        """Build each expansion once, at the largest length any need asks of it."""
-        for kind in dict.fromkeys(kind for need in needs for kind in need):
-            self.coeffs(kind, max(need.get(kind, 0) for need in needs))
+    def reserve(self, *needs: dict[tuple[str, int], int]) -> None:
+        """Build each (kind, mod) expansion once, at the largest length any need asks of it."""
+        for kind, mod in dict.fromkeys(key for need in needs for key in need):
+            self.coeffs(kind, max(need.get((kind, mod), 0) for need in needs), mod)
 
     def dp_utilde(self, a: int, t_max: int, order: int) -> list:
         key = (a, t_max, order)
@@ -393,6 +401,34 @@ class SweepCache:
 
 def _modd_pref_kind(a: int) -> str:
     return "prefactor_a" if a == 1 else "overpartition"
+
+
+def _modd_pref_len(a: int, top: int) -> int:
+    """Prefactor length the closed form reads for m_odd(a, t; n), n <= top.
+
+    The a=0 form reads the overpartition counts at n//4 or (n-1)//4 only.
+    """
+    return top // 4 + 1 if a == 0 else top + 1
+
+
+def _sweep_modulus(fam: CongruenceFamily) -> int:
+    """SWEEP_MOD when every modulus the family checks divides it, else 0.
+
+    A value's residue mod SWEEP_MOD settles v % m for every such m, so the
+    family can read reduced expansions; 0 means the exact route.  Claims
+    about exact values (vanishing, the a=0 reinterpretation) always take
+    the exact route.
+    """
+    if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
+        return 0
+    moduli = [1 << bound for _, bound in fam.val_table]
+    if fam.expected == CONG_ZERO:
+        moduli.append(fam.modulus)
+    if fam.expected in (PARITY_A2N, PARITY_M2_T1):
+        moduli.append(2)
+    if fam.easy3_cross:
+        moduli.append(3)
+    return SWEEP_MOD if all(SWEEP_MOD % m == 0 for m in moduli) else 0
 
 
 def _is_square(n: int) -> bool:
@@ -418,7 +454,40 @@ def _modd_bound(t: int, n_budget: int) -> int:
     return max(n_budget, t * t + 2000)
 
 
+def _modd_values(fam, t, args, cache, mod):
+    """m_odd(a, t; x) for x in `args`, and m_odd(-2, t; x) where the family
+    cross-checks them mod 3 (else None), from expansions reduced mod `mod`
+    (0: exact)."""
+    top = max(args)
+    pref = cache.coeffs(_modd_pref_kind(fam.a), _modd_pref_len(fam.a, top), mod)
+    values = modd_explicit_batch(fam.a, t, args, pref)
+    if not fam.easy3_cross:
+        return values, [None] * len(args)
+    pref2 = cache.coeffs("overpartition", top + 1, mod)
+    return values, modd_explicit_batch(-2, t, args, pref2)
+
+
+def _modd_cex(fam, j, x, v, cross):
+    """The counterexample an m_odd value (and its mod-3 partner) makes, or None."""
+    if fam.expected == CONG_ZERO:
+        if v % fam.modulus:
+            return _cex(j, x, v, fam.modulus)
+    elif fam.expected == EXACT_ZERO:
+        if v != 0:
+            return _cex(j, x, v, 0)
+    elif fam.expected == PARITY_M2_T1:
+        want = 1 if (x % 2 == 1 and _is_square(x)) else 0
+        if v % 2 != want:
+            return _cex(j, x, v, 2, expected=want)
+    else:
+        raise ValueError(f"{fam.id}: bad expected kind {fam.expected}")
+    if cross is not None and (v - cross) % 3:
+        return _cex(j, x, v, 3, cross_easy3=str(cross))
+    return None
+
+
 def _sweep_modd(fam, j_values, n_budget, cache):
+    mod = _sweep_modulus(fam)
     checked = 0
     max_budget = 0
     for j in j_values:
@@ -428,28 +497,17 @@ def _sweep_modd(fam, j_values, n_budget, cache):
         args = _args_of(fam, bound)
         if not args:
             raise BudgetTooSmall(f"{fam.id}: no arguments below {bound}")
-        pref = cache.coeffs(_modd_pref_kind(fam.a), bound + 1)
-        values = modd_explicit_batch(fam.a, t, args, pref)
-        cross = None
-        if fam.easy3_cross:
-            pref2 = cache.coeffs("overpartition", bound + 1)
-            cross = modd_explicit_batch(-2, t, args, pref2)
-        for i, (x, v) in enumerate(zip(args, values)):
+        values, cross = _modd_values(fam, t, args, cache, mod)
+        for x, v, c in zip(args, values, cross):
             checked += 1
-            if fam.expected == CONG_ZERO:
-                if v % fam.modulus:
-                    return checked, max_budget, _cex(j, x, v, fam.modulus)
-            elif fam.expected == EXACT_ZERO:
-                if v != 0:
-                    return checked, max_budget, _cex(j, x, v, 0)
-            elif fam.expected == PARITY_M2_T1:
-                want = 1 if (x % 2 == 1 and _is_square(x)) else 0
-                if v % 2 != want:
-                    return checked, max_budget, _cex(j, x, v, 2, expected=want)
-            else:
-                raise ValueError(f"{fam.id}: bad expected kind {fam.expected}")
-            if cross is not None and (v - cross[i]) % 3:
-                cex = _cex(j, x, v, 3, cross_easy3=str(cross[i]))
+            cex = _modd_cex(fam, j, x, v, c)
+            if cex is not None:
+                if mod:     # the verdict came from residues: report exact values
+                    (v,), (c,) = _modd_values(fam, t, [x], cache, 0)
+                    cex = _modd_cex(fam, j, x, v, c)
+                    if cex is None:
+                        raise ArithmeticError(
+                            f"{fam.id}: residue and exact routes disagree at N={x}")
                 return checked, max_budget, cex
     return checked, max_budget, None
 
@@ -503,27 +561,31 @@ def _sweep_coeff(fam, j_values, n_budget):
 
 
 def _sweep_sequence(fam, n_budget, cache):
-    coeffs = cache.coeffs(fam.kind.lower(), n_budget + 1)
+    kind, mod = fam.kind.lower(), _sweep_modulus(fam)
+    coeffs = cache.coeffs(kind, n_budget + 1, mod)
+
+    def exact(x):   # verdicts may come from residues; reports carry exact values
+        return cache.coeffs(kind, x + 1)[x] if mod else coeffs[x]
+
     checked = 0
     if fam.expected == CONG_ZERO:
         for x in _args_of(fam, n_budget):
             checked += 1
             if coeffs[x] % fam.modulus:
-                return checked, n_budget, _cex(None, x, coeffs[x], fam.modulus)
+                return checked, n_budget, _cex(None, x, exact(x), fam.modulus)
     elif fam.expected == VALUATION_TABLE:
         for r, bound in fam.val_table:
             for x in range(r if r > 0 else fam.arg_mod, n_budget + 1, fam.arg_mod):
                 checked += 1
-                v = coeffs[x]
-                if v != 0 and nu_int(2, v) < bound:
+                if coeffs[x] % (1 << bound):     # v != 0 and nu_2(v) < bound
                     return checked, n_budget, _cex(
-                        None, x, v, 1 << bound, required_nu2=bound)
+                        None, x, exact(x), 1 << bound, required_nu2=bound)
     elif fam.expected == PARITY_A2N:
         for n in range(n_budget // 2 + 1):
             checked += 1
             want = 1 if (n == 0 or (_is_square(n) and n % 3 != 0)) else 0
             if coeffs[2 * n] % 2 != want:
-                return checked, n_budget, _cex(None, 2 * n, coeffs[2 * n], 2, expected=want)
+                return checked, n_budget, _cex(None, 2 * n, exact(2 * n), 2, expected=want)
     else:
         raise ValueError(f"{fam.id}: bad expected kind {fam.expected}")
     if checked == 0:
@@ -543,8 +605,8 @@ def _cex(j, n, value, modulus, **extra):
 
 
 def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = None,
-                profile: str = "quick") -> tuple[tuple, int, dict[str, int]]:
-    """(J values, budget, {expansion kind: length it reads}) of one sweep.
+                profile: str = "quick") -> tuple[tuple, int, dict[tuple[str, int], int]]:
+    """(J values, budget, {(expansion kind, modulus): length it reads}) of one sweep.
 
     `None` takes the profile's value: J from the family's ``j_min`` on, the
     budget from ``_budget_for``.  Raises ValueError for J values the family
@@ -561,16 +623,17 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
     if n_budget is None:
         n_budget = _budget_for(fam, profile)
     ts = [fam.t_of(j) for j in j_values]
+    mod = _sweep_modulus(fam)
     lengths = {}
     if fam.kind in (PREFACTOR_A, OVERPARTITION):
-        lengths[fam.kind.lower()] = n_budget + 1
+        lengths[(fam.kind.lower(), mod)] = n_budget + 1
     elif fam.expected == EQUALS_MODD_M2:      # m_odd(-2, t/2; n) for 4n in the DP window
-        lengths["overpartition"] = max((t * t + DP_WINDOW) // 4 + 1 for t in ts)
+        lengths[("overpartition", mod)] = max(_modd_pref_len(0, t * t + DP_WINDOW) for t in ts)
     elif fam.kind == MODD and not fam.dp_backed:
-        top = max(_modd_bound(t, n_budget) for t in ts) + 1
-        lengths[_modd_pref_kind(fam.a)] = top
+        top = max(_modd_bound(t, n_budget) for t in ts)
+        lengths[(_modd_pref_kind(fam.a), mod)] = _modd_pref_len(fam.a, top)
         if fam.easy3_cross:
-            lengths["overpartition"] = top
+            lengths[("overpartition", mod)] = top + 1
     return j_values, n_budget, lengths
 
 

@@ -74,15 +74,23 @@ def _mul_pairs(ta, tb, order: int) -> list[int]:
     return out
 
 
-def _div_terms(u: Sequence[int], dterms, order: int) -> list[int]:
+def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     """Long division of u by the series with nonzero terms `dterms`.
 
     The divisor's lowest term must be (0, +1) or (0, -1).  Exact over the
-    integers because the leading coefficient is a unit.
+    integers because the leading coefficient is a unit.  With `mod` > 0 each
+    quotient coefficient is reduced into [0, mod) as the recurrence produces
+    it, so the integers stay small and the result is congruent to the exact
+    quotient mod `mod`.
     """
+    if mod < 0:
+        raise ValueError(f"modulus {mod} must be >= 0")
     e0, lead = dterms[0]
     if e0 != 0 or lead not in (1, -1):
         raise NonUnitConstant("divisor constant term must be +1 or -1")
+    if lead == -1:                    # u/d = (-u)/(-d)
+        u = [-c for c in u[:order]]
+        dterms = [(e, -c) for e, c in dterms]
     # split the tail into +1 / -1 / general coefficient groups so the hot
     # loop does no multiplications for eta-style divisors
     plus = [e for e, c in dterms[1:] if c == 1]
@@ -111,27 +119,16 @@ def _div_terms(u: Sequence[int], dterms, order: int) -> list[int]:
             if e > n:
                 break
             acc -= c * r[n - e]
-        r[n] = acc if lead == 1 else -acc
-    if lead == 1:
-        for n in range(warm, order):
-            acc = u[n] if n < nu else 0
-            for e in plus:
-                acc -= r[n - e]
-            for e in minus:
-                acc += r[n - e]
-            for e, c in rest:
-                acc -= c * r[n - e]
-            r[n] = acc
-    else:
-        for n in range(warm, order):
-            acc = u[n] if n < nu else 0
-            for e in plus:
-                acc -= r[n - e]
-            for e in minus:
-                acc += r[n - e]
-            for e, c in rest:
-                acc -= c * r[n - e]
-            r[n] = -acc
+        r[n] = acc % mod if mod else acc
+    for n in range(warm, order):
+        acc = u[n] if n < nu else 0
+        for e in plus:
+            acc -= r[n - e]
+        for e in minus:
+            acc += r[n - e]
+        for e, c in rest:
+            acc -= c * r[n - e]
+        r[n] = acc % mod if mod else acc
     return r
 
 

@@ -1,9 +1,14 @@
 """Constructors for the named series: eta factors f_r, eta quotients,
 theta functions, and the Borwein cubic pair.
 
-Everything here returns an exact `Series`.  The eta factors are sparse
-(pentagonal-number support), and 1/f_r is computed by long division against
-that sparse support, so quotients stay cheap at large truncation orders.
+Everything here returns a `Series`, exact unless a `mod` argument asks for
+residues.  The eta factors are sparse (pentagonal-number support), and 1/f_r
+is computed by long division against that sparse support, so quotients stay
+cheap at large truncation orders.  The two prefactors of the closed forms
+are built as theta quotients, phi(-q) = f1^2/f2 and psi(q) = f2^2/f1, which
+take fewer and sparser divisions than their eta forms; with `mod` > 0 the
+division kernel reduces every coefficient as it goes, so the integers stay
+small.  `eta_quotient` stays as the general constructor and the test oracle.
 """
 
 from __future__ import annotations
@@ -82,18 +87,28 @@ def eta_quotient(factors: EtaFactors, order: int) -> Series:
     return result
 
 
-def overpartition_gf(order: int) -> Series:
-    """f2/f1^2, the overpartition counting function."""
-    return eta_quotient([(2, 1), (1, -2)], order)
+def overpartition_gf(order: int, mod: int = 0) -> Series:
+    """f2/f1^2 = 1/phi(-q), the overpartition counting function.
+
+    With `mod` > 0 the coefficients are reduced into [0, mod).
+    """
+    return Series(_div_terms([1], phi_terms(order, -1), order, mod))
 
 
-def prefactor_a(order: int) -> Series:
-    """f1*f6/(f2^2*f3), the multiplier attached to the a=1 closed form."""
-    return eta_quotient([(1, 1), (6, 1), (2, -2), (3, -1)], order)
+def prefactor_a(order: int, mod: int = 0) -> Series:
+    """f1*f6/(f2^2*f3) = psi(q^3)/(psi(q)*f6), the multiplier attached to
+    the a=1 closed form.
+
+    With `mod` > 0 the coefficients are reduced into [0, mod).
+    """
+    num = Series.from_terms(psi_terms(3, order), order).coeffs
+    quot = _div_terms(num, psi_terms(1, order), order, mod)
+    return Series(_div_terms(quot, pentagonal_terms(6, order), order, mod))
 
 
-def phi(order: int, sign: int = 1) -> Series:
-    """phi(q) = 1 + 2*sum q^(k^2), or phi(-q) when sign=-1."""
+def phi_terms(order: int, sign: int = 1) -> list[tuple[int, int]]:
+    """Nonzero terms of phi(q) = 1 + 2*sum q^(k^2) below `order`, or of
+    phi(-q) when sign=-1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     terms = [(0, 1)]
@@ -101,17 +116,27 @@ def phi(order: int, sign: int = 1) -> Series:
     while k * k < order:
         terms.append((k * k, 2 * (sign ** k)))
         k += 1
-    return Series.from_terms(terms, order)
+    return terms
+
+
+def phi(order: int, sign: int = 1) -> Series:
+    """phi(q) = 1 + 2*sum q^(k^2), or phi(-q) when sign=-1."""
+    return Series.from_terms(phi_terms(order, sign), order)
+
+
+def psi_terms(scale: int, order: int) -> list[tuple[int, int]]:
+    """Nonzero terms of psi(q^scale) = sum q^(scale*k(k+1)/2) below `order`."""
+    terms = []
+    k = 0
+    while scale * (k * (k + 1) // 2) < order:
+        terms.append((scale * (k * (k + 1) // 2), 1))
+        k += 1
+    return terms
 
 
 def psi(order: int) -> Series:
     """psi(q) = sum q^(k(k+1)/2) over k >= 0."""
-    terms = []
-    k = 0
-    while k * (k + 1) // 2 < order:
-        terms.append((k * (k + 1) // 2, 1))
-        k += 1
-    return Series.from_terms(terms, order)
+    return Series.from_terms(psi_terms(1, order), order)
 
 
 def pgen(order: int) -> Series:

@@ -141,6 +141,18 @@ def test_table(capsys):
     assert code == 2
 
 
+def test_table_mod_and_bad_ranges(capsys):
+    code, out, _ = run(capsys, "table", "--seq", "overp", "--n", "0..5", "--mod", "4")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["0,1", "1,2", "2,0", "3,0", "4,2", "5,0"]
+    # a negative start used to wrap around to the end of the expansion
+    for seq in ("prefA", "overp"):
+        code, out, err = run(capsys, "table", "--seq", seq, "--n=-2..3")
+        assert code == 2 and out == "" and "n >= 0" in err
+        code, out, err = run(capsys, "table", "--seq", seq, "--n", "0..3", "--mod", "-3")
+        assert code == 2 and out == "" and "--mod" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import dataclasses
     from qlab import congruences as cong

@@ -5,13 +5,19 @@ import json
 
 import pytest
 
+from qlab.macmahon import modd_explicit
 from qlab.special import prefactor_a
 from qlab.congruences import (
+    EQUALS_MODD_M2,
+    EXACT_ZERO,
+    SWEEP_MOD,
     BudgetTooSmall,
     CongruenceFamily,
     SweepCache,
     UnknownFamily,
     VerifyReport,
+    _sweep_modulus,
+    _sweep_plan,
     lookup,
     registry,
     verify_all,
@@ -162,9 +168,44 @@ def test_bumped_modulus_fails_with_counterexample():
     assert cex["modulus"] == 16
     assert cex["N"] % 8 == 7
     # the reported value really is divisible by 8 but not 16
-    from qlab.macmahon import modd_explicit
     v = modd_explicit(-2, cex["J"] + 1, cex["N"])
     assert v % 8 == 0 and v % 16 != 0
+    assert cex["value"] == str(v)
+
+
+def test_counterexamples_carry_exact_values():
+    # residue route: a(10) = 232 fails mod 16; its residue mod 192 is 40
+    fam = dataclasses.replace(lookup("ovc-16n10-mod8"), modulus=16)
+    assert _sweep_modulus(fam) == SWEEP_MOD
+    r = verify_family(fam, n_budget=2000)
+    assert r.counterexample == {"J": None, "N": 10, "value": "232", "modulus": 16}
+    fam = dataclasses.replace(lookup("v1-mod3-13"), modulus=6)
+    assert _sweep_modulus(fam) == SWEEP_MOD
+    cex = verify_family(fam, j_values=(0,), n_budget=2000).counterexample
+    assert cex["N"] == 916 and cex["value"] == str(modd_explicit(1, 13, 916))
+    assert cex["value"] == "-55617341180961"
+    # a modulus that does not divide 192 reads exact expansions
+    fam = dataclasses.replace(lookup("vm2A-3"), modulus=5)
+    assert _sweep_modulus(fam) == 0
+    assert set(_sweep_plan(fam)[2]) == {("overpartition", 0)}
+    cex = verify_family(fam, n_budget=2000).counterexample
+    v = modd_explicit(-2, cex["J"] + 1, cex["N"])
+    assert cex["value"] == str(v) and v % 5 != 0
+
+
+def test_residue_route_covers_every_congruence_claim():
+    # a family whose moduli stopped dividing 192 would silently fall back
+    # to the exact route; only exact-value claims belong there
+    exact = []
+    for fam in registry():
+        lengths = _sweep_plan(fam)[2]
+        if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
+            exact.append(fam.id)
+            assert _sweep_modulus(fam) == 0
+        elif lengths:
+            assert _sweep_modulus(fam) == SWEEP_MOD, fam.id
+        assert {mod for _, mod in lengths} <= {_sweep_modulus(fam)}, fam.id
+    assert len(exact) == 5
 
 
 def test_bumped_coefficient_family_fails():
@@ -245,23 +286,38 @@ def test_verify_all_overrides_j_and_budget():
         [r.to_json() | {"millis": 0} for r in solo]
 
 
-def test_each_expansion_is_built_once(monkeypatch):
-    builds = []
+@pytest.fixture
+def builds(monkeypatch):
+    """(kind, mod, order) of every SweepCache expansion built in the test."""
+    seen = []
 
     def counted(kind, build):
-        def wrapper(order):
-            builds.append((kind, order))
-            return build(order)
+        def wrapper(order, mod):
+            seen.append((kind, mod, order))
+            return build(order, mod)
         return wrapper
 
     monkeypatch.setattr(SweepCache, "_BUILDERS", {
         kind: counted(kind, build) for kind, build in SweepCache._BUILDERS.items()})
+    return seen
+
+
+def test_each_expansion_is_built_once(builds):
     # t = 63 and t = 95 read the expansion to 63^2 + 2000 and 95^2 + 2000
     r = verify_family("vm2-5", j_values=(1, 2), n_budget=100)
     assert r.passed and r.ranges["max_arg"] == 95 * 95 + 2000
     assert len(builds) == 1
-    kind, order = builds[0]
-    assert kind == "overpartition" and order >= 11026
+    kind, mod, order = builds[0]
+    assert (kind, mod) == ("overpartition", 192) and order >= 11026
+
+
+def test_a0_prefactor_reads_quarter_arguments(builds):
+    # the a=0 closed form reads the overpartition counts at n//4 only
+    r = verify_family("v0odd-3b")
+    assert r.passed and r.ranges["max_arg"] == 255 * 255 + 2000
+    assert len(builds) == 1
+    kind, mod, order = builds[0]
+    assert (kind, mod) == ("overpartition", 192) and order <= 16757
 
 
 def test_budget_extension_beyond_leading_exponent():

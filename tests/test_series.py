@@ -9,6 +9,8 @@ from qlab.series import (
     OutOfRange,
     Poly,
     Series,
+    _div_terms,
+    _terms_of,
     coeff_at,
     eq_mod,
     poly_mul,
@@ -92,6 +94,11 @@ def test_invert_requires_unit_constant():
         S(0, 1, 1).invert()
     with pytest.raises(NonUnitConstant):
         Series.zero(5).invert()
+
+
+def test_div_terms_rejects_negative_modulus():
+    with pytest.raises(ValueError, match="modulus"):
+        _div_terms([1], [(0, 1), (1, -1)], 5, mod=-1)
 
 
 def test_div_exact():
@@ -221,10 +228,18 @@ def test_mul_associative_commutative(xs, ys, zs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(coeff_lists.map(lambda xs: [1] + xs))
-def test_unit_times_inverse_is_one(xs):
-    a = Series(xs)
+@given(coeff_lists, st.sampled_from([1, -1]))
+def test_unit_times_inverse_is_one(xs, lead):
+    a = Series([lead] + xs)
     assert (a * a.invert()).eq(Series.one(a.order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, coeff_lists, st.sampled_from([1, -1]), st.integers(1, 200))
+def test_div_terms_mod_is_the_exact_quotient_reduced(num, den_tail, lead, mod):
+    dterms = _terms_of([lead] + den_tail)
+    exact = _div_terms(num, dterms, 12)
+    assert _div_terms(num, dterms, 12, mod) == [c % mod for c in exact]
 
 
 @settings(max_examples=60, deadline=None)

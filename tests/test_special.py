@@ -112,6 +112,18 @@ def test_prefactor_against_naive_convolution():
     assert list(prefactor_a(order).coeffs) == want
 
 
+def test_theta_forms_match_eta_quotients():
+    # 1/phi(-q) and psi(q^3)/(psi(q) f6) against the eta forms they replace,
+    # exactly, and reduced mod each modulus the sweeps use
+    order = 20000
+    for build, factors in ((overpartition_gf, [(2, 1), (1, -2)]),
+                           (prefactor_a, [(1, 1), (6, 1), (2, -2), (3, -1)])):
+        exact = build(order).coeffs
+        assert exact == eta_quotient(factors, order).coeffs
+        for mod in (192, 8, 3):
+            assert build(order, mod).coeffs == tuple(c % mod for c in exact)
+
+
 def test_overpartition_positive_even():
     coeffs = overpartition_gf(500).coeffs
     assert coeffs[0] == 1
