@@ -115,9 +115,6 @@ def cmd_table(args) -> int:
     if args.n.start < 0:
         print("error: the range must start at n >= 0", file=sys.stderr)
         return 2
-    if args.mod < 0:
-        print("error: --mod must be >= 0", file=sys.stderr)
-        return 2
     top = args.n[-1]
     if args.seq in ("prefA", "overp"):
         build = prefactor_a if args.seq == "prefA" else overpartition_gf
@@ -187,8 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "order", None) is not None and args.command == "expand" and args.order < 1:
+    if getattr(args, "order", None) is not None and args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return 2
+    if getattr(args, "mod", 0) < 0:
+        print("error: --mod must be >= 0", file=sys.stderr)
         return 2
     return args.func(args)
 

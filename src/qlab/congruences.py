@@ -460,11 +460,11 @@ def _modd_values(fam, t, args, cache, mod):
     (0: exact)."""
     top = max(args)
     pref = cache.coeffs(_modd_pref_kind(fam.a), _modd_pref_len(fam.a, top), mod)
-    values = modd_explicit_batch(fam.a, t, args, pref)
+    values = modd_explicit_batch(fam.a, t, args, pref, mod)
     if not fam.easy3_cross:
         return values, [None] * len(args)
     pref2 = cache.coeffs("overpartition", top + 1, mod)
-    return values, modd_explicit_batch(-2, t, args, pref2)
+    return values, modd_explicit_batch(-2, t, args, pref2, mod)
 
 
 def _modd_cex(fam, j, x, v, cross):
@@ -610,7 +610,7 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
 
     `None` takes the profile's value: J from the family's ``j_min`` on, the
     budget from ``_budget_for``.  Raises ValueError for J values the family
-    cannot take.
+    cannot take and for a negative budget.
     """
     if fam.t_rule is None:
         if j_values:
@@ -622,6 +622,8 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
             raise ValueError(f"{fam.id}: needs J values >= the theorem's {fam.j_min}")
     if n_budget is None:
         n_budget = _budget_for(fam, profile)
+    if n_budget < 0:
+        raise ValueError(f"{fam.id}: budget {n_budget} must be >= 0")
     ts = [fam.t_of(j) for j in j_values]
     mod = _sweep_modulus(fam)
     lengths = {}

@@ -101,6 +101,10 @@ def oracle_modd(a: int, t: int, n: int) -> int:
     """
     if a not in _DP_AS:
         raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if t == 0:
         return 1 if n == 0 else 0
     if n < t * t:
@@ -344,6 +348,8 @@ def explicit_utilde(a: int, t: int, order: int) -> Series:
 
 def modd_direct(a: int, t: int, n: int) -> int:
     """m_odd(a, t; n) via the dynamic program."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return direct_utilde(a, t, n + 1)[t].coeff(n)
 
 
@@ -357,12 +363,15 @@ def modd_explicit(a: int, t: int, n: int, pref=None) -> int:
     return modd_explicit_batch(a, t, [n], pref)[0]
 
 
-def modd_explicit_batch(a: int, t: int, args, pref=None) -> list[int]:
+def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:
     """m_odd(a, t; n) for every n in `args` via the closed forms.
 
     The coefficient family c_n(a, t) is computed once and shared across all
     requested arguments, so sweeping an arithmetic progression costs one
     prefactor expansion plus O(sqrt(max)) multiplications per argument.
+    With `mod` > 0 the c_n are reduced mod `mod` before they multiply the
+    prefactor, so the values are only congruent to m_odd mod `mod`; pass
+    it with a `pref` that is reduced mod the same modulus.
     """
     if a not in _EXPLICIT_AS:
         raise UnsupportedA(f"no closed form for a={a}")
@@ -376,15 +385,15 @@ def modd_explicit_batch(a: int, t: int, args, pref=None) -> list[int]:
     if a == 0:
         if t % 2 == 0:
             inner = [n // 4 for n in args if n % 4 == 0]
-            vals = iter(modd_explicit_batch(-2, t // 2, inner, pref))
+            vals = iter(modd_explicit_batch(-2, t // 2, inner, pref, mod))
             return [next(vals) if n % 4 == 0 else 0 for n in args]
         inner = [(n - 1) // 4 for n in args if n % 4 == 1]
-        vals = iter(_theta_batch(0, (t - 1) // 2, inner, pref))
+        vals = iter(_theta_batch(0, (t - 1) // 2, inner, pref, mod))
         return [next(vals) if n % 4 == 1 else 0 for n in args]
-    return _theta_batch(a, t, args, pref)
+    return _theta_batch(a, t, args, pref, mod)
 
 
-def _theta_batch(a: int, t: int, args, pref=None) -> list[int]:
+def _theta_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:
     """[q^x] of prefactor * sum_n c_n(a,t) q^(r(n)) for each x in args.
 
     The prefactor is the f1f6/(f2^2 f3) expansion for a = 1 and the
@@ -396,6 +405,8 @@ def _theta_batch(a: int, t: int, args, pref=None) -> list[int]:
     if pref is None:
         pref = (prefactor_a(top + 1) if a == 1 else overpartition_gf(top + 1)).coeffs
     terms = theta_weight_terms(a, t, top + 1)
+    if mod:
+        terms = [(e, c % mod) for e, c in terms if c % mod]
     out = []
     for x in args:
         acc = 0

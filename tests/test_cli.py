@@ -42,6 +42,8 @@ def test_expand_errors(capsys):
     assert code == 2 and "valuation" in err
     code, _, err = run(capsys, "expand", "f1", "--order", "0")
     assert code == 2
+    code, out, err = run(capsys, "expand", "f1", "--order", "5", "--mod", "-3")
+    assert code == 2 and out == "" and "--mod" in err
 
 
 def test_modd(capsys):
@@ -107,6 +109,21 @@ def test_verify_budget_zero_is_honoured(capsys):
     assert "BudgetTooSmall" in err
 
 
+def test_verify_negative_budget_is_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--family", "v1-1", "--budget", "-5")
+    assert code == 2 and out == ""
+    assert "ValueError" in err and "-5" in err
+
+
+def test_modd_rejects_negative_arguments(capsys):
+    # the oracle used to print 0 for a negative n and hang on a negative t
+    for method in ("direct", "explicit", "oracle", "all"):
+        for t, n in (("0", "-4"), ("-1", "5")):
+            code, out, err = run(capsys, "modd", "-a", "1", "-t", t, "-n", n,
+                                 "--method", method)
+            assert code == 2 and out == "" and ">= 0" in err
+
+
 def test_verify_j_needs_a_t_rule(capsys):
     code, out, err = run(capsys, "verify", "--family", "ovc8", "--j", "7")
     assert code == 2 and out == ""
@@ -124,6 +141,10 @@ def test_lemmas(capsys):
     assert sum(1 for line in lines if line.startswith("PASS")) == 16
     code, _, err = run(capsys, "lemmas", "no/such/file.qx")
     assert code == 2
+    # an order below 1 compares no coefficients, so it cannot pass
+    for order in ("0", "-5"):
+        code, out, err = run(capsys, "lemmas", "--order", order)
+        assert code == 2 and out == "" and "--order" in err
 
 
 def test_table(capsys):

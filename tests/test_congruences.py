@@ -218,6 +218,9 @@ def test_bumped_coefficient_family_fails():
 def test_budget_too_small():
     with pytest.raises(BudgetTooSmall):
         verify_family("a24n13-mod2", n_budget=5)
+    # a negative budget is an error, not a cue to take the m_odd minimum bound
+    with pytest.raises(ValueError, match="budget -5"):
+        verify_family("v1-1", n_budget=-5)
 
 
 def test_j_range_validation():

@@ -337,6 +337,17 @@ def test_modd_single_and_batch():
         modd_explicit_batch(1, 1, [-1])
 
 
+def test_modd_explicit_batch_mod_is_congruent():
+    # the residue route of the sweeps: prefactor and c_n both reduced
+    args = [0, 1, 5, 17, 64, 99, 255, 256, 399, 1000, 1201]
+    for mod in (3, 8, 192):
+        prefs = {1: prefactor_a(1202, mod).coeffs, 0: overpartition_gf(1202, mod).coeffs}
+        for a, t in ((-2, 1), (-2, 9), (0, 6), (0, 9), (1, 2), (1, 31)):
+            got = modd_explicit_batch(a, t, args, prefs[a == 1], mod)
+            want = modd_explicit_batch(a, t, args)
+            assert [g % mod for g in got] == [w % mod for w in want], (mod, a, t)
+
+
 def test_t1_divisor_sum_formula():
     vals = modd_explicit_batch(-2, 1, list(range(1, 401)))
     for n in range(1, 401):

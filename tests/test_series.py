@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlab import series
 from qlab.series import (
     BadResidue,
     NonUnitConstant,
     OutOfRange,
     Poly,
     Series,
+    _BLOCK,
     _div_terms,
     _terms_of,
     coeff_at,
@@ -34,6 +36,18 @@ def naive_mul(a, b, order):
             for j, y in enumerate(b[: order - i]):
                 out[i + j] += x * y
     return out
+
+
+def naive_div(u, dterms, order):
+    """Exact quotient by the plain recurrence, divisor constant term +-1."""
+    d = dict(dterms)
+    lead = d.pop(0)
+    r = []
+    for n in range(order):
+        acc = u[n] if n < len(u) else 0
+        acc -= sum(c * r[n - e] for e, c in d.items() if e <= n)
+        r.append(acc * lead)
+    return r
 
 
 def test_add_sub_neg_scale():
@@ -240,6 +254,64 @@ def test_div_terms_mod_is_the_exact_quotient_reduced(num, den_tail, lead, mod):
     dterms = _terms_of([lead] + den_tail)
     exact = _div_terms(num, dterms, 12)
     assert _div_terms(num, dterms, 12, mod) == [c % mod for c in exact]
+
+
+# -- the blocked residue route against the exact quotient --------------
+
+B = _BLOCK
+# terms at the block edges: a window that starts exactly on a block (B, 2B)
+# reads the newest finished block alone; B-1 is the last near term and B+1
+# the first window that straddles two blocks
+EDGE_DIVISOR = [(0, 1), (1, -1), (3, 2), (B - 1, -1), (B, 1), (B + 1, -3),
+                (2 * B, 5), (2 * B + 7, -1), (3 * B - 2, 1)]
+EDGE_ORDER = 4 * B + 77          # several blocks, not a multiple of B
+NUMERATORS = {
+    "unit": [1],
+    "short": [-7, 0, -(10 ** 40)],
+    "long": [(-1) ** i * (10 ** 30 + i * i) for i in range(EDGE_ORDER + 50)],
+}
+
+
+@pytest.mark.parametrize("mod", [1, 2, 3, 192])
+@pytest.mark.parametrize("lead", [1, -1])
+@pytest.mark.parametrize("num", sorted(NUMERATORS))
+def test_blocked_residue_division_at_block_edges(mod, lead, num):
+    dterms = [(0, lead)] + EDGE_DIVISOR[1:]
+    u = NUMERATORS[num]
+    exact = naive_div(u, dterms, EDGE_ORDER)
+    assert _div_terms(u, dterms, EDGE_ORDER) == exact
+    assert _div_terms(u, dterms, EDGE_ORDER, mod) == [c % mod for c in exact]
+
+
+def _slot_bound(dterms, mod):
+    return (mod - 1) * (1 + sum(-c % mod for e, c in dterms if e >= B))
+
+
+@pytest.mark.parametrize("mod, lo, hi", [
+    (192, 0, 2 ** 32),              # 32-bit slots
+    (3 * 2 ** 20 + 1, 2 ** 32, 2 ** 64),   # the 32-bit bound fails: 64-bit slots
+    (2 ** 61 - 1, 2 ** 64, None),   # both fail: the scalar recurrence
+])
+def test_blocked_residue_division_slot_widths(mod, lo, hi):
+    dterms = [(0, 1), (2, -1)] + [(B + 37 * k, (-1) ** k * (k + 2)) for k in range(40)]
+    bound = _slot_bound(dterms, mod)
+    assert bound >= lo and (hi is None or bound < hi)
+    u = [3, -1, 4, 1, -5, 9]
+    exact = naive_div(u, dterms, EDGE_ORDER)
+    assert _div_terms(u, dterms, EDGE_ORDER, mod) == [c % mod for c in exact]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(-4, 4)), max_size=8),
+       st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=50),
+       st.sampled_from([1, -1]), st.integers(1, 200), st.integers(0, 45))
+def test_blocked_residue_division_small_blocks(tail, num, lead, mod, order):
+    # blocks of 4 put most divisor terms far and most orders mid-block
+    dterms = _terms_of([lead] + [sum(c for e, c in tail if e == k) for k in range(1, 31)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_BLOCK", 4)
+        got = _div_terms(num, dterms, order, mod)
+    assert got == [c % mod for c in naive_div(num, dterms, order)]
 
 
 @settings(max_examples=60, deadline=None)
