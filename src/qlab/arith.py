@@ -83,6 +83,8 @@ def pow2_poly_congruence(s: int, step: int = 1) -> bool:
     """Whether (1+z^step)^(2^s) == (1+z^(2*step))^(2^(s-1)) mod 2^s."""
     if s < 1:
         raise ValueError("need s >= 1")
+    if step < 1:
+        raise ValueError("need step >= 1")
     mod = 1 << s
     lhs = poly_pow_mod(_one_plus_z(step), 1 << s, mod)
     rhs = poly_pow_mod(_one_plus_z(2 * step), 1 << (s - 1), mod)

@@ -97,7 +97,7 @@ def cmd_verify(args) -> int:
 def cmd_lemmas(args) -> int:
     try:
         fixtures = qexpr.load_fixtures(args.path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, qexpr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = qexpr.check_fixtures(fixtures, args.order)

@@ -9,7 +9,11 @@ arguments, the modulus, and optional side conditions.  The engine sweeps
 (J, N) ranges, reports the first counterexample when a claim fails, and
 never tolerates approximation: all checks are exact integer congruences.
 
-Sequence evaluation routes:
+Every family runs through one loop, ``_sweep``.  For each swept J (once,
+with J = None, when no t is involved) ``_args_of`` lists the arguments
+and the bound the report gives, ``_values`` evaluates the sequence there,
+and ``_verdict`` is the one pass/fail test for every expected outcome.
+``_values`` is the only place that knows the evaluation route:
 
 * m_odd families go through the closed forms (prefactor array + c_n
   values), except the a=0 support-pattern families, which would be
@@ -20,15 +24,19 @@ Sequence evaluation routes:
 
 A family whose every checked modulus divides SWEEP_MOD reads its prefactor
 expansions reduced mod SWEEP_MOD (see ``_sweep_modulus``); exact-value
-claims read exact ones.  Either way a reported counterexample carries the
-exact value.
+claims read exact ones.  The first failing point found on residues is
+evaluated again on the exact route, so a reported counterexample carries
+the exact value, and an exact value that passes raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from math import isqrt
+from typing import Iterable
 
 from .macmahon import coeff_column, direct_utilde, modd_explicit_batch
 from .special import overpartition_gf, prefactor_a
@@ -87,6 +95,11 @@ class CongruenceFamily:
         """The report label: MODD(a), COEFF(a), PREFACTOR_A or OVERPARTITION."""
         return self.kind if self.a is None else f"{self.kind}({self.a})"
 
+    @cached_property
+    def nu2_bounds(self) -> dict[int, int]:
+        """The VALUATION_TABLE lookup: residue mod arg_mod -> min nu_2."""
+        return dict(self.val_table)
+
     def t_of(self, j: int) -> int:
         alpha, beta = self.t_rule
         return alpha * j + beta
@@ -131,7 +144,6 @@ class VerifyReport:
     status: str                   # "pass" | "fail"
     counterexample: dict | None
     millis: float
-    checked: int = 0
 
     def __post_init__(self):
         if self.status == "fail" and self.counterexample is None:
@@ -140,6 +152,11 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+    @property
+    def checked(self) -> int:
+        """Arguments compared, up to and including a counterexample."""
+        return self.ranges.get("checked", 0)
 
     def to_json(self) -> dict:
         return {
@@ -437,16 +454,8 @@ def _is_square(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------
-# Sweeps
+# The sweep: arguments, values, verdict
 # ---------------------------------------------------------------------
-
-
-def _args_of(fam: CongruenceFamily, bound: int) -> list[int]:
-    out = []
-    for r in fam.arg_residues:
-        out.extend(range(r, bound + 1, fam.arg_mod))
-    out.sort()
-    return out
 
 
 def _modd_bound(t: int, n_budget: int) -> int:
@@ -454,143 +463,118 @@ def _modd_bound(t: int, n_budget: int) -> int:
     return max(n_budget, t * t + 2000)
 
 
-def _modd_values(fam, t, args, cache, mod):
-    """m_odd(a, t; x) for x in `args`, and m_odd(-2, t; x) where the family
-    cross-checks them mod 3 (else None), from expansions reduced mod `mod`
-    (0: exact)."""
+def _dp_order(t: int) -> int:
+    """Order of the a=0 dynamic program: DP_WINDOW past t^2, as its cost is quadratic."""
+    return t * t + DP_WINDOW + 1
+
+
+def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[int], int]:
+    """(the arguments one J checks, in check order; the bound it reports).
+
+    Arguments ascend, except that a VALUATION_TABLE family reads them in
+    table order and skips x = 0.
+    """
+    if fam.kind == COEFF:
+        mod_, excluded = fam.n_excluded or (1, ())
+        return [n for n in range(1, n_budget + 1) if n % mod_ not in excluded], n_budget
+    if fam.dp_backed:
+        bound = _dp_order(t)
+        top = bound - 1
+    else:
+        bound = top = _modd_bound(t, n_budget) if fam.kind == MODD else n_budget
+    if fam.expected == VALUATION_TABLE:
+        return [x for r, _ in fam.val_table
+                for x in range(r or fam.arg_mod, top + 1, fam.arg_mod)], bound
+    args = [x for r in fam.arg_residues for x in range(r, top + 1, fam.arg_mod)]
+    args.sort()
+    return args, bound
+
+
+def _values(fam: CongruenceFamily, t: int | None, args: list[int], cache: SweepCache,
+            mod: int) -> tuple[Iterable, Iterable]:
+    """The family's sequence at `args`, and the m_odd(-2, t) partners an
+    easy3_cross family checks mod 3 (else Nones), each in the order of
+    `args` and read from expansions reduced mod `mod` (0: exact).  The
+    reinterpretation claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n).
+    """
     top = max(args)
+    partners = repeat(None, len(args))
+    if fam.kind == COEFF:
+        column = coeff_column(fam.a, t, top)
+        return [column[n] for n in args], partners
+    if fam.kind != MODD:
+        coeffs = cache.coeffs(fam.kind.lower(), top + 1, mod)
+        return map(coeffs.__getitem__, args), partners
+    if fam.dp_backed:
+        series = cache.dp_utilde(0, t, _dp_order(t))[t]
+        values = [series.coeff(x) for x in args]
+        if fam.expected == EQUALS_MODD_M2:
+            quarters = [x // 4 for x in args]
+            pref = cache.coeffs("overpartition", _modd_pref_len(0, top), mod)
+            rhs = modd_explicit_batch(-2, t // 2, quarters, pref, mod)
+            values = [v - w for v, w in zip(values, rhs)]
+        return values, partners
     pref = cache.coeffs(_modd_pref_kind(fam.a), _modd_pref_len(fam.a, top), mod)
     values = modd_explicit_batch(fam.a, t, args, pref, mod)
-    if not fam.easy3_cross:
-        return values, [None] * len(args)
-    pref2 = cache.coeffs("overpartition", top + 1, mod)
-    return values, modd_explicit_batch(-2, t, args, pref2, mod)
+    if fam.easy3_cross:
+        pref = cache.coeffs("overpartition", top + 1, mod)
+        partners = modd_explicit_batch(-2, t, args, pref, mod)
+    return values, partners
 
 
-def _modd_cex(fam, j, x, v, cross):
-    """The counterexample an m_odd value (and its mod-3 partner) makes, or None."""
-    if fam.expected == CONG_ZERO:
+def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int, cross) -> dict | None:
+    """The counterexample the value `v` at argument `x` (and its mod-3
+    partner `cross`) makes against the family's claim, or None."""
+    expected = fam.expected
+    if expected == CONG_ZERO:
         if v % fam.modulus:
             return _cex(j, x, v, fam.modulus)
-    elif fam.expected == EXACT_ZERO:
+    elif expected in (EXACT_ZERO, EQUALS_MODD_M2):
         if v != 0:
             return _cex(j, x, v, 0)
-    elif fam.expected == PARITY_M2_T1:
-        want = 1 if (x % 2 == 1 and _is_square(x)) else 0
+    elif expected == VALUATION_TABLE:
+        bound = fam.nu2_bounds[x % fam.arg_mod]
+        if v % (1 << bound):     # v != 0 and nu_2(v) < bound
+            return _cex(j, x, v, 1 << bound, required_nu2=bound)
+    elif expected in (PARITY_A2N, PARITY_M2_T1):
+        if expected == PARITY_A2N:      # a(2n) odd iff n=0 or n a square prime to 3
+            want = 1 if (x == 0 or (_is_square(x // 2) and x % 6 != 0)) else 0
+        else:                           # m_odd(-2,1;N) odd iff N an odd square
+            want = 1 if (x % 2 == 1 and _is_square(x)) else 0
         if v % 2 != want:
             return _cex(j, x, v, 2, expected=want)
     else:
-        raise ValueError(f"{fam.id}: bad expected kind {fam.expected}")
+        raise ValueError(f"{fam.id}: bad expected kind {expected}")
     if cross is not None and (v - cross) % 3:
         return _cex(j, x, v, 3, cross_easy3=str(cross))
     return None
 
 
-def _sweep_modd(fam, j_values, n_budget, cache):
+def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
+           cache: SweepCache) -> tuple[int, int, dict | None]:
+    """(arguments checked, largest bound reported, first counterexample or None)."""
     mod = _sweep_modulus(fam)
-    checked = 0
-    max_budget = 0
-    for j in j_values:
-        t = fam.t_of(j)
-        bound = _modd_bound(t, n_budget)
-        max_budget = max(max_budget, bound)
-        args = _args_of(fam, bound)
+    checked = top = 0
+    for j in j_values or (None,):
+        t = None if j is None else fam.t_of(j)
+        args, bound = _args_of(fam, t, n_budget)
         if not args:
             raise BudgetTooSmall(f"{fam.id}: no arguments below {bound}")
-        values, cross = _modd_values(fam, t, args, cache, mod)
-        for x, v, c in zip(args, values, cross):
+        top = max(top, bound)
+        values, partners = _values(fam, t, args, cache, mod)
+        for x, v, cross in zip(args, values, partners):
             checked += 1
-            cex = _modd_cex(fam, j, x, v, c)
-            if cex is not None:
-                if mod:     # the verdict came from residues: report exact values
-                    (v,), (c,) = _modd_values(fam, t, [x], cache, 0)
-                    cex = _modd_cex(fam, j, x, v, c)
-                    if cex is None:
-                        raise ArithmeticError(
-                            f"{fam.id}: residue and exact routes disagree at N={x}")
-                return checked, max_budget, cex
-    return checked, max_budget, None
-
-
-def _sweep_modd0_dp(fam, j_values, cache):
-    """a=0 support-pattern families against the dynamic program.
-
-    The closed form for a=0 has these patterns built in, so the DP is the
-    only non-circular evaluator; its quadratic cost caps the sweep at
-    t^2 + DP_WINDOW.
-    """
-    checked = 0
-    max_order = 0
-    for j in j_values:
-        t = fam.t_of(j)
-        order = t * t + DP_WINDOW + 1
-        max_order = max(max_order, order)
-        series = cache.dp_utilde(0, t, order)[t]
-        if fam.expected == EQUALS_MODD_M2:
-            n_top = (order - 1) // 4
-            inner = list(range(n_top + 1))
-            pref = cache.coeffs("overpartition", n_top + 1)
-            rhs = modd_explicit_batch(-2, t // 2, inner, pref)
-            for n in inner:
-                checked += 1
-                lhs = series.coeff(4 * n)
-                if lhs != rhs[n]:
-                    return checked, max_order, _cex(j, 4 * n, lhs - rhs[n], 0)
-        else:
-            for x in _args_of(fam, order - 1):
-                checked += 1
-                v = series.coeff(x)
-                if v != 0:
-                    return checked, max_order, _cex(j, x, v, 0)
-    return checked, max_order, None
-
-
-def _sweep_coeff(fam, j_values, n_budget):
-    mod_, excluded = fam.n_excluded if fam.n_excluded else (1, ())
-    ns = [n for n in range(1, n_budget + 1) if n % mod_ not in excluded]
-    if not ns:
-        raise BudgetTooSmall(f"{fam.id}: no admissible n below {n_budget}")
-    checked = 0
-    for j in j_values:
-        column = coeff_column(fam.a, fam.t_of(j), n_budget)
-        for n in ns:
-            checked += 1
-            if column[n] % fam.modulus:
-                return checked, n_budget, _cex(j, n, column[n], fam.modulus)
-    return checked, n_budget, None
-
-
-def _sweep_sequence(fam, n_budget, cache):
-    kind, mod = fam.kind.lower(), _sweep_modulus(fam)
-    coeffs = cache.coeffs(kind, n_budget + 1, mod)
-
-    def exact(x):   # verdicts may come from residues; reports carry exact values
-        return cache.coeffs(kind, x + 1)[x] if mod else coeffs[x]
-
-    checked = 0
-    if fam.expected == CONG_ZERO:
-        for x in _args_of(fam, n_budget):
-            checked += 1
-            if coeffs[x] % fam.modulus:
-                return checked, n_budget, _cex(None, x, exact(x), fam.modulus)
-    elif fam.expected == VALUATION_TABLE:
-        for r, bound in fam.val_table:
-            for x in range(r if r > 0 else fam.arg_mod, n_budget + 1, fam.arg_mod):
-                checked += 1
-                if coeffs[x] % (1 << bound):     # v != 0 and nu_2(v) < bound
-                    return checked, n_budget, _cex(
-                        None, x, exact(x), 1 << bound, required_nu2=bound)
-    elif fam.expected == PARITY_A2N:
-        for n in range(n_budget // 2 + 1):
-            checked += 1
-            want = 1 if (n == 0 or (_is_square(n) and n % 3 != 0)) else 0
-            if coeffs[2 * n] % 2 != want:
-                return checked, n_budget, _cex(None, 2 * n, exact(2 * n), 2, expected=want)
-    else:
-        raise ValueError(f"{fam.id}: bad expected kind {fam.expected}")
-    if checked == 0:
-        raise BudgetTooSmall(f"{fam.id}: nothing to check below {n_budget}")
-    return checked, n_budget, None
+            cex = _verdict(fam, j, x, v, cross)
+            if cex is None:
+                continue
+            if mod:     # the verdict came from residues: check the exact value
+                (v,), (cross,) = _values(fam, t, [x], cache, 0)
+                cex = _verdict(fam, j, x, v, cross)
+                if cex is None:
+                    raise ArithmeticError(
+                        f"{fam.id}: residue and exact routes disagree at N={x}")
+            return checked, top, cex
+    return checked, top, None
 
 
 def _cex(j, n, value, modulus, **extra):
@@ -630,7 +614,7 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
     if fam.kind in (PREFACTOR_A, OVERPARTITION):
         lengths[(fam.kind.lower(), mod)] = n_budget + 1
     elif fam.expected == EQUALS_MODD_M2:      # m_odd(-2, t/2; n) for 4n in the DP window
-        lengths[("overpartition", mod)] = max(_modd_pref_len(0, t * t + DP_WINDOW) for t in ts)
+        lengths[("overpartition", mod)] = max(_modd_pref_len(0, _dp_order(t) - 1) for t in ts)
     elif fam.kind == MODD and not fam.dp_backed:
         top = max(_modd_bound(t, n_budget) for t in ts)
         lengths[(_modd_pref_kind(fam.a), mod)] = _modd_pref_len(fam.a, top)
@@ -648,7 +632,8 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
     families with t*t above the budget, the bound is extended to
     t^2 + 2000 so the sweep always sees coefficients beyond the series'
     leading exponent.  Each expansion is sized once, before the J loop.
-    Raises BudgetTooSmall if no argument qualifies.
+    Raises BudgetTooSmall if some J has no argument to check, and
+    ArithmeticError if the residue and exact routes disagree.
     """
     fam = lookup(family) if isinstance(family, str) else family
     j_values, n_budget, lengths = _sweep_plan(fam, j_values, n_budget)
@@ -656,18 +641,9 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
         cache = SweepCache()
     start = time.perf_counter()
     cache.reserve(lengths)
-    if fam.kind == MODD:
-        if fam.dp_backed:
-            checked, bound, cex = _sweep_modd0_dp(fam, j_values, cache)
-        else:
-            checked, bound, cex = _sweep_modd(fam, j_values, n_budget, cache)
-        ranges = {"J": list(j_values), "max_arg": bound}
-    elif fam.kind == COEFF:
-        checked, bound, cex = _sweep_coeff(fam, j_values, n_budget)
-        ranges = {"J": list(j_values), "max_n": bound}
-    else:
-        checked, bound, cex = _sweep_sequence(fam, n_budget, cache)
-        ranges = {"max_arg": bound}
+    checked, bound, cex = _sweep(fam, j_values, n_budget, cache)
+    ranges = {"J": list(j_values)} if fam.t_rule is not None else {}
+    ranges["max_n" if fam.kind == COEFF else "max_arg"] = bound
     ranges["checked"] = checked
     millis = 1000 * (time.perf_counter() - start)
     return VerifyReport(
@@ -680,7 +656,6 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
         status="pass" if cex is None else "fail",
         counterexample=cex,
         millis=millis,
-        checked=checked,
     )
 
 

@@ -27,6 +27,8 @@ def pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
     Euler: the exponents are scale * k(3k-1)/2 over all integers k, with
     sign (-1)^k.
     """
+    if scale < 1:
+        raise ValueError("eta scale must be >= 1")
     terms = [(0, 1)]
     k = 1
     while True:
@@ -45,15 +47,11 @@ def pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
 
 def eta(scale: int, order: int) -> Series:
     """f_scale as a Series of the given order."""
-    if scale < 1:
-        raise ValueError("eta scale must be >= 1")
     return Series.from_terms(pentagonal_terms(scale, order), order)
 
 
 def eta_inv(scale: int, order: int) -> Series:
     """1/f_scale via the pentagonal recurrence (sparse long division)."""
-    if scale < 1:
-        raise ValueError("eta scale must be >= 1")
     return Series(_div_terms([1], pentagonal_terms(scale, order), order))
 
 
@@ -126,6 +124,8 @@ def phi(order: int, sign: int = 1) -> Series:
 
 def psi_terms(scale: int, order: int) -> list[tuple[int, int]]:
     """Nonzero terms of psi(q^scale) = sum q^(scale*k(k+1)/2) below `order`."""
+    if scale < 1:
+        raise ValueError("psi scale must be >= 1")
     terms = []
     k = 0
     while scale * (k * (k + 1) // 2) < order:

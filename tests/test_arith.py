@@ -71,6 +71,10 @@ def test_pow2_poly_congruence():
         assert pow2_poly_congruence(s)
     with pytest.raises(ValueError):
         pow2_poly_congruence(0)
+    # 1+z^0 is 2, not 1, and a negative step has no polynomial
+    for step in (0, -1):
+        with pytest.raises(ValueError, match="step"):
+            pow2_poly_congruence(2, step=step)
 
 
 def test_pow2_congruence_substituted_variants():

@@ -147,6 +147,15 @@ def test_lemmas(capsys):
         assert code == 2 and out == "" and "--order" in err
 
 
+def test_lemmas_bad_expression(capsys, tmp_path):
+    # a fixture that does not parse is bad input, not a crash
+    for lhs in ("f1 +", "zeta(q)"):
+        path = tmp_path / "bad.qx"
+        path.write_text(f"name: bad\nlhs = {lhs}\nrhs = f1\ncheck_to = 60\n", encoding="utf-8")
+        code, out, err = run(capsys, "lemmas", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_table(capsys):
     code, out, _ = run(capsys, "table", "--seq", "prefA", "--n", "0..23", "--mod", "2")
     assert code == 0

@@ -6,10 +6,12 @@ import json
 import pytest
 
 from qlab.macmahon import modd_explicit
+from qlab.series import Series
 from qlab.special import prefactor_a
 from qlab.congruences import (
     EQUALS_MODD_M2,
     EXACT_ZERO,
+    OVERPARTITION,
     SWEEP_MOD,
     BudgetTooSmall,
     CongruenceFamily,
@@ -193,6 +195,50 @@ def test_counterexamples_carry_exact_values():
     assert cex["value"] == str(v) and v % 5 != 0
 
 
+@pytest.mark.parametrize("family_id, kind, index", [
+    ("ovc-16n10-mod8", "overpartition", 10),   # CONG_ZERO on a shared expansion
+    ("ovc8", "overpartition", 7),              # VALUATION_TABLE
+    ("a2n-parity", "prefactor_a", 4),          # PARITY_A2N
+    ("m2-6n5-mod6", "overpartition", 4),       # m_odd closed form
+])
+def test_residue_exact_disagreement_raises(monkeypatch, family_id, kind, index):
+    # one wrong residue makes the residue route fail a point whose exact
+    # value passes; the sweep must not report that as a counterexample
+    build = SweepCache._BUILDERS[kind]
+
+    def corrupted(order, mod):
+        series = build(order, mod)
+        if not mod:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[index] = (coeffs[index] + 1) % mod
+        return Series(coeffs)
+
+    monkeypatch.setattr(SweepCache, "_BUILDERS", {**SweepCache._BUILDERS, kind: corrupted})
+    fam = lookup(family_id)
+    assert _sweep_modulus(fam) == SWEEP_MOD
+    j_values = None if fam.t_rule is None else (fam.j_min,)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        verify_family(fam, j_values, n_budget=500)
+
+
+@pytest.mark.parametrize("family_id, change, cex", [
+    ("ovc8", {"val_table": ((0, 1), (1, 1), (4, 1), (2, 2), (3, 3), (5, 3), (6, 3), (7, 7))},
+     {"J": None, "N": 7, "value": "64", "modulus": 128, "required_nu2": 7}),
+    ("m2-parity-t1", {"a": 1},
+     {"J": 0, "N": 2, "value": "-1", "modulus": 2, "expected": 0}),
+    ("m1-t1-6n5", {"arg_residues": (1,)},
+     {"J": 0, "N": 1, "value": "1", "modulus": 0}),
+    ("a2n-parity", {"kind": OVERPARTITION},
+     {"J": None, "N": 2, "value": "4", "modulus": 2, "expected": 1}),
+])
+def test_counterexample_shape_per_expected_kind(family_id, change, cex):
+    fam = dataclasses.replace(lookup(family_id), **change)
+    j_values = None if fam.t_rule is None else (fam.j_min,)
+    r = verify_family(fam, j_values, n_budget=500)
+    assert r.status == "fail" and r.counterexample == cex
+
+
 def test_residue_route_covers_every_congruence_claim():
     # a family whose moduli stopped dividing 192 would silently fall back
     # to the exact route; only exact-value claims belong there
@@ -258,6 +304,10 @@ def test_coeff_budget_is_honoured():
     r = verify_family("c1-1", j_values=(1,), n_budget=3000)
     assert r.passed and r.ranges["max_n"] == 3000
     assert r.checked == 1500
+    # the count is stored once, in the ranges
+    assert r.ranges["checked"] == 1500
+    with pytest.raises(AttributeError):
+        r.checked = 0
 
 
 def test_default_budget_follows_profile():

@@ -10,10 +10,12 @@ from qlab.special import (
     eta_inv,
     eta_quotient,
     overpartition_gf,
+    pentagonal_terms,
     pgen,
     phi,
     prefactor_a,
     psi,
+    psi_terms,
 )
 from qlab.qexpr import evaluate_text
 
@@ -47,6 +49,20 @@ def test_eta_pentagonal_support():
     assert eta(1, 9).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0)
     assert eta(6, 7).coeffs == (1, 0, 0, 0, 0, 0, -1)
     assert eta(3, 1).coeffs == (1,)
+
+
+def test_term_lists_reject_nonpositive_scales():
+    # every exponent of a scale-0 (or negative) term list lies below any
+    # order, so the lists would grow without end
+    for scale in (0, -2):
+        with pytest.raises(ValueError, match="scale"):
+            pentagonal_terms(scale, 10)
+        with pytest.raises(ValueError, match="scale"):
+            psi_terms(scale, 10)
+    with pytest.raises(ValueError, match="scale"):
+        eta(0, 10)
+    with pytest.raises(ValueError, match="scale"):
+        eta_inv(-1, 10)
 
 
 def test_eta_is_rescaled_eta1():
