@@ -57,6 +57,8 @@ def _modd_one(method: str, a: int, t: int, n: int) -> int:
         return macmahon.modd_direct(a, t, n)
     if method == "explicit":
         return macmahon.modd_explicit(a, t, n)
+    if method == "powersum":
+        return macmahon.modd_powersum(a, t, n)
     return macmahon.oracle_modd(a, t, n)
 
 
@@ -67,7 +69,7 @@ def cmd_modd(args) -> int:
     try:
         if method == "all":
             values = [_modd_one(m, args.a, args.t, args.n)
-                      for m in ("direct", "explicit", "oracle")]
+                      for m in ("direct", "explicit", "oracle", "powersum")]
             print(" ".join(str(v) for v in values))
             if len(set(values)) != 1:
                 print("error: evaluation methods disagree", file=sys.stderr)
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=int, required=True, choices=(-2, -1, 0, 1, 2))
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "explicit", "oracle", "all"))
+    p.add_argument("--method", choices=("direct", "explicit", "oracle", "powersum", "all"))
     p.set_defaults(func=cmd_modd)
 
     p = sub.add_parser("verify", help="sweep congruence families")

@@ -18,7 +18,7 @@ and ``_verdict`` is the one pass/fail test for every expected outcome.
 * m_odd families go through the closed forms (prefactor array + c_n
   values), except the a=0 support-pattern families, which would be
   trivially true by construction of the closed form; those run against the
-  odd-parts dynamic program instead.
+  power-sum route (``powersum_utilde``) instead, which reads no closed form.
 * prefactor / overpartition families read one shared expansion.
 * coefficient families read one c_n(a, t) column per swept t.
 
@@ -38,7 +38,7 @@ from itertools import repeat
 from math import isqrt
 from typing import Iterable
 
-from .macmahon import coeff_column, direct_utilde, modd_explicit_batch
+from .macmahon import coeff_column, modd_explicit_batch, powersum_utilde
 from .special import overpartition_gf, prefactor_a
 
 DEFAULT_BUDGET = 20000
@@ -382,7 +382,7 @@ def lookup(family_id: str) -> CongruenceFamily:
 
 
 class SweepCache:
-    """Prefactor expansions and DP runs, computed once and shared read-only."""
+    """Prefactor expansions and U~_t(0; q) rows, computed once and shared read-only."""
 
     # keyed by the lower-cased kind of the families that read each expansion;
     # each builder takes (order, mod)
@@ -410,9 +410,10 @@ class SweepCache:
             self.coeffs(kind, max(need.get((kind, mod), 0) for need in needs), mod)
 
     def dp_utilde(self, a: int, t_max: int, order: int) -> list:
+        """U~_0..U~_(t_max) from the power-sum route, which reads no closed form."""
         key = (a, t_max, order)
         if key not in self._dp:
-            self._dp[key] = direct_utilde(a, t_max, order)
+            self._dp[key] = powersum_utilde(a, t_max, order)
         return self._dp[key]
 
 
@@ -464,7 +465,11 @@ def _modd_bound(t: int, n_budget: int) -> int:
 
 
 def _dp_order(t: int) -> int:
-    """Order of the a=0 dynamic program: DP_WINDOW past t^2, as its cost is quadratic."""
+    """Order of the a=0 power-sum rows: DP_WINDOW past t^2.
+
+    The power-sum route could reach the profile budget; the window stays so
+    the swept ranges, and the benchmark's pinned checked counts, stay put.
+    """
     return t * t + DP_WINDOW + 1
 
 

@@ -9,10 +9,12 @@ whose q^n coefficient is written m_odd(a, t; n).  For |a| <= 2 each local
 factor expands exactly over the integers, with coefficients d_m following a
 Chebyshev-type recurrence.
 
-Three independent evaluation routes are provided and cross-checked by the
+Four independent evaluation routes are provided and cross-checked by the
 test suite:
 
 * ``direct_utilde``  -- dynamic program over the odd parts (any |a| <= 2);
+* ``powersum_utilde`` -- divisor sums for the power sums of the local
+  factors, then Newton's identities (any |a| <= 2);
 * ``explicit_utilde`` -- closed form: an eta-quotient prefactor convolved
   with a theta-supported coefficient family c_n(a, t) (a in {-2, 0, 1});
 * ``oracle_modd``    -- brute-force enumeration of the defining sum.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from math import comb
 
 from .arith import exact_div
-from .series import Poly, Series, _mul_dense_terms, series_of_rational
+from .series import Poly, Series, _mul_dense_terms, _mul_kronecker, series_of_rational
 from .special import overpartition_gf, prefactor_a
 
 
@@ -90,6 +92,52 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
             conv = _mul_dense_terms(rows[t - 1], g, order)
             rows[t] = [x + y for x, y in zip(rows[t], conv)]
     return [Series(r) for r in rows]
+
+
+def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
+    """U~_t(a; q) for t = 0..t_max from power sums, exact to `order`.
+
+    U~_t is the t-th elementary symmetric function e_t of the local factors
+    g_n = q^n/(1+a*q^n+q^(2n)) over odd n.  Their power sums p_k = sum g_n^k
+    are divisor sums, [q^N] p_k = sum over odd n | N of [x^(N/n)] h_k with
+    h_k = x^k/(1+a*x+x^2)^k, and Newton's identities
+    t*e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) p_i give e_t from them, each
+    product by one Kronecker multiply and the division by t checked exact.
+    Rows with t^2 >= order are zero at this truncation, as in
+    ``direct_utilde``.
+    """
+    if a not in _DP_AS:
+        raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    eff = t_max
+    while eff > 0 and eff * eff >= order:
+        eff -= 1
+    p = [None] + [_odd_power_sum(a, k, order) for k in range(1, eff + 1)]
+    rows = [[1] + [0] * (order - 1)]
+    for t in range(1, eff + 1):
+        acc = [0] * order
+        for i in range(1, t + 1):
+            sign = 1 if i % 2 else -1
+            acc = [x + sign * y for x, y in zip(acc, _mul_kronecker(rows[t - i], p[i], order))]
+        rows.append([exact_div(c, t) for c in acc])
+    rows += [[0] * order for _ in range(t_max - eff)]
+    return [Series(r) for r in rows]
+
+
+def _odd_power_sum(a: int, k: int, order: int) -> list[int]:
+    """[q^0..q^(order-1)] of sum over odd n of g_n^k, by sieving h_k over n.
+
+    g_n^k = h_k(q^n) and h_k starts at x^k, so part n adds [x^m] h_k at
+    q^(m*n) for m >= k.
+    """
+    h = series_of_rational(Poly([0] * k + [1]), Poly([1, a, 1]) ** k, order).coeffs[k:]
+    p = [0] * order
+    for n in range(1, (order - 1) // k + 1, 2):
+        p[n * k::n] = [x + y for x, y in zip(p[n * k::n], h)]
+    return p
 
 
 def oracle_modd(a: int, t: int, n: int) -> int:
@@ -351,6 +399,13 @@ def modd_direct(a: int, t: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return direct_utilde(a, t, n + 1)[t].coeff(n)
+
+
+def modd_powersum(a: int, t: int, n: int) -> int:
+    """m_odd(a, t; n) via the power sums and Newton's identities."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return powersum_utilde(a, t, n + 1)[t].coeff(n)
 
 
 def modd_explicit(a: int, t: int, n: int, pref=None) -> int:

@@ -485,8 +485,11 @@ class LemmaFixture:
     def __post_init__(self):
         if self.check_to < 50:
             raise ValueError(f"{self.name}: check_to must be >= 50")
-        parse(self.lhs)
-        parse(self.rhs)
+        for side in ("lhs", "rhs"):
+            try:
+                parse(getattr(self, side))
+            except ExprError as exc:
+                raise ExprError(f"{self.name}: {side}: {exc}") from exc
 
 
 @dataclass(frozen=True)

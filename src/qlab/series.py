@@ -9,7 +9,9 @@ floating point anywhere in this package.
 
 Multiplication and division are sparse-aware: the kernel iterates over the
 nonzero terms of the sparser operand, which makes products and quotients by
-theta/pentagonal series cost O(order * nnz) instead of O(order^2).
+theta/pentagonal series cost O(order * nnz) instead of O(order^2).  For two
+dense operands ``_mul_kronecker`` packs each into one int and does a single
+big-int multiply; ``Series.__mul__`` does not use it.
 
 Division can also reduce every quotient coefficient mod M.  That residue
 route works in blocks of coefficients: the divisor terms that reach back a
@@ -68,6 +70,43 @@ def _mul_dense_terms(u: Sequence[int], terms, order: int) -> list[int]:
         else:
             out[e:e + m] = [x + c * y for x, y in zip(seg, u)]
     return out
+
+
+def _pack(values: Sequence[int], size: int) -> int:
+    """sum(v * 256**(size*i)) for nonnegative v < 256**size."""
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+
+def _max_bits(values: Sequence[int]) -> int:
+    """Bit length of the largest |v|; 0 when every v is 0 (or none is given)."""
+    return max(max(values, default=0), -min(values, default=0)).bit_length()
+
+
+def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Dense a * b truncated to `order`, by one big-int multiply.
+
+    Each operand becomes one int with coefficient i in slot i: its positive
+    and its negative parts are packed apart and subtracted.  A product
+    coefficient is a sum of at most min(len) terms, each below
+    2**(bits(a) + bits(b)) in size, so a slot of `width` bits, one more for
+    the sign, rounded up to whole bytes, holds it.  Adding half a slot to
+    every slot of the product makes each one nonnegative, so the bytes
+    split into slots without borrows and each slot gives its coefficient
+    back less that bias.  Missing entries of a short operand are zeros.
+    """
+    a, b = a[:order], b[:order]
+    bits_a, bits_b = _max_bits(a), _max_bits(b)
+    if not bits_a or not bits_b:
+        return [0] * order
+    width = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
+    size = (width + 7) // 8
+    half = 1 << (8 * size - 1)
+    x = _pack([c if c > 0 else 0 for c in a], size) - _pack([-c if c < 0 else 0 for c in a], size)
+    y = _pack([c if c > 0 else 0 for c in b], size) - _pack([-c if c < 0 else 0 for c in b], size)
+    nbytes = size * order
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * order, "little")
+    buf = ((x * y + bias) & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
+    return [int.from_bytes(buf[i:i + size], "little") - half for i in range(0, nbytes, size)]
 
 
 def _mul_pairs(ta, tb, order: int) -> list[int]:

@@ -14,6 +14,7 @@ from qlab.macmahon import (
     explicit_utilde,
     modd_explicit_batch,
     oracle_modd,
+    powersum_utilde,
     riordan_series,
     te_sum,
 )
@@ -60,8 +61,10 @@ def test_c2_method_triangulation():
     with timer("C2 method triangulation", 60.0):
         for a in (-2, 0, 1):
             rows = direct_utilde(a, 5, 300)
+            sums = powersum_utilde(a, 5, 300)
             for t in range(6):
                 assert explicit_utilde(a, t, 300).eq(rows[t]), (a, t)
+                assert sums[t].eq(rows[t]), (a, t)
             for t in range(4):
                 for n in range(61):
                     want = oracle_modd(a, t, n)

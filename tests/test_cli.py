@@ -52,7 +52,7 @@ def test_modd(capsys):
     code, out, _ = run(capsys, "modd", "-a", "0", "-t", "1", "-n", "13")
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, "modd", "-a", "1", "-t", "2", "-n", "4", "--method", "all")
-    assert code == 0 and out.strip() == "1 1 1"
+    assert code == 0 and out.strip() == "1 1 1 1"
     # a outside the closed forms falls back to the dynamic program
     code, out, _ = run(capsys, "modd", "-a", "-1", "-t", "1", "-n", "5")
     assert code == 0
@@ -70,6 +70,19 @@ def test_modd_method_agreement(capsys):
                 assert code == 0
                 vals = out.split()
                 assert len(set(vals)) == 1, (a, t, n, vals)
+
+
+def test_modd_powersum(capsys):
+    # the fourth route covers every a, closed form or not
+    for a, t, n in ((-2, 1, 9), (0, 1, 13), (-1, 2, 17), (2, 3, 40)):
+        code, out, _ = run(capsys, "modd", "-a", str(a), "-t", str(t), "-n", str(n),
+                           "--method", "powersum")
+        _, want, _ = run(capsys, "modd", "-a", str(a), "-t", str(t), "-n", str(n),
+                         "--method", "direct")
+        assert code == 0 and out == want
+    # t^2 > n: the row is zero at this truncation
+    code, out, _ = run(capsys, "modd", "-a", "1", "-t", "5", "-n", "3", "--method", "all")
+    assert code == 0 and out.strip() == "0 0 0 0"
 
 
 def test_verify_single_family(capsys):
@@ -117,7 +130,7 @@ def test_verify_negative_budget_is_rejected(capsys):
 
 def test_modd_rejects_negative_arguments(capsys):
     # the oracle used to print 0 for a negative n and hang on a negative t
-    for method in ("direct", "explicit", "oracle", "all"):
+    for method in ("direct", "explicit", "oracle", "powersum", "all"):
         for t, n in (("0", "-4"), ("-1", "5")):
             code, out, err = run(capsys, "modd", "-a", "1", "-t", t, "-n", n,
                                  "--method", method)
@@ -148,12 +161,18 @@ def test_lemmas(capsys):
 
 
 def test_lemmas_bad_expression(capsys, tmp_path):
-    # a fixture that does not parse is bad input, not a crash
-    for lhs in ("f1 +", "zeta(q)"):
-        path = tmp_path / "bad.qx"
-        path.write_text(f"name: bad\nlhs = {lhs}\nrhs = f1\ncheck_to = 60\n", encoding="utf-8")
+    # a fixture that does not parse is bad input, not a crash, and the
+    # message names the fixture and the side
+    path = tmp_path / "bad.qx"
+    for lhs, rhs, where in (("f1 +", "f1", "lhs"), ("zeta(q)", "f1", "lhs"),
+                            ("f1", "f2 *", "rhs")):
+        path.write_text(f"name: bad\nlhs = {lhs}\nrhs = {rhs}\ncheck_to = 60\n",
+                        encoding="utf-8")
         code, out, err = run(capsys, "lemmas", str(path))
-        assert code == 2 and out == "" and err.startswith("error:")
+        assert code == 2 and out == "" and err.startswith(f"error: bad: {where}: ")
+    path.write_text("name: bad\nlhs = f1 +\nrhs = f1\ncheck_to = 60\n", encoding="utf-8")
+    _, _, err = run(capsys, "lemmas", str(path))
+    assert err.strip() == "error: bad: lhs: expected an atom (at offset 4)"
 
 
 def test_table(capsys):

@@ -47,3 +47,31 @@ def test_exact_div():
     assert exact_div(-12, 4) == -3
     with pytest.raises(InexactDivision):
         exact_div(13, 4)
+
+
+CLOSED_FORMS = {"coeff_column", "theta_weight_terms", "modd_explicit_batch",
+                "explicit_utilde", "prefactor_a", "overpartition_gf"}
+
+
+def test_powersum_route_names_no_closed_form():
+    # the a=0 support-pattern families check the closed form against this
+    # route, so nothing it calls, directly or through helpers, may read one
+    defs = {}
+    for name in ("macmahon.py", "series.py"):
+        tree = ast.parse((SRC / "qlab" / name).read_text(encoding="utf-8"))
+        defs.update((node.name, node) for node in tree.body
+                    if isinstance(node, ast.FunctionDef))
+    seen, todo, named = set(), ["powersum_utilde"], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident:
+                named.add(ident)
+                if ident in defs:
+                    todo.append(ident)
+    assert {"_odd_power_sum", "_mul_kronecker", "series_of_rational"} <= seen
+    assert not named & CLOSED_FORMS, sorted(named & CLOSED_FORMS)

@@ -19,6 +19,7 @@ from qlab.macmahon import (
     modd_explicit,
     modd_explicit_batch,
     oracle_modd,
+    powersum_utilde,
     riordan_coeff,
     riordan_series,
     te,
@@ -93,6 +94,30 @@ def test_direct_matches_oracle():
         for t in range(4):
             for n in range(41):
                 assert rows[t].coeff(n) == oracle_modd(a, t, n), (a, t, n)
+
+
+def test_powersum_matches_direct():
+    for a in (-2, -1, 0, 1, 2):
+        want = direct_utilde(a, 5, 400)
+        got = powersum_utilde(a, 5, 400)
+        assert len(got) == 6
+        for t in range(6):
+            assert got[t].coeffs == want[t].coeffs, (a, t)
+
+
+def test_powersum_small_orders_and_zero_rows():
+    for a in (-2, -1, 0, 1, 2):
+        for order in (1, 2, 4, 5, 10, 17):
+            want = [r.coeffs for r in direct_utilde(a, 6, order)]
+            assert [r.coeffs for r in powersum_utilde(a, 6, order)] == want, (a, order)
+    rows = powersum_utilde(1, 4, 9)           # t^2 >= 9 for t = 3, 4
+    assert rows[3].is_zero() and rows[4].is_zero() and rows[3].order == 9
+
+
+def test_powersum_argument_guards():
+    for bad in ((3, 2, 10), (-3, 2, 10), (0, -1, 10), (0, 2, 0), (0, 2, -5)):
+        with pytest.raises(ValueError):
+            powersum_utilde(*bad)
 
 
 def test_explicit_matches_direct():

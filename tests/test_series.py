@@ -12,6 +12,8 @@ from qlab.series import (
     Series,
     _BLOCK,
     _div_terms,
+    _mul_dense_terms,
+    _mul_kronecker,
     _terms_of,
     coeff_at,
     eq_mod,
@@ -239,6 +241,36 @@ def test_mul_associative_commutative(xs, ys, zs):
     a, b, c = Series(xs), Series(ys), Series(zs)
     assert (a * b).eq(b * a)
     assert ((a * b) * c).eq(a * (b * c))
+
+
+big_coeffs = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40), st.just(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(big_coeffs, max_size=40), st.lists(big_coeffs, max_size=40),
+       st.integers(1, 50))
+def test_mul_kronecker_matches_dense_loop(xs, ys, order):
+    # signed entries up to 10**40, unequal lengths, operands longer or
+    # shorter than `order`, empty and all-zero operands
+    assert _mul_kronecker(xs, ys, order) == _mul_dense_terms(xs, _terms_of(ys), order)
+
+
+def test_mul_kronecker_edge_cases():
+    assert _mul_kronecker([0, 0, 0], [5, -7], 4) == [0, 0, 0, 0]
+    assert _mul_kronecker([], [1], 2) == [0, 0]
+    assert _mul_kronecker([-3, 8], [-2**70, 1], 1) == [3 * 2**70]
+
+
+def test_mul_kronecker_slots_at_their_bound():
+    # min(len) products of the largest magnitudes, all of one sign, fill a
+    # slot to within a bit of its width; the sizes step the width through
+    # every remainder mod 8, so rounding up to whole bytes hides no bit
+    for bits in range(1, 21):
+        big = 2**bits - 1
+        for n in (1, 2, 3, 5, 8, 15, 16, 17, 31):
+            for sign in (1, -1):
+                a, b = [big] * n, [sign * big] * (n + 1)
+                assert _mul_kronecker(a, b, 2 * n) == naive_mul(a, b, 2 * n), (bits, n, sign)
 
 
 @settings(max_examples=60, deadline=None)
