@@ -127,7 +127,7 @@ def cmd_table(args) -> int:
             print("error: --seq modd needs -a and -t", file=sys.stderr)
             return 2
         try:
-            values = macmahon.modd_explicit_batch(args.a, args.t, list(args.n))
+            values = macmahon.modd_explicit_batch(args.a, args.t, list(args.n), mod=args.mod)
         except (UnsupportedA, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

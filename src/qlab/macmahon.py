@@ -30,7 +30,8 @@ from __future__ import annotations
 from math import comb
 
 from .arith import exact_div
-from .series import Poly, Series, _mul_dense_terms, _mul_kronecker, series_of_rational
+from .series import (Poly, Series, _conv_terms, _mul_dense_terms, _mul_kronecker,
+                     series_of_rational)
 from .special import overpartition_gf, prefactor_a
 
 
@@ -422,11 +423,12 @@ def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[i
     """m_odd(a, t; n) for every n in `args` via the closed forms.
 
     The coefficient family c_n(a, t) is computed once and shared across all
-    requested arguments, so sweeping an arithmetic progression costs one
-    prefactor expansion plus O(sqrt(max)) multiplications per argument.
-    With `mod` > 0 the c_n are reduced mod `mod` before they multiply the
-    prefactor, so the values are only congruent to m_odd mod `mod`; pass
-    it with a `pref` that is reduced mod the same modulus.
+    requested arguments, so sweeping them costs one prefactor expansion
+    plus one convolution (``_theta_batch``).  With `mod` > 0 the c_n are
+    reduced mod `mod` before they multiply the prefactor, so the values are
+    only congruent to m_odd mod `mod`, not reduced.  A `pref` passed with
+    it should be reduced mod the same modulus, as the one built when `pref`
+    is omitted is; then the products run on packed slots.
     """
     if a not in _EXPLICIT_AS:
         raise UnsupportedA(f"no closed form for a={a}")
@@ -452,22 +454,14 @@ def _theta_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:
     """[q^x] of prefactor * sum_n c_n(a,t) q^(r(n)) for each x in args.
 
     The prefactor is the f1f6/(f2^2 f3) expansion for a = 1 and the
-    overpartition counts otherwise; a = 0 gives W_t.
+    overpartition counts otherwise; a = 0 gives W_t.  Without `pref` it is
+    built to max(args), reduced mod `mod`.  ``series._conv_terms`` forms
+    the products: on packed slots for `mod` > 0 and a reduced prefactor,
+    else in a scalar loop of O(sqrt(max)) multiplications per argument.
     """
     if not args:
         return []
     top = max(args)
     if pref is None:
-        pref = (prefactor_a(top + 1) if a == 1 else overpartition_gf(top + 1)).coeffs
-    terms = theta_weight_terms(a, t, top + 1)
-    if mod:
-        terms = [(e, c % mod) for e, c in terms if c % mod]
-    out = []
-    for x in args:
-        acc = 0
-        for e, c in terms:
-            if e > x:
-                break
-            acc += c * pref[x - e]
-        out.append(acc)
-    return out
+        pref = (prefactor_a(top + 1, mod) if a == 1 else overpartition_gf(top + 1, mod)).coeffs
+    return _conv_terms(pref, theta_weight_terms(a, t, top + 1), args, mod)

@@ -20,12 +20,19 @@ of ints that pack the finished residues in 32-bit slots (64-bit when the
 slot bound (M-1) * (1 + sum of the far weights) < 2**32 fails, the scalar
 loop when that fails too).  The nearer terms run in the scalar recurrence,
 as every term does on the exact route.
+
+``_conv_terms`` reads a product u * sum(c*q^e) at chosen exponents only, as
+the closed forms need it.  On residues it packs u too: one column u[s::A]
+per residue class s mod A that it reads, A the gcd of the differences of
+the exponents asked for, in slots of the same widths under the same bound
+over the weights c mod M.  Exact products run a scalar loop.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -133,6 +140,13 @@ _SLOT_CODES = ({array(tc).itemsize * 8: tc for tc in "QLI"}
                if sys.byteorder == "little" else {})
 
 
+def _slot_width(mod: int, weights) -> int:
+    """Bits per packed slot, 32 or 64, that hold (mod-1) * (1 + sum(weights))
+    without a carry; 0 when neither does or the host packs no slots."""
+    bound = (mod - 1) * (1 + sum(weights))
+    return next((b for b in (32, 64) if bound < 1 << b and b in _SLOT_CODES), 0)
+
+
 def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     """Long division of u by the series with nonzero terms `dterms`.
 
@@ -165,10 +179,7 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
         dterms = [(e, -c) for e, c in dterms]
     tail = [(e, c) for e, c in dterms[1:] if e < order]
     far = [(e, -c % mod) for e, c in tail if e >= _BLOCK and c % mod] if mod else []
-    width = 0
-    if far:
-        bound = (mod - 1) * (1 + sum(w for _, w in far))
-        width = next((b for b in (32, 64) if bound < 1 << b and b in _SLOT_CODES), 0)
+    width = _slot_width(mod, [w for _, w in far]) if far else 0
     groups: dict[int, list[tuple[int, int]]] = {}
     if width:
         step = _BLOCK
@@ -234,6 +245,68 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
             pairs.append(prev | block << bits)
             prev = block
     return r
+
+
+def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> list[int]:
+    """[q^x] of u * sum(c*q^e for e, c in terms) for each x in `args`.
+
+    `terms` ascend in e, and u holds at least max(args) + 1 coefficients.
+    With `mod` > 0 every c is taken mod `mod` first, so the values are
+    congruent to the exact ones mod `mod`, though not reduced.
+
+    On that residue route, when every entry of u lies in [0, mod), the
+    sums run on packed slots.  The arguments lie in one class B mod A, A
+    the gcd of their differences (max(args) + 1 for one argument), so
+    x = B + A*i reads u only on the columns u[s::A]: term q^e reads row
+    i - j of column s = (B - e) mod A, with j = (e - B + s) / A.  Each
+    column a term reads is packed once, rows reversed, one row per slot of
+    `width` bits, so pack_s >> (j * width) holds row i - j in slot i (slots
+    counted from the top) and drops the rows no argument reads.  The terms
+    are summed by weight w = c mod `mod`, each group's shifted packs once
+    times w, and the one sum is unpacked once.  A slot then holds exactly
+    the scalar sum, at most (mod-1) * sum(w), so it cannot carry while
+    (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width`` picks the width.
+    When no width fits, for `mod` == 0, and when an entry of u[:max(args)+1]
+    lies outside [0, mod), every argument runs in the scalar loop.
+    """
+    if not args:
+        return []
+    low, top = min(args), max(args)
+    width = 0
+    if mod:
+        terms = [(e, c % mod) for e, c in terms if c % mod]
+        head = u[:top + 1]
+        if len(head) > top and min(head) >= 0 and max(head) < mod:
+            width = _slot_width(mod, [w for _, w in terms])
+    if not width:
+        out = []
+        for x in args:
+            acc = 0
+            for e, c in terms:
+                if e > x:
+                    break
+                acc += c * u[x - e]
+            out.append(acc)
+        return out
+    code = _SLOT_CODES[width]
+    step = gcd(*(x - low for x in args)) or top + 1
+    base = low % step
+    rows = (top - base) // step + 1
+    packs: dict[int, int] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for e, w in terms:
+        if e > top:
+            break
+        s = (base - e) % step
+        if s not in packs:
+            col = u[s:top + 1:step]
+            packs[s] = (int.from_bytes(array(code, col[::-1]).tobytes(), "little")
+                        << (rows - len(col)) * width)
+        groups.setdefault(w, []).append((s, (e - base + s) // step * width))
+    total = sum(w * sum(packs[s] >> shift for s, shift in group)
+                for w, group in groups.items())
+    slots = array(code, total.to_bytes(rows * width // 8, "little"))
+    return [slots[rows - 1 - (x - base) // step] for x in args]
 
 
 class Series:

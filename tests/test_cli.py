@@ -1,11 +1,14 @@
 """CLI surface: flags, output shapes, exit codes, method agreement."""
 
+import csv
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 from qlab.cli import build_parser, main
+from qlab.macmahon import modd_explicit_batch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,6 +203,21 @@ def test_table_mod_and_bad_ranges(capsys):
         assert code == 2 and out == "" and "n >= 0" in err
         code, out, err = run(capsys, "table", "--seq", seq, "--n", "0..3", "--mod", "-3")
         assert code == 2 and out == "" and "--mod" in err
+
+
+def test_table_modd_mod_matches_exact_values_reduced(capsys):
+    # --mod reads residues, which must print the exact values reduced
+    n = range(3001)
+    for a in (-2, 0, 1):
+        exact = modd_explicit_batch(a, 3, list(n))
+        for mod in (2, 8, 192):
+            code, out, _ = run(capsys, "table", "--seq", "modd", "-a", str(a), "-t", "3",
+                               "--n", "0..3000", "--mod", str(mod))
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["n", "value"])
+            writer.writerows(zip(n, (v % mod for v in exact)))
+            assert code == 0 and out == buf.getvalue(), (a, mod)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -15,11 +15,14 @@ from qlab.congruences import (
     SWEEP_MOD,
     BudgetTooSmall,
     CongruenceFamily,
+    MODD,
     SweepCache,
     UnknownFamily,
     VerifyReport,
+    _args_of,
     _sweep_modulus,
     _sweep_plan,
+    _values,
     lookup,
     registry,
     verify_all,
@@ -252,6 +255,25 @@ def test_residue_route_covers_every_congruence_claim():
             assert _sweep_modulus(fam) == SWEEP_MOD, fam.id
         assert {mod for _, mod in lengths} <= {_sweep_modulus(fam)}, fam.id
     assert len(exact) == 5
+
+
+def test_residue_route_agrees_with_exact_route_per_family():
+    # every m_odd family on the residue route, at its own argument shape
+    # (unsorted table order, two residue classes, the a=0 quarters): the
+    # residue route's values and easy3 partners are congruent mod 192 to
+    # the exact route's
+    cache = SweepCache()
+    fams = [f for f in registry() if f.kind == MODD and _sweep_modulus(f)]
+    assert len(fams) == 33
+    for fam in fams:
+        t = fam.t_of(fam.j_min)
+        args, _ = _args_of(fam, t, 1500)
+        values, partners = _values(fam, t, args, cache, SWEEP_MOD)
+        exact, exact_partners = _values(fam, t, args, cache, 0)
+        for x, v, w, p, q in zip(args, values, exact, partners, exact_partners, strict=True):
+            assert (v - w) % SWEEP_MOD == 0, (fam.id, x)
+            assert (p is None) == (q is None) == (not fam.easy3_cross), (fam.id, x)
+            assert p is None or (p - q) % SWEEP_MOD == 0, (fam.id, x)
 
 
 def test_bumped_coefficient_family_fails():

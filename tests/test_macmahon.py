@@ -371,6 +371,8 @@ def test_modd_explicit_batch_mod_is_congruent():
             got = modd_explicit_batch(a, t, args, prefs[a == 1], mod)
             want = modd_explicit_batch(a, t, args)
             assert [g % mod for g in got] == [w % mod for w in want], (mod, a, t)
+            # without a prefactor the batch builds it reduced mod `mod`
+            assert modd_explicit_batch(a, t, args, mod=mod) == got, (mod, a, t)
 
 
 def test_t1_divisor_sum_formula():

@@ -1,5 +1,8 @@
 """Series/Poly kernel: exactness, order propagation, ring laws."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,9 +14,11 @@ from qlab.series import (
     Poly,
     Series,
     _BLOCK,
+    _conv_terms,
     _div_terms,
     _mul_dense_terms,
     _mul_kronecker,
+    _slot_width,
     _terms_of,
     coeff_at,
     eq_mod,
@@ -344,6 +349,83 @@ def test_blocked_residue_division_small_blocks(tail, num, lead, mod, order):
         mp.setattr(series, "_BLOCK", 4)
         got = _div_terms(num, dterms, order, mod)
     assert got == [c % mod for c in naive_div(num, dterms, order)]
+
+
+# -- the packed convolution against the scalar sums ---------------------
+
+def naive_conv(u, terms, args, mod):
+    """sum((c mod M) * u[x - e] over e <= x) for each x, unreduced."""
+    return [sum(c % mod * u[x - e] for e, c in terms if e <= x) for x in args]
+
+
+CONV_MODS = [1, 2, 3, 8, 192, 2 ** 31 + 11, 2 ** 40]
+# (arg_mod, residues) of the a=0 families on the residue route: the closed
+# form reads W at (n - 1) // 4 for the n = 1 mod 4 among them
+QUARTER_SHAPES = [(36, (21, 33)), (16, (9, 13)), (16, (13,)), (32, (29,)), (108, (49,))]
+
+
+@st.composite
+def conv_args(draw, top):
+    """The argument shapes the sweeps pass, each reaching at most `top`."""
+    shape = draw(st.sampled_from(["one", "ends", "table", "progression", "two", "quarters"]))
+    if shape == "one":
+        return [draw(st.integers(0, top))]
+    if shape == "ends":             # 0 and top among unsorted arguments
+        rest = draw(st.lists(st.integers(0, top), max_size=6))
+        return draw(st.permutations(rest + [0, top]))
+    if shape == "table":            # VALUATION_TABLE order: residue by residue, x = 0 skipped
+        m = draw(st.integers(1, 12))
+        rs = draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+        args = [x for r in rs for x in range(r or m, top + 1, m)]
+    elif shape == "progression":
+        step = draw(st.integers(1, 40))
+        args = list(range(draw(st.integers(0, step - 1)), top + 1, step))
+    elif shape == "two":            # two residue classes whose differences have gcd 1
+        m = draw(st.integers(2, 30))
+        r = draw(st.integers(0, m - 1))
+        d = draw(st.sampled_from([d for d in range(1, m) if gcd(d, m) == 1]))
+        args = sorted({*range(r, top + 1, m), *range((r + d) % m, top + 1, m)})
+    else:
+        m, rs = draw(st.sampled_from(QUARTER_SHAPES))
+        args = sorted((n - 1) // 4 for r in rs for n in range(r, 4 * top + 2, m))
+    return args or [top]
+
+
+@st.composite
+def conv_cases(draw):
+    mod = draw(st.sampled_from(CONV_MODS))
+    top = draw(st.integers(0, 150))
+    args = draw(conv_args(top))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    u = [rnd.randrange(mod) for _ in range(top + 1 + draw(st.integers(0, 5)))]
+    exps = draw(st.lists(st.integers(0, top + 5), unique=True, max_size=25))
+    terms = [(e, draw(big_coeffs)) for e in sorted(exps)]
+    if draw(st.booleans()):         # one entry >= M, too wide for any slot
+        u[draw(st.integers(0, len(u) - 1))] = mod + 2 ** 64
+    return u, terms, args, mod
+
+
+@settings(max_examples=200, deadline=None)
+@given(conv_cases(), st.booleans())
+def test_conv_terms_equals_the_scalar_sums(case, no_slots):
+    u, terms, args, mod = case
+    with pytest.MonkeyPatch.context() as mp:
+        if no_slots:                # a host that packs no slots
+            mp.setattr(series, "_SLOT_CODES", {})
+        assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
+
+
+@pytest.mark.parametrize("mod, weight, width", [
+    (192, 191, 32),                 # (M-1)(1 + 30*191) < 2**32
+    (2 ** 31 + 11, 5, 64),          # fails 32 bits, fits 64
+    (2 ** 40, 2 ** 39, 0),          # fits neither: the scalar loop
+])
+def test_conv_terms_slot_widths(mod, weight, width):
+    terms = [(3 * k, weight) for k in range(30)]
+    assert _slot_width(mod, [w for _, w in terms]) == width
+    u = [(7 ** k) % mod for k in range(120)]
+    args = list(range(5, 120, 3))
+    assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
 
 
 @settings(max_examples=60, deadline=None)
