@@ -62,16 +62,26 @@ def _modd_one(method: str, a: int, t: int, n: int) -> int:
     return macmahon.oracle_modd(a, t, n)
 
 
+def _modd_all(a: int, t: int, n: int) -> list[int | None]:
+    """The four routes' values, None for the closed form when a has none."""
+    values = []
+    for method in ("direct", "explicit", "oracle", "powersum"):
+        try:
+            values.append(_modd_one(method, a, t, n))
+        except UnsupportedA:
+            values.append(None)
+    return values
+
+
 def cmd_modd(args) -> int:
     method = args.method
     if method is None:
         method = "explicit" if args.a in (-2, 0, 1) else "direct"
     try:
         if method == "all":
-            values = [_modd_one(m, args.a, args.t, args.n)
-                      for m in ("direct", "explicit", "oracle", "powersum")]
-            print(" ".join(str(v) for v in values))
-            if len(set(values)) != 1:
+            values = _modd_all(args.a, args.t, args.n)
+            print(" ".join("-" if v is None else str(v) for v in values))
+            if len({v for v in values if v is not None}) != 1:
                 print("error: evaluation methods disagree", file=sys.stderr)
                 return 1
         else:

@@ -15,16 +15,19 @@ and the bound the report gives, ``_values`` evaluates the sequence there,
 and ``_verdict`` is the one pass/fail test for every expected outcome.
 ``_values`` is the only place that knows the evaluation route:
 
-* m_odd families go through the closed forms (prefactor array + c_n
-  values), except the a=0 support-pattern families, which would be
-  trivially true by construction of the closed form; those run against the
-  power-sum route (``powersum_utilde``) instead, which reads no closed form.
+* m_odd congruence, parity and valuation claims go through the closed
+  forms (prefactor array + c_n values).
+* exact m_odd claims (the vanishing families and the a=0 reinterpretation)
+  read the power-sum route (``powersum_utilde``), which reads no closed
+  form, so they are evidence independent of it; the a=0 support-pattern
+  families would otherwise hold by construction of the closed form.  The
+  reinterpretation's m_odd(-2) side still reads the closed form.
 * prefactor / overpartition families read one shared expansion.
 * coefficient families read one c_n(a, t) column per swept t.
 
 A family whose every checked modulus divides SWEEP_MOD reads its prefactor
 expansions reduced mod SWEEP_MOD (see ``_sweep_modulus``); exact-value
-claims read exact ones.  The first failing point found on residues is
+claims read exact integers.  The first failing point found on residues is
 evaluated again on the exact route, so a reported counterexample carries
 the exact value, and an exact value that passes raises ArithmeticError.
 """
@@ -86,7 +89,7 @@ class CongruenceFamily:
     arg_residues: tuple[int, ...] = (0,)
     n_excluded: tuple[int, tuple[int, ...]] | None = None  # COEFF side condition
     val_table: tuple[tuple[int, int], ...] = ()            # (residue, min nu_2)
-    dp_backed: bool = False
+    dp_backed: bool = False       # sweep only DP_WINDOW past t^2 (see _dp_order)
     easy3_cross: bool = False     # also assert m_odd(1) == m_odd(-2) mod 3
     note: str = ""
 
@@ -382,7 +385,7 @@ def lookup(family_id: str) -> CongruenceFamily:
 
 
 class SweepCache:
-    """Prefactor expansions and U~_t(0; q) rows, computed once and shared read-only."""
+    """Prefactor expansions and U~_t(a; q) rows, computed once and shared read-only."""
 
     # keyed by the lower-cased kind of the families that read each expansion;
     # each builder takes (order, mod)
@@ -465,7 +468,8 @@ def _modd_bound(t: int, n_budget: int) -> int:
 
 
 def _dp_order(t: int) -> int:
-    """Order of the a=0 power-sum rows: DP_WINDOW past t^2.
+    """Bound of a dp_backed family's sweep, and the order of its power-sum
+    rows: DP_WINDOW past t^2.
 
     The power-sum route could reach the profile budget; the window stays so
     the swept ranges, and the benchmark's pinned checked counts, stay put.
@@ -499,8 +503,13 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int], cache: SweepC
             mod: int) -> tuple[Iterable, Iterable]:
     """The family's sequence at `args`, and the m_odd(-2, t) partners an
     easy3_cross family checks mod 3 (else Nones), each in the order of
-    `args` and read from expansions reduced mod `mod` (0: exact).  The
-    reinterpretation claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n).
+    `args` and read from expansions reduced mod `mod` (0: exact).
+
+    Exact m_odd claims read the power-sum rows, built once per (a, t,
+    order) in the cache; the dp_backed families share theirs at the
+    ``_dp_order`` window, the others read them to max(args).  The
+    reinterpretation claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n),
+    its right side from the closed form.
     """
     top = max(args)
     partners = repeat(None, len(args))
@@ -510,8 +519,9 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int], cache: SweepC
     if fam.kind != MODD:
         coeffs = cache.coeffs(fam.kind.lower(), top + 1, mod)
         return map(coeffs.__getitem__, args), partners
-    if fam.dp_backed:
-        series = cache.dp_utilde(0, t, _dp_order(t))[t]
+    if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
+        order = _dp_order(t) if fam.dp_backed else top + 1
+        series = cache.dp_utilde(fam.a, t, order)[t]
         values = [series.coeff(x) for x in args]
         if fam.expected == EQUALS_MODD_M2:
             quarters = [x // 4 for x in args]
@@ -599,7 +609,8 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
 
     `None` takes the profile's value: J from the family's ``j_min`` on, the
     budget from ``_budget_for``.  Raises ValueError for J values the family
-    cannot take and for a negative budget.
+    cannot take, for a repeated J and for a negative budget.  Exact m_odd
+    claims read no prefactor for their own values.
     """
     if fam.t_rule is None:
         if j_values:
@@ -609,6 +620,8 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
         j_values = tuple((fam.j_min, fam.j_min + 1) if j_values is None else j_values)
         if not j_values or min(j_values) < fam.j_min:
             raise ValueError(f"{fam.id}: needs J values >= the theorem's {fam.j_min}")
+        if len(set(j_values)) != len(j_values):
+            raise ValueError(f"{fam.id}: repeated J values {list(j_values)}")
     if n_budget is None:
         n_budget = _budget_for(fam, profile)
     if n_budget < 0:
@@ -620,7 +633,7 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
         lengths[(fam.kind.lower(), mod)] = n_budget + 1
     elif fam.expected == EQUALS_MODD_M2:      # m_odd(-2, t/2; n) for 4n in the DP window
         lengths[("overpartition", mod)] = max(_modd_pref_len(0, _dp_order(t) - 1) for t in ts)
-    elif fam.kind == MODD and not fam.dp_backed:
+    elif fam.kind == MODD and fam.expected != EXACT_ZERO:
         top = max(_modd_bound(t, n_budget) for t in ts)
         lengths[(_modd_pref_kind(fam.a), mod)] = _modd_pref_len(fam.a, top)
         if fam.easy3_cross:

@@ -21,8 +21,12 @@ test suite:
 
 On top of these sit the coefficient families c_n(a, t), their Riordan-array
 representation, and the even Chebyshev polynomials te_n used to derive them.
-Batches of c_n(a, t) come from ``coeff_column``: for a = 1 one Riordan-array
-division yields the whole column, and ``te_sum`` stays as its oracle.
+Batches of c_n(a, t) come from ``coeff_column`` in O(n) exact integer
+steps for any t: for a = 1 the Riordan array's Gegenbauer recurrence
+(``riordan_series``) yields the whole column, for a = -2 and 0 the one
+binomial of the closed form is carried from entry to entry by its ratio.
+The slow exact routes stay as oracles: ``te_sum`` and ``series_of_rational``
+for the Riordan array, ``_binomial_c`` for the binomial forms.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
     are divisor sums, [q^N] p_k = sum over odd n | N of [x^(N/n)] h_k with
     h_k = x^k/(1+a*x+x^2)^k, and Newton's identities
     t*e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) p_i give e_t from them, each
-    product by one Kronecker multiply and the division by t checked exact.
+    product with i < t by one Kronecker multiply (e_0 = 1) and the division
+    by t checked exact.
     Rows with t^2 >= order are zero at this truncation, as in
     ``direct_utilde``.
     """
@@ -119,11 +124,11 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
     p = [None] + [_odd_power_sum(a, k, order) for k in range(1, eff + 1)]
     rows = [[1] + [0] * (order - 1)]
     for t in range(1, eff + 1):
-        acc = [0] * order
-        for i in range(1, t + 1):
+        acc = p[t] if t % 2 else [-y for y in p[t]]     # i = t: e_0 = 1, no product
+        for i in range(1, t):
             sign = 1 if i % 2 else -1
             acc = [x + sign * y for x, y in zip(acc, _mul_kronecker(rows[t - i], p[i], order))]
-        rows.append([exact_div(c, t) for c in acc])
+        rows.append(acc if t == 1 else [exact_div(c, t) for c in acc])
     rows += [[0] * order for _ in range(t_max - eff)]
     return [Series(r) for r in rows]
 
@@ -209,10 +214,13 @@ def coeff_column(a: int, t: int, n_top: int) -> list[int]:
     """[c_0, c_1, ..., c_(n_top)] of c_n(a, t); c_0 is not part of the
     family and reads 0.
 
-    a = 1 takes the whole column from one Riordan-array expansion,
-    c_n(1, t) = [z^n] (z^t - z^(t+2)) / (1 - z + z^2)^(t+1), which the
-    acceptance gate checks against ``te_sum``; a = -2 and a = 0 evaluate
-    their one-binomial closed forms per entry.
+    a = 1 takes the whole column from the Riordan-array lemma,
+    c_n(1, t) = [z^n] (z^t - z^(t+2)) / (1 - z + z^2)^(t+1), expanded by
+    the recurrence in ``riordan_series``; the acceptance gate checks it
+    against ``te_sum``.  a = -2 and a = 0 evaluate their one-binomial
+    closed forms with the binomial carried by ratio updates
+    (``_binomial_column``); ``_binomial_c`` is their per-entry oracle.
+    Either way a column costs O(n_top) exact integer steps.
     """
     _check_coeff_args(a, t)
     if n_top < 0:
@@ -221,7 +229,7 @@ def coeff_column(a: int, t: int, n_top: int) -> list[int]:
         column = list(riordan_series(1, t, n_top).coeffs)
         column[0] = 0
         return column
-    return [0] + [_binomial_c(a, t, n) for n in range(1, n_top + 1)]
+    return _binomial_column(a, t, n_top)
 
 
 def _check_coeff_args(a: int, t: int) -> None:
@@ -238,6 +246,21 @@ def _binomial_c(a: int, t: int, n: int) -> int:
         return q if (n + t) % 2 == 0 else -q
     q = exact_div((2 * n - 1) * comb(n + t, 2 * t + 1), n + t)
     return q if (n - t - 1) % 2 == 0 else -q
+
+
+def _binomial_column(a: int, t: int, n_top: int) -> list[int]:
+    """[0, c_1, ..., c_(n_top)] for a = -2 or 0: the closed forms of
+    ``_binomial_c`` with C(n+t, k), k = 2t (a = -2) or 2t+1 (a = 0),
+    carried from n to n+1 by the exact ratio (n+t+1)/(n+t+1-k)."""
+    k = 2 * t if a == -2 else 2 * t + 1
+    odd = k - 2 * t                   # the numerator is 2n, or 2n-1 for a = 0
+    column = [0] * (n_top + 1)
+    b = 1                             # C(n+t, k) at its first nonzero n
+    for n in range(max(k - t, 1), n_top + 1):
+        q = exact_div((2 * n - odd) * b, n + t)
+        column[n] = q if (n + t - k) % 2 == 0 else -q
+        b = b * (n + t + 1) // (n + t + 1 - k)
+    return column
 
 
 def te_sum(a: int, t: int, n: int) -> int:
@@ -276,14 +299,27 @@ def te_sum(a: int, t: int, n: int) -> int:
 def riordan_series(a: int, t: int, nmax: int) -> Series:
     """(z^t - z^(t+2)) / (1 - a z + z^2)^(t+1) expanded to order nmax+1.
 
+    With m = t+1, (1 - a z + z^2)^(-m) = sum g_n z^n is a Gegenbauer
+    generating function: g_0 = 1, g_1 = a*m and
+    n*g_n = a(n+m-1) g_(n-1) - (n+2m-2) g_(n-2), each division checked
+    exact.  The z^n coefficient is g_(n-t) - g_(n-t-2), so the expansion
+    takes O(nmax) steps for any t; ``series_of_rational`` on the same
+    quotient is the test oracle.
+
     For n >= 1 the z^n coefficient is te_sum(a, t, n); at t = 0 that is
     2*T_n(a/2), since (1 - z^2)/(1 - a z + z^2) = (2 - a z)/(1 - a z + z^2) - 1.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    num = Poly([0] * t + [1, 0, -1])
-    den = Poly([1, -a, 1]) ** (t + 1)
-    return series_of_rational(num, den, nmax + 1)
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    m = t + 1
+    size = nmax - t + 1               # g_0 .. g_(nmax-t) are read
+    g = [1, a * m][:max(size, 0)]
+    for n in range(2, size):
+        g.append(exact_div(a * (n + m - 1) * g[n - 1] - (n + 2 * m - 2) * g[n - 2], n))
+    coeffs = [0] * t + [x - y for x, y in zip(g, [0, 0] + g)]
+    return Series(coeffs[:nmax + 1])
 
 
 def riordan_coeff(a: int, t: int, n: int) -> int:

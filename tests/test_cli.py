@@ -64,6 +64,20 @@ def test_modd(capsys):
     assert code == 2 and "a=-1" in err
 
 
+def test_modd_all_without_closed_form(capsys, monkeypatch):
+    # a = 2 and a = -1 have no closed form: its column reads "-" and the
+    # three other routes are compared
+    code, out, err = run(capsys, "modd", "-a", "2", "-t", "2", "-n", "9", "--method", "all")
+    assert code == 0 and out.strip() == "-18 - -18 -18" and err == ""
+    code, out, _ = run(capsys, "modd", "-a", "-1", "-t", "3", "-n", "25", "--method", "all")
+    direct, explicit, *rest = out.split()
+    assert code == 0 and explicit == "-" and rest == [direct, direct]
+    # a disagreement among the routes that exist still exits 1
+    monkeypatch.setattr("qlab.macmahon.modd_powersum", lambda a, t, n: 7)
+    code, out, err = run(capsys, "modd", "-a", "2", "-t", "2", "-n", "9", "--method", "all")
+    assert code == 1 and out.strip() == "-18 - -18 7" and "disagree" in err
+
+
 def test_modd_method_agreement(capsys):
     for a in (-2, 0, 1):
         for t in (1, 2, 3):
@@ -123,6 +137,13 @@ def test_verify_budget_zero_is_honoured(capsys):
     code, out, err = run(capsys, "verify", "--family", "c1-1", "--budget", "0")
     assert code == 2 and out == ""
     assert "BudgetTooSmall" in err
+
+
+def test_verify_repeated_j_is_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--family", "m1-t1-6n5", "--j", "0", "0",
+                         "--budget", "100")
+    assert code == 2 and out == ""
+    assert "ValueError" in err and "repeated J" in err
 
 
 def test_verify_negative_budget_is_rejected(capsys):

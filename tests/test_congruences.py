@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qlab.macmahon import modd_explicit
+from qlab.macmahon import modd_explicit, modd_explicit_batch
 from qlab.series import Series
 from qlab.special import prefactor_a
 from qlab.congruences import (
@@ -393,6 +393,42 @@ def test_a0_prefactor_reads_quarter_arguments(builds):
     assert len(builds) == 1
     kind, mod, order = builds[0]
     assert (kind, mod) == ("overpartition", 192) and order <= 16757
+
+
+def test_exact_claims_build_no_prefactor(builds):
+    # the exact claims read the power-sum rows, not the closed form's
+    # prefactor (m1-t1-6n5 used to build an exact prefactor_a(20001))
+    for fid in ("m1-t1-6n5", "m0-t1-vanish", "m0-even-vanish", "m0-odd-vanish"):
+        assert verify_family(fid).passed, fid
+    assert builds == []
+    # the reinterpretation's m_odd(-2) side still reads the closed form
+    assert verify_family("m0-even-reinterp").passed
+    assert [(kind, mod) for kind, mod, _ in builds] == [("overpartition", 0)]
+
+
+@pytest.mark.parametrize("family_id", ["m1-t1-6n5", "m0-t1-vanish"])
+def test_power_sum_route_equals_closed_form(family_id):
+    # the exact claims' values on the power-sum route equal the closed
+    # form's, on the claimed arguments (all zero) and on every n <= 3000
+    fam = lookup(family_id)
+    t = fam.t_of(0)
+    everywhere = dataclasses.replace(fam, arg_mod=1, arg_residues=(0,))
+    for f in (fam, everywhere):
+        args, bound = _args_of(f, t, 3000)
+        assert bound == 3000
+        values, _ = _values(f, t, args, SweepCache(), 0)
+        assert list(values) == modd_explicit_batch(f.a, t, args), f
+    assert sum(1 for v in _values(everywhere, t, args, SweepCache(), 0)[0] if v) > 400
+
+
+def test_repeated_j_is_rejected():
+    # J = (0, 0) used to sweep t = 1 twice and report each value twice
+    with pytest.raises(ValueError, match="repeated J"):
+        verify_family("m1-t1-6n5", j_values=(0, 0), n_budget=100)
+    with pytest.raises(ValueError, match="repeated J"):
+        verify_all("quick", ids=["v1-1"], j_values=(2, 1, 2))
+    # distinct J values that give the same t are still two sweeps
+    assert verify_family("m1-t1-6n5", j_values=(0, 1), n_budget=100).checked == 2 * 333
 
 
 def test_budget_extension_beyond_leading_exponent():

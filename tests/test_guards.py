@@ -53,15 +53,15 @@ CLOSED_FORMS = {"coeff_column", "theta_weight_terms", "modd_explicit_batch",
                 "explicit_utilde", "prefactor_a", "overpartition_gf"}
 
 
-def test_powersum_route_names_no_closed_form():
-    # the a=0 support-pattern families check the closed form against this
-    # route, so nothing it calls, directly or through helpers, may read one
+def _reach(root: str) -> tuple[set, set]:
+    """(functions of macmahon and series that `root` reaches, every name
+    they mention), following calls through helpers."""
     defs = {}
     for name in ("macmahon.py", "series.py"):
         tree = ast.parse((SRC / "qlab" / name).read_text(encoding="utf-8"))
         defs.update((node.name, node) for node in tree.body
                     if isinstance(node, ast.FunctionDef))
-    seen, todo, named = set(), ["powersum_utilde"], set()
+    seen, todo, named = set(), [root], set()
     while todo:
         fn = todo.pop()
         if fn in seen:
@@ -73,5 +73,24 @@ def test_powersum_route_names_no_closed_form():
                 named.add(ident)
                 if ident in defs:
                     todo.append(ident)
+    return seen, named
+
+
+def test_powersum_route_names_no_closed_form():
+    # the exact m_odd claims check the closed form against this route, so
+    # nothing it calls, directly or through helpers, may read one
+    seen, named = _reach("powersum_utilde")
     assert {"_odd_power_sum", "_mul_kronecker", "series_of_rational"} <= seen
     assert not named & CLOSED_FORMS, sorted(named & CLOSED_FORMS)
+
+
+ORACLES = {"te_sum", "_binomial_c", "series_of_rational"}
+
+
+@pytest.mark.parametrize("root", ["riordan_series", "coeff_column"])
+def test_column_kernels_name_no_oracle(root):
+    # the tests hold the O(n) columns equal to these slow exact routes, so
+    # the columns must not be computed by them
+    seen, named = _reach(root)
+    assert root == "riordan_series" or {"riordan_series", "_binomial_column"} <= seen
+    assert not named & ORACLES, sorted(named & ORACLES)

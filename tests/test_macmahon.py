@@ -3,11 +3,12 @@ Chebyshev/Riordan machinery, and the classical t=1 identities."""
 
 import pytest
 
-from qlab.series import Series
+from qlab.series import Poly, Series, series_of_rational
 from qlab.special import eta, eta_quotient
 from qlab.special import overpartition_gf, prefactor_a
 from qlab.macmahon import (
     UnsupportedA,
+    _binomial_c,
     _theta_batch,
     chebyshev_T,
     coeff_c,
@@ -204,6 +205,30 @@ def test_riordan_series_t0_is_twice_chebyshev():
             assert rs.coeff(n) == u[n] == te_sum(a, 0, n), (a, n)
     with pytest.raises(ValueError):
         riordan_series(1, -1, 5)
+    with pytest.raises(ValueError, match="nmax"):
+        riordan_series(1, 3, -1)
+
+
+def test_riordan_recurrence_matches_series_division():
+    # the Gegenbauer recurrence against the exact division by the
+    # (2t+3)-term denominator, below, at and past the leading exponent t
+    for a in (-2, -1, 0, 1, 2):
+        for t in (0, 1, 2, 3, 31, 127):
+            den = Poly([1, -a, 1]) ** (t + 1)
+            for nmax in sorted({0, 1, t - 1, t, t + 1, 400} - {-1}):
+                want = series_of_rational(Poly([0] * t + [1, 0, -1]), den, nmax + 1)
+                got = riordan_series(a, t, nmax)
+                assert got.order == nmax + 1 and got.coeffs == want.coeffs, (a, t, nmax)
+
+
+def test_binomial_columns_match_binomial_c():
+    # ratio-updated binomials against one math.comb per entry, short
+    # columns included (n_top below, at and just past the first nonzero n)
+    for a in (-2, 0):
+        for t in (0, 1, 2, 3, 7, 31, 127):
+            for n_top in sorted({0, 1, t, t + 1, 400}):
+                want = [0] + [_binomial_c(a, t, n) for n in range(1, n_top + 1)]
+                assert coeff_column(a, t, n_top) == want, (a, t, n_top)
 
 
 def _per_entry_terms(a, t, order):
