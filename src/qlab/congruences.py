@@ -396,7 +396,7 @@ class SweepCache:
 
     def __init__(self):
         self._series: dict[tuple[str, int], tuple] = {}
-        self._dp: dict[tuple, list] = {}
+        self._dp: dict[int, list[list]] = {}
 
     def coeffs(self, kind: str, min_len: int, mod: int = 0) -> tuple:
         """At least `min_len` coefficients of `kind`, exact for mod=0 and
@@ -413,11 +413,21 @@ class SweepCache:
             self.coeffs(kind, max(need.get((kind, mod), 0) for need in needs), mod)
 
     def dp_utilde(self, a: int, t_max: int, order: int) -> list:
-        """U~_0..U~_(t_max) from the power-sum route, which reads no closed form."""
-        key = (a, t_max, order)
-        if key not in self._dp:
-            self._dp[key] = powersum_utilde(a, t_max, order)
-        return self._dp[key]
+        """U~_0..U~_(t_max) from the power-sum route, which reads no closed form.
+
+        A request that an earlier build for the same a covers (as many rows
+        or more, to the same order or beyond) is served by slicing it; any
+        other runs a build of exactly the requested size, which replaces
+        the builds it covers.
+        """
+        builds = self._dp.setdefault(a, [])
+        for rows in builds:
+            if len(rows) > t_max and rows[0].order >= order:
+                return [row.truncate(order) for row in rows[:t_max + 1]]
+        rows = powersum_utilde(a, t_max, order)
+        builds[:] = [b for b in builds if len(b) > len(rows) or b[0].order > order]
+        builds.append(rows)
+        return rows
 
 
 def _modd_pref_kind(a: int) -> str:

@@ -34,8 +34,8 @@ from __future__ import annotations
 from math import comb
 
 from .arith import exact_div
-from .series import (Poly, Series, _conv_terms, _mul_dense_terms, _mul_kronecker,
-                     series_of_rational)
+from .series import (_KRONECKER_MIN_TERMS, Poly, Series, _conv_terms, _mul_coeffs,
+                     _mul_dense_terms, series_of_rational)
 from .special import overpartition_gf, prefactor_a
 
 
@@ -69,8 +69,12 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
 
     Processes the odd parts n in increasing order; for each, the local
     factor g_n = sum d_m q^(m*n) is folded into the partial sums S_t
-    descending in t.  Since U~_t starts at q^(t^2), any t with t^2 >= order
-    is identically zero at this truncation and is skipped.
+    descending in t, S_t += S_(t-1) * g_n.  A g_n with fewer than
+    ``_KRONECKER_MIN_TERMS`` nonzero terms is added into S_t in place, one
+    slice pass per term (``_mul_dense_terms(out=)``); a denser one, from the
+    few smallest parts, goes through the product entry ``_mul_coeffs``.
+    Since U~_t starts at q^(t^2), any t with t^2 >= order is identically
+    zero at this truncation and is skipped.
     """
     if a not in _DP_AS:
         raise ValueError(f"need a in {_DP_AS}, got {a}")
@@ -93,9 +97,15 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
         if not g:
             continue
         reachable = min(eff, reachable + 1)
+        if len(g) < _KRONECKER_MIN_TERMS:
+            for t in range(reachable, 0, -1):
+                _mul_dense_terms(rows[t - 1], g, order, out=rows[t])
+            continue
+        dense = [0] * order
+        for e, c in g:
+            dense[e] = c
         for t in range(reachable, 0, -1):
-            conv = _mul_dense_terms(rows[t - 1], g, order)
-            rows[t] = [x + y for x, y in zip(rows[t], conv)]
+            rows[t] = [x + y for x, y in zip(rows[t], _mul_coeffs(rows[t - 1], dense, order))]
     return [Series(r) for r in rows]
 
 
@@ -107,8 +117,9 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
     are divisor sums, [q^N] p_k = sum over odd n | N of [x^(N/n)] h_k with
     h_k = x^k/(1+a*x+x^2)^k, and Newton's identities
     t*e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) p_i give e_t from them, each
-    product with i < t by one Kronecker multiply (e_0 = 1) and the division
-    by t checked exact.
+    product with i < t by ``series._mul_coeffs`` (one Kronecker multiply on
+    rows this dense; e_0 = 1 needs none) and the division by t checked
+    exact.
     Rows with t^2 >= order are zero at this truncation, as in
     ``direct_utilde``.
     """
@@ -127,7 +138,7 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
         acc = p[t] if t % 2 else [-y for y in p[t]]     # i = t: e_0 = 1, no product
         for i in range(1, t):
             sign = 1 if i % 2 else -1
-            acc = [x + sign * y for x, y in zip(acc, _mul_kronecker(rows[t - i], p[i], order))]
+            acc = [x + sign * y for x, y in zip(acc, _mul_coeffs(rows[t - i], p[i], order))]
         rows.append(acc if t == 1 else [exact_div(c, t) for c in acc])
     rows += [[0] * order for _ in range(t_max - eff)]
     return [Series(r) for r in rows]

@@ -15,6 +15,16 @@ order.  Quotients are handled by factoring the q-valuation out of the
 denominator and requiring the remaining constant term to be +1 or -1, so
 all arithmetic stays over the integers.
 
+Each term first flattens its eta-quotient part into one exponent map
+{scale: e}: the eta and q factors, and the groups holding one positive
+term made only of such factors (nested, raised to any power), with equal
+scales cancelling.  The other factors (integers, theta atoms, groups
+holding a sum) are multiplied and divided left to right as before, and
+``special.eta_product`` then applies each f_r^e as |e| sparse passes
+(``series._mul_dense_terms`` for e > 0, ``series._div_terms`` for e < 0).
+A denominator such as /(f2^5*f6^5) thus costs ten sparse passes, not an
+O(order^2) division by one dense series.
+
 Dissection lemmas ship as data: a fixture file holds named lhs/rhs
 expression pairs with a check order, and `check_fixture` confirms exact
 coefficientwise equality.
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .series import Series
-from .special import borwein_a, borwein_b, eta, pgen, phi, psi
+from .special import borwein_a, borwein_b, eta, eta_product, pgen, phi, psi
 
 
 class ExprError(Exception):
@@ -373,8 +383,13 @@ class _Evaluator:
         return _Val(0, None)
 
     def term(self, node: TermExpr) -> _Val:
+        """The term's other factors left to right, then its eta map."""
+        etas: dict[int, int] = {}
+        val = _eta_map(node.factors, 1, etas)
         acc = _Val(0, Series.one(self.order))
         for op, factor in node.factors:
+            if _is_eta_factor(factor):
+                continue
             v = self.factor(factor)
             if op == "*":
                 if acc.unit is None or v.unit is None:
@@ -390,7 +405,11 @@ class _Evaluator:
                     )
                 if acc.unit is not None:
                     acc = _Val(acc.val - v.val, acc.unit.div(v.unit))
-        return acc
+        if acc.unit is None:
+            return acc
+        factors = [(r, e) for r, e in etas.items() if e]
+        unit = Series(eta_product(acc.unit.coeffs, factors, acc.unit.order)) if factors else acc.unit
+        return _Val(acc.val + val, unit)
 
     def factor(self, node: FactorExpr) -> _Val:
         base = self.atom(node.atom)
@@ -410,17 +429,7 @@ class _Evaluator:
                 )
             base = _Val(-base.val, base.unit.invert())
             e = -e
-        unit = base.unit
-        result = Series.one(unit.order)
-        b = unit
-        k = e
-        while k:
-            if k & 1:
-                result = result * b
-            k >>= 1
-            if k:
-                b = b * b
-        return _Val(base.val * e, result)
+        return _Val(base.val * e, base.unit ** e)
 
     def atom(self, node) -> _Val:
         order = self.order
@@ -443,8 +452,43 @@ class _Evaluator:
         raise TypeError(f"not an atom: {node!r}")
 
 
+def _is_eta_factor(factor: FactorExpr) -> bool:
+    """Whether the factor is an eta or q atom, or a group holding one
+    positive term made only of such factors."""
+    atom = factor.atom
+    if isinstance(atom, (EtaAtom, QAtom)):
+        return True
+    if not isinstance(atom, GroupAtom) or len(atom.expr.terms) != 1:
+        return False
+    sign, term = atom.expr.terms[0]
+    return sign > 0 and all(_is_eta_factor(f) for _, f in term.factors)
+
+
+def _eta_map(factors, power: int, etas: dict[int, int]) -> int:
+    """Add the exponents of the eta factors among `factors`, each times
+    `power`, into `etas` (scale -> exponent); return their q-valuation."""
+    val = 0
+    for op, factor in factors:
+        if not _is_eta_factor(factor):
+            continue
+        e = power * factor.power if op == "*" else -power * factor.power
+        atom = factor.atom
+        if isinstance(atom, EtaAtom):
+            etas[atom.scale] = etas.get(atom.scale, 0) + e
+        elif isinstance(atom, QAtom):
+            val += e
+        else:
+            val += _eta_map(atom.expr.terms[0][1].factors, e, etas)
+    return val
+
+
 def evaluate(ast: SumExpr, order: int) -> Series:
     """Exact Series of the expression to `order`.
+
+    Each term's eta and q factors are first gathered into one exponent map
+    {scale: e} and applied by ``special.eta_product``, one sparse pass per
+    unit of exponent, after the term's other factors (see the module
+    docstring).
 
     Raises NegativeValuation if the expression has a pole at q = 0, and
     DivisionByNonUnit if some denominator is not +-1 times a power of q

@@ -7,11 +7,15 @@ two series can only ever be compared over the range both actually know.
 All arithmetic is exact (arbitrary-precision integers); there is no
 floating point anywhere in this package.
 
-Multiplication and division are sparse-aware: the kernel iterates over the
-nonzero terms of the sparser operand, which makes products and quotients by
-theta/pentagonal series cost O(order * nnz) instead of O(order^2).  For two
-dense operands ``_mul_kronecker`` packs each into one int and does a single
-big-int multiply; ``Series.__mul__`` does not use it.
+Multiplication and division are sparse-aware.  ``_mul_coeffs`` is the one
+product entry of ``Series.__mul__``, ``Poly.__mul__`` (and so
+``poly_pow_mod``) and the dense low parts of ``macmahon.direct_utilde``:
+when either operand has fewer than ``_KRONECKER_MIN_TERMS`` nonzero terms it
+runs ``_mul_dense_terms``, one slice pass per nonzero term of the sparser
+operand, so products by theta/pentagonal series cost O(order * nnz) instead
+of O(order^2); otherwise ``_mul_kronecker`` packs each operand into one int
+and does a single big-int multiply.  Quotients by a sparse divisor cost
+O(order * nnz) the same way.
 
 Division can also reduce every quotient coefficient mod M.  That residue
 route works in blocks of coefficients: the divisor terms that reach back a
@@ -57,13 +61,17 @@ def _terms_of(coeffs) -> list[tuple[int, int]]:
     return [(e, c) for e, c in enumerate(coeffs) if c]
 
 
-def _mul_dense_terms(u: Sequence[int], terms, order: int) -> list[int]:
-    """out = u * sum(c*q^e for e, c in terms), truncated to `order`.
+def _mul_dense_terms(u: Sequence[int], terms, order: int, out: list[int] | None = None) -> list[int]:
+    """u * sum(c*q^e for e, c in terms), truncated to `order`, added into `out`.
 
     `u` may be shorter than `order`; missing entries are treated as zero
     (the caller guarantees they really are zero, e.g. sparse numerators).
+    `out`, when given, holds at least `order` entries and is updated in
+    place and returned, so a caller accumulating a sum of products allocates
+    nothing per product; by default it is a fresh list of `order` zeros.
     """
-    out = [0] * order
+    if out is None:
+        out = [0] * order
     nu = min(len(u), order)
     for e, c in terms:
         if e >= order:
@@ -116,18 +124,25 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     return [int.from_bytes(buf[i:i + size], "little") - half for i in range(0, nbytes, size)]
 
 
-def _mul_pairs(ta, tb, order: int) -> list[int]:
-    """Sparse * sparse product of term lists, truncated to `order`."""
-    out = [0] * order
-    for ea, ca in ta:
-        if ea >= order:
-            break
-        for eb, cb in tb:
-            e = ea + eb
-            if e >= order:
-                break
-            out[e] += ca * cb
-    return out
+# Both operands of a product need at least this many nonzero terms before
+# one Kronecker multiply beats the slice passes over the sparser one.
+_KRONECKER_MIN_TERMS = 48
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """a * b truncated to `order`, for coefficient sequences of any length.
+
+    The one product entry: ``_mul_kronecker`` when both operands have at
+    least ``_KRONECKER_MIN_TERMS`` nonzero terms, else ``_mul_dense_terms``
+    with the term list of the sparser operand.
+    """
+    a, b = a[:order], b[:order]
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if min(na, nb) >= _KRONECKER_MIN_TERMS:
+        return _mul_kronecker(a, b, order)
+    if na > nb:
+        a, b = b, a
+    return _mul_dense_terms(b, _terms_of(a), order)
 
 
 # Quotient coefficients per block on the residue route.  128-512 measured
@@ -398,20 +413,23 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        order = min(self.order, other.order)
-        ta = _terms_of(self.coeffs[:order])
-        tb = _terms_of(other.coeffs[:order])
-        if not ta or not tb:
-            return Series.zero(order)
-        # pairwise when both operands are sparse, otherwise run the
-        # sparser term list against the denser coefficient array
-        if len(ta) * len(tb) <= 4 * order:
-            return Series(_mul_pairs(ta, tb, order))
-        if len(ta) <= len(tb):
-            return Series(_mul_dense_terms(other.coeffs, ta, order))
-        return Series(_mul_dense_terms(self.coeffs, tb, order))
+        return Series(_mul_coeffs(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> Series:
+        """self**e for e >= 0 by repeated squaring, at the same order."""
+        if e < 0:
+            raise ValueError("negative series power; invert first")
+        result = Series.one(self.order)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
     def invert(self) -> Series:
         """Multiplicative inverse; requires constant coefficient +-1."""
@@ -552,13 +570,8 @@ class Poly:
             return Poly([other * c for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+        return Poly(_mul_coeffs(self.coeffs, other.coeffs,
+                                len(self.coeffs) + len(other.coeffs) - 1))
 
     __rmul__ = __mul__
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qlab import congruences
 from qlab.macmahon import modd_explicit, modd_explicit_batch
 from qlab.series import Series
 from qlab.special import prefactor_a
@@ -404,6 +405,26 @@ def test_exact_claims_build_no_prefactor(builds):
     # the reinterpretation's m_odd(-2) side still reads the closed form
     assert verify_family("m0-even-reinterp").passed
     assert [(kind, mod) for kind, mod, _ in builds] == [("overpartition", 0)]
+
+
+def test_dp_rows_are_sliced_from_a_covering_build(monkeypatch):
+    # one build per uncovered (a, t_max, order); a covered request slices it
+    real = congruences.powersum_utilde
+    calls = []
+
+    def counted(a, t_max, order):
+        calls.append((a, t_max, order))
+        return real(a, t_max, order)
+
+    monkeypatch.setattr(congruences, "powersum_utilde", counted)
+    cache = SweepCache()
+    requests = [(0, 1, 300), (0, 3, 310), (0, 0, 301), (0, 2, 200), (0, 1, 900),
+                (0, 1, 310), (2, 1, 300), (0, 3, 900), (0, 2, 600), (0, 1, 300)]
+    for a, t_max, order in requests:
+        rows = cache.dp_utilde(a, t_max, order)
+        fresh = real(a, t_max, order)
+        assert [r.coeffs for r in rows] == [r.coeffs for r in fresh], (a, t_max, order)
+    assert calls == [(0, 1, 300), (0, 3, 310), (0, 1, 900), (2, 1, 300), (0, 3, 900)]
 
 
 @pytest.mark.parametrize("family_id", ["m1-t1-6n5", "m0-t1-vanish"])

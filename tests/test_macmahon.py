@@ -3,6 +3,7 @@ Chebyshev/Riordan machinery, and the classical t=1 identities."""
 
 import pytest
 
+from qlab import series
 from qlab.series import Poly, Series, series_of_rational
 from qlab.special import eta, eta_quotient
 from qlab.special import overpartition_gf, prefactor_a
@@ -95,6 +96,21 @@ def test_direct_matches_oracle():
         for t in range(4):
             for n in range(41):
                 assert rows[t].coeff(n) == oracle_modd(a, t, n), (a, t, n)
+
+
+@pytest.mark.parametrize("a, order", [(-2, 150), (2, 150), (-1, 230), (1, 230), (0, 300)])
+def test_direct_dense_parts_match_oracle(monkeypatch, a, order):
+    # at these orders part 3 has at least K nonzero terms, so the DP runs
+    # it into the dense row U~_1 by a Kronecker product; the oracle runs no
+    # product kernel
+    calls = []
+    real = series._mul_kronecker
+    monkeypatch.setattr(series, "_mul_kronecker", lambda x, y, n: calls.append(n) or real(x, y, n))
+    rows = direct_utilde(a, 2, order)
+    assert calls
+    for t in (1, 2):
+        for n in range(order - 2, order):
+            assert rows[t].coeff(n) == oracle_modd(a, t, n), (a, t, n)
 
 
 def test_powersum_matches_direct():

@@ -1,11 +1,14 @@
 """Expression DSL: parser, pretty-printer, evaluator, fixture corpus."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlab import qexpr
 from qlab.series import Series
-from qlab.special import borwein_b, prefactor_a, psi
+from qlab.special import borwein_b, eta, prefactor_a, psi
 from qlab.qexpr import (
     DivisionByNonUnit,
+    ExprError,
     ExprSyntaxError,
     LemmaFixture,
     NegativeValuation,
@@ -121,6 +124,111 @@ def test_eval_theta_atoms():
     assert evaluate_text("psi(q)", 11).eq(psi(11))
     assert evaluate_text("b(q^4)", 20).eq(borwein_b(5).substitute_power(4))
     assert evaluate_text("aB(q)", 5).coeffs == (1, 6, 0, 6, 6)
+
+
+def test_huge_eta_exponents_are_raised_by_squaring():
+    # |e| sparse passes would take 100000 passes; these answer at once
+    assert evaluate_text("f1^100000", 8).coeffs == (
+        1, -100000, 4999850000, -166651666800000, 4165916691249825000,
+        -83308335124962500120000, 1388263967357673658249800000,
+        -19828772271639985772557714400000)
+    assert evaluate_text("f1^-100000", 8).coeffs == (
+        1, 100000, 5000150000, 166681666800000, 4167416691250175000,
+        83358335125037500120000, 1389513967364548658250200000,
+        19853772272010819106013714400000)
+    # equal scales net out in the exponent map
+    assert evaluate_text("f1^100000/f1^99999", 40).eq(eta(1, 40))
+    assert evaluate_text("(f1*f2)^40/f2^39", 60).eq(eta(1, 60) ** 40 * eta(2, 60))
+
+
+class LeftToRight(qexpr._Evaluator):
+    """The evaluation before eta-quotient terms were flattened: every
+    factor becomes a Series (``special.eta`` for f_r) and the term
+    multiplies and divides them in turn with ``Series`` mul/div."""
+
+    def term(self, node):
+        acc = qexpr._Val(0, Series.one(self.order))
+        for op, factor in node.factors:
+            v = self.factor(factor)
+            if op == "*":
+                if acc.unit is None or v.unit is None:
+                    acc = qexpr._Val(0, None)
+                else:
+                    acc = qexpr._Val(acc.val + v.val, acc.unit * v.unit)
+            else:
+                if v.unit is None or abs(v.unit.coeffs[0]) != 1:
+                    raise DivisionByNonUnit("denominator is not a unit")
+                if acc.unit is not None:
+                    acc = qexpr._Val(acc.val - v.val, acc.unit.div(v.unit))
+        return acc
+
+
+def _both_routes(text, order):
+    """(valuation, unit coefficients) or the error class, per route."""
+    out = []
+    for route in (qexpr._Evaluator, LeftToRight):
+        try:
+            v = route(order).expr(parse(text))
+        except ExprError as exc:
+            out.append(type(exc))
+        else:
+            out.append(None if v.unit is None else (v.val, v.unit.coeffs))
+    return out
+
+
+FLATTENING_CASES = [
+    "(f1*f3)^-1", "1/(f1*f3)", "f2/(f2*f1)", "f4^3/f4^3", "f1*(f2/(f3*(f4*q)))^-1",
+    "q^2*f1/(q*f2)^2*q^3", "(f1 - q*f2)^-1*f3", "f2/(f1 + q^2)^2", "2*q*f4^4/(f2^6*f6^6)",
+    "psi(q^3)*f2/(f1*phi(-q))", "((f1))^0*f2", "(-f1*f3)^-1", "f1^40/f2^33",
+]
+
+
+@pytest.mark.parametrize("text", FLATTENING_CASES)
+def test_flattened_terms_equal_left_to_right(text):
+    new, old = _both_routes(text, 300)
+    assert new == old and new is not None
+
+
+@pytest.mark.parametrize("fx", load_fixtures(), ids=lambda fx: fx.name)
+def test_flattened_corpus_equals_left_to_right(fx):
+    for side in (fx.lhs, fx.rhs):
+        new, old = _both_routes(side, 300)
+        assert new == old and isinstance(new, tuple)
+
+
+@st.composite
+def eta_terms(draw, depth=2):
+    parts = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["eta", "eta", "q", "int", "theta", "group", "sum"]))
+        if kind == "eta":
+            part = f"f{draw(st.integers(1, 4))}"
+        elif kind == "q":
+            part = "q"
+        elif kind == "int":
+            part = str(draw(st.sampled_from([1, 2, 3])))
+        elif kind == "theta":
+            part = draw(st.sampled_from(["psi(q^2)", "phi(-q)", "P(q)"]))
+        elif depth and kind == "group":
+            part = f"({draw(eta_terms(depth - 1))})"
+        elif depth:
+            sign = draw(st.sampled_from(["+", "-"]))
+            part = f"({draw(eta_terms(depth - 1))} {sign} q*{draw(eta_terms(depth - 1))})"
+        else:
+            part = "f5"
+        power = draw(st.sampled_from([1, 1, 2, 3, -1, -2, 0]))
+        if power != 1:
+            part += f"^{power}"
+        parts.append((draw(st.sampled_from("*/")) if i else "") + part)
+    return "".join(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), eta_terms()), min_size=1, max_size=3))
+def test_random_eta_quotients_equal_left_to_right(terms):
+    text = " ".join(sign + term for sign, term in terms)
+    new, old = _both_routes(text, 300)
+    assert new == old, text
 
 
 # -- fixture machinery ---------------------------------------------------

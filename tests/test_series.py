@@ -278,6 +278,64 @@ def test_mul_kronecker_slots_at_their_bound():
                 assert _mul_kronecker(a, b, 2 * n) == naive_mul(a, b, 2 * n), (bits, n, sign)
 
 
+# -- the product entry against the naive double loop -------------------
+
+K = series._KRONECKER_MIN_TERMS
+
+
+@st.composite
+def operands(draw, max_len=3 * K):
+    """Coefficient lists with 0, 1, K-1, K, K+1 or all entries nonzero, each
+    nonzero entry signed and of 1 to 4 bits or 70 to 75 bits."""
+    length = draw(st.integers(0, max_len))
+    nnz = min(length, draw(st.sampled_from([0, 1, K - 1, K, K + 1, length])))
+    big = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    cs = [0] * length
+    for i in rnd.sample(range(length), nnz):
+        size = rnd.randrange(2 ** 70, 2 ** 75) if big and rnd.random() < 0.5 else rnd.randrange(1, 10)
+        cs[i] = rnd.choice((1, -1)) * size
+    return cs
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), operands(), st.integers(0, 7 * K))
+def test_product_entry_matches_double_loop(xs, ys, order):
+    # sparse*sparse, sparse*dense and dense*dense on both sides of K, zero
+    # and empty operands, unequal lengths, orders below and past both
+    want = naive_mul(xs, ys, order)
+    assert series._mul_coeffs(xs, ys, order) == want
+    assert series._mul_coeffs(tuple(xs), tuple(ys), order) == want
+    n = min(len(xs), len(ys))
+    assert (Series(xs) * Series(ys)).coeffs == tuple(naive_mul(xs, ys, n))
+    full = naive_mul(xs, ys, len(xs) + len(ys))
+    assert (Poly(xs) * Poly(ys)).coeffs == Poly(full).coeffs
+
+
+def test_product_entry_takes_both_paths(monkeypatch):
+    seen = []
+    real = series._mul_kronecker
+    monkeypatch.setattr(series, "_mul_kronecker", lambda a, b, n: seen.append(n) or real(a, b, n))
+    dense, sparse = [1] * K, [1] * (K - 1)
+    assert series._mul_coeffs(dense, sparse, 2 * K) == naive_mul(dense, sparse, 2 * K)
+    assert seen == []
+    assert series._mul_coeffs(dense, dense + [0], 2 * K) == naive_mul(dense, dense, 2 * K)
+    assert seen == [2 * K]
+
+
+def naive_pow_mod(cs, e, m):
+    out = [1 % m]
+    for _ in range(e):
+        out = [c % m for c in naive_mul(out, cs, len(out) + len(cs))]
+    return Poly(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operands(max_len=K + 4), st.integers(0, 8), st.sampled_from([2, 8, 2 ** 12]))
+def test_poly_pow_mod_matches_repeated_double_loop(cs, e, m):
+    assert poly_pow_mod(Poly(cs), e, m) == naive_pow_mod(cs, e, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(coeff_lists, st.sampled_from([1, -1]))
 def test_unit_times_inverse_is_one(xs, lead):
