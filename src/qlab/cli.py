@@ -128,6 +128,9 @@ def cmd_table(args) -> int:
         print("error: the range must start at n >= 0", file=sys.stderr)
         return 2
     top = args.n[-1]
+    if args.seq != "modd" and (args.a is not None or args.t is not None):
+        print("error: -a and -t apply only to --seq modd", file=sys.stderr)
+        return 2
     if args.seq in ("prefA", "overp"):
         build = prefactor_a if args.seq == "prefA" else overpartition_gf
         coeffs = build(top + 1, args.mod).coeffs

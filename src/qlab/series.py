@@ -17,13 +17,14 @@ of O(order^2); otherwise ``_mul_kronecker`` packs each operand into one int
 and does a single big-int multiply.  Quotients by a sparse divisor cost
 O(order * nnz) the same way.
 
-Division can also reduce every quotient coefficient mod M.  That residue
-route works in blocks of coefficients: the divisor terms that reach back a
-whole block or more add their share to a block at once, as shifts and sums
-of ints that pack the finished residues in 32-bit slots (64-bit when the
-slot bound (M-1) * (1 + sum of the far weights) < 2**32 fails, the scalar
-loop when that fails too).  The nearer terms run in the scalar recurrence,
-as every term does on the exact route.
+Division can also reduce every quotient coefficient mod M.  Past one block
+that residue route runs a block of coefficients at a time: every divisor
+term adds its share from the finished blocks as shifts and sums of ints
+that pack the finished residues in 16-bit slots (32 or 64 bits when M or
+the weights are too large), the terms grouped by the sign of their signed
+residue; then one packed multiply by G, the inverse of the divisor mod
+(q^block, M), solves the block.  The exact route runs the scalar
+recurrence, and so does the residue route when no slot width fits.
 
 ``_conv_terms`` reads a product u * sum(c*q^e) at chosen exponents only, as
 the closed forms need it.  On residues it packs u too: one column u[s::A]
@@ -37,6 +38,7 @@ from __future__ import annotations
 import sys
 from array import array
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -145,21 +147,31 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     return _mul_dense_terms(b, _terms_of(a), order)
 
 
-# Quotient coefficients per block on the residue route.  128-512 measured
-# within 3% of each other on prefactor_a(150001, 192); 512 was fastest.
+# Quotient coefficients per block on the residue route.  On
+# prefactor_a(150001, 192), 256, 512 and 1024 took 0.63, 0.65 and 0.67 s of
+# CPU (medians of 7 alternated runs, 2-vCPU VM, Python 3.11), within the
+# noise of each other; overpartition_gf(50001, 192) 0.077, 0.086, 0.091 s.
 _BLOCK = 512
+
+# The residue division's carry slots are the narrowest that hold a chunk of
+# this many terms of the heaviest weight (or all terms of one sign).  One
+# chunk's unpack per block costs about as much as 50 shifts of a 16-bit
+# window: on prefactor_a(150001, M), 16-bit chunks of 36 psi terms ran
+# within noise of 32-bit slots at M = 1728, and chunks of 15 ran 30% slower
+# at M = 4096.
+_CHUNK_TERMS = 64
 
 # slot width in bits -> array typecode of that item size.  The packed
 # blocks are little-endian ints, so a big-endian host runs the plain loop.
-_SLOT_CODES = ({array(tc).itemsize * 8: tc for tc in "QLI"}
+_SLOT_CODES = ({array(tc).itemsize * 8: tc for tc in "QLIH"}
                if sys.byteorder == "little" else {})
 
 
 def _slot_width(mod: int, weights) -> int:
-    """Bits per packed slot, 32 or 64, that hold (mod-1) * (1 + sum(weights))
-    without a carry; 0 when neither does or the host packs no slots."""
+    """Bits per packed slot, 16, 32 or 64, that hold (mod-1) * (1 + sum(weights))
+    without a carry; 0 when none does or the host packs no slots."""
     bound = (mod - 1) * (1 + sum(weights))
-    return next((b for b in (32, 64) if bound < 1 << b and b in _SLOT_CODES), 0)
+    return next((b for b in (16, 32, 64) if bound < 1 << b and b in _SLOT_CODES), 0)
 
 
 def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
@@ -167,22 +179,31 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
 
     The divisor's lowest term must be (0, +1) or (0, -1).  Exact over the
     integers because the leading coefficient is a unit.  With `mod` > 0 each
-    quotient coefficient is reduced into [0, mod) as the recurrence produces
-    it, so the integers stay small and the result is congruent to the exact
-    quotient mod `mod`.
+    quotient coefficient is reduced into [0, mod), so the integers stay small
+    and the result is congruent to the exact quotient mod `mod`.
 
-    The residue route works through the quotient in blocks of `_BLOCK`
-    coefficients.  A divisor term q^e with e >= _BLOCK only reads finished
-    blocks, so its whole contribution to a block is one shift of a packed
-    int: every finished block is kept as B slots of `width` bits, and two
-    neighbouring blocks side by side hold any window of B residues.  The far
-    terms enter with the weights w = (-c) mod `mod`, so no slot borrows, and
-    a slot of the block sum is at most (mod-1) * sum(w), so it cannot carry
-    while (mod-1) * (1 + sum(w)) < 2**width.  The width is 32 bits, or 64
-    when that bound fails; when it fails for 64 too, every term runs in the
-    scalar recurrence.  The terms with e < _BLOCK always do, and that
-    recurrence makes the final reduction.  The exact route (`mod` == 0) is
-    the same loop with one block and every term near.
+    Past one block, the residue route runs in blocks of B = `_BLOCK`
+    coefficients and no coefficient runs the scalar recurrence.  With D the
+    divisor and G = 1/D mod (q^B, mod), found once by the scalar loop at
+    order B, block k of the quotient is ((u_k - carry_k) mod `mod`) * G mod
+    q^B, each coefficient reduced: one multiply of two ints that pack B
+    residues in slots of a `_slot_width` fitted to the weights G, since a
+    product slot is at most (mod-1) * sum(G).  carry_k is the share of every
+    divisor term q^e that falls on finished blocks.  Each finished block is
+    kept as B packed slots, and pairs[j] holds blocks j-1 and j side by side
+    (block j in the high slots), so the window of term e is one shift of a
+    pair; while block k runs, pairs[k] holds block k-1 alone, which is the
+    window of a term with e < B.  Each term enters with the signed residue
+    c' of its coefficient, |c'| <= mod/2: the terms with c' > 0 are
+    subtracted, those with c' < 0 added.  Each sign is cut into chunks whose
+    slot bound (mod-1) * (1 + sum|c'|) fits the carry width, the narrowest
+    that holds `_CHUNK_TERMS` terms of the heaviest weight or every term of
+    one sign: 16 bits for mod 192 and weights +-1 or +-2, which halves the
+    bytes of every shift against 32.  A chunk is summed on its packed slots,
+    by weight, and unpacked once per block.  When G or the carry fits no
+    width, the order is at most B, or the host packs no slots, every
+    coefficient runs the scalar recurrence, as every one does on the exact
+    route (`mod` == 0).
     """
     if mod < 0:
         raise ValueError(f"modulus {mod} must be >= 0")
@@ -193,72 +214,100 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
         u = [-c for c in u[:order]]
         dterms = [(e, -c) for e, c in dterms]
     tail = [(e, c) for e, c in dterms[1:] if e < order]
-    far = [(e, -c % mod) for e, c in tail if e >= _BLOCK and c % mod] if mod else []
-    width = _slot_width(mod, [w for _, w in far]) if far else 0
-    groups: dict[int, list[tuple[int, int]]] = {}
-    if width:
+    if mod and order > _BLOCK:
         step = _BLOCK
-        tail = [(e, c) for e, c in tail if e < _BLOCK]
-        # block k reads the window of term e as pairs[k + dj] >> shift,
-        # where pairs[j] holds blocks j-1 and j (block j in the high slots)
-        for e, w in far:
-            dj, o = divmod(_BLOCK - 1 - e, _BLOCK)
-            groups.setdefault(w, []).append((dj, (o + 1) * width))
-    else:
-        step = max(order, 1)
-    # split the near terms into +1 / -1 / general coefficient groups so the
+        g = _div_terms([1], [(0, 1)] + [(e, c) for e, c in tail if e < step], step, mod)
+        half = (mod - 1) // 2
+        signed = [(e, (c + half) % mod - half) for e, c in tail]
+        signed = [(e, w) for e, w in signed if w]
+        gwidth = _slot_width(mod, g)
+        most = max(sum(w for _, w in signed if w > 0), -sum(w for _, w in signed if w < 0))
+        top = max((abs(w) for _, w in signed), default=0)
+        width = _slot_width(mod, [min(most, _CHUNK_TERMS * top)])
+        if gwidth and width:
+            # (sign, {|c'|: [(dj, shift), ...]}) per chunk: block k reads the
+            # window of term e as pairs[k + dj] >> shift
+            chunks: list[tuple[int, dict[int, list[tuple[int, int]]]]] = []
+            for sign in (1, -1):
+                chunk: dict[int, list[tuple[int, int]]] = {}
+                total = 0
+                for e, w in signed:
+                    w *= sign
+                    if w < 0:
+                        continue
+                    if not chunk or not 0 < _slot_width(mod, [total + w]) <= width:
+                        chunk, total = {}, 0
+                        chunks.append((sign, chunk))
+                    total += w
+                    dj, o = divmod(step - 1 - e, step)
+                    chunk.setdefault(w, []).append((dj, (o + 1) * width))
+            code, gcode = _SLOT_CODES[width], _SLOT_CODES[gwidth]
+            ginv = int.from_bytes(array(gcode, g).tobytes(), "little")
+            gbytes = step * gwidth // 8
+            gmask = (1 << 8 * gbytes) - 1
+            bits = step * width
+            mask = (1 << bits) - 1
+            rmod = mod.__rmod__
+            r = [0] * order
+            pairs: list[int] = []
+            prev = 0
+            for k, s in enumerate(range(0, order, step)):
+                pairs.append(prev)
+                hi = min(order, s + step)
+                acc = list(u[s:hi])
+                acc += [0] * (hi - s - len(acc))
+                for sign, chunk in chunks:
+                    carry = 0
+                    for w, terms in chunk.items():
+                        part = 0
+                        for dj, shift in terms:
+                            if k + dj < 0:
+                                break
+                            part += pairs[k + dj] >> shift
+                        carry += w * part
+                    if carry:
+                        slots = array(code, (carry & mask).to_bytes(bits // 8, "little"))
+                        acc = list(map(sub if sign > 0 else add, acc, slots))
+                v = int.from_bytes(array(gcode, map(rmod, acc)).tobytes(), "little")
+                quot = array(gcode, (v * ginv & gmask).to_bytes(gbytes, "little"))
+                block = list(map(rmod, quot[:hi - s]))
+                r[s:hi] = block
+                if hi < order:
+                    prev = int.from_bytes(array(code, block).tobytes(), "little")
+                    pairs[k] |= prev << bits
+            return r
+    # split the terms into +1 / -1 / general coefficient groups so the
     # hot loop does no multiplications for eta-style divisors
     plus = [e for e, c in tail if c == 1]
     minus = [e for e, c in tail if c == -1]
     rest = [(e, c) for e, c in tail if c not in (1, -1)]
     warm = max([e for e, _ in tail], default=0)
     r = [0] * order
-    pairs: list[int] = []
-    prev = 0
-    bits = step * width
-    mask = (1 << bits) - 1
-    for k, s in enumerate(range(0, order, step)):
-        hi = min(order, s + step)
-        base = list(u[s:hi])
-        base += [0] * (hi - s - len(base))
-        if groups:
-            far_sum = 0
-            for w, terms in groups.items():
-                part = 0
-                for dj, shift in terms:
-                    if k + dj < 0:
-                        break
-                    part += pairs[k + dj] >> shift
-                far_sum += w * part
-            slots = array(_SLOT_CODES[width], (far_sum & mask).to_bytes(bits // 8, "little"))
-            base = [x + y for x, y in zip(base, slots)]
-        mid = min(hi, max(s, warm))
-        for n, acc in zip(range(s, mid), base):
-            for e in plus:
-                if e > n:
-                    break
-                acc -= r[n - e]
-            for e in minus:
-                if e > n:
-                    break
-                acc += r[n - e]
-            for e, c in rest:
-                if e > n:
-                    break
-                acc -= c * r[n - e]
-            r[n] = acc % mod if mod else acc
-        for n, acc in zip(range(mid, hi), base[mid - s:]):
-            for e in plus:
-                acc -= r[n - e]
-            for e in minus:
-                acc += r[n - e]
-            for e, c in rest:
-                acc -= c * r[n - e]
-            r[n] = acc % mod if mod else acc
-        if groups and hi < order:
-            block = int.from_bytes(array(_SLOT_CODES[width], r[s:hi]).tobytes(), "little")
-            pairs.append(prev | block << bits)
-            prev = block
+    base = list(u[:order])
+    base += [0] * (order - len(base))
+    mid = min(order, warm)
+    for n, acc in zip(range(mid), base):
+        for e in plus:
+            if e > n:
+                break
+            acc -= r[n - e]
+        for e in minus:
+            if e > n:
+                break
+            acc += r[n - e]
+        for e, c in rest:
+            if e > n:
+                break
+            acc -= c * r[n - e]
+        r[n] = acc % mod if mod else acc
+    for n, acc in zip(range(mid, order), base[mid:]):
+        for e in plus:
+            acc -= r[n - e]
+        for e in minus:
+            acc += r[n - e]
+        for e, c in rest:
+            acc -= c * r[n - e]
+        r[n] = acc % mod if mod else acc
     return r
 
 

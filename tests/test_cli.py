@@ -226,6 +226,15 @@ def test_table_mod_and_bad_ranges(capsys):
         assert code == 2 and out == "" and "--mod" in err
 
 
+def test_table_rejects_a_and_t_outside_modd(capsys):
+    # -a and -t pick an m_odd column; a prefactor table must not drop them silently
+    for seq in ("prefA", "overp"):
+        for flags in (["-a", "1", "-t", "3"], ["-a", "1"], ["-t", "3"]):
+            code, out, err = run(capsys, "table", "--seq", seq, "--n", "0..5", *flags)
+            assert code == 2 and out == ""
+            assert err.strip() == "error: -a and -t apply only to --seq modd"
+
+
 def test_table_modd_mod_matches_exact_values_reduced(capsys):
     # --mod reads residues, which must print the exact values reduced
     n = range(3001)

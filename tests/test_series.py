@@ -1,6 +1,7 @@
 """Series/Poly kernel: exactness, order propagation, ring laws."""
 
 import random
+from array import array
 from math import gcd
 
 import pytest
@@ -26,7 +27,7 @@ from qlab.series import (
     poly_pow_mod,
     series_of_rational,
 )
-from qlab.special import eta, overpartition_gf
+from qlab.special import eta, overpartition_gf, prefactor_a
 from qlab.macmahon import direct_utilde
 
 
@@ -382,10 +383,37 @@ def _slot_bound(dterms, mod):
     return (mod - 1) * (1 + sum(-c % mod for e, c in dterms if e >= B))
 
 
+def packed_widths(fn, *args):
+    """fn(*args), and the slot widths of every array `series` packs meanwhile.
+
+    The residue division packs G and the carry chunks; its scalar loop
+    packs nothing, so an empty set means no coefficient was packed.
+    """
+    widths = set()
+
+    def spy(code, *rest):
+        widths.add(array(code).itemsize * 8)
+        return array(code, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "array", spy)
+        return fn(*args), widths
+
+
+# the slot widths the divisor below takes, by modulus: the weights sum to
+# 441 per sign, so even mod 192 needs 32-bit carry slots, while G = 1/(1 - q^2)
+# sums to 256
+SLOT_WIDTH_PATHS = {
+    192: {16, 32},                  # 16-bit G, 32-bit carry slots
+    3 * 2 ** 20 + 1: {32},          # 32-bit G and carry slots
+    2 ** 61 - 1: set(),             # G fits no width: the scalar recurrence
+}
+
+
 @pytest.mark.parametrize("mod, lo, hi", [
-    (192, 0, 2 ** 32),              # 32-bit slots
-    (3 * 2 ** 20 + 1, 2 ** 32, 2 ** 64),   # the 32-bit bound fails: 64-bit slots
-    (2 ** 61 - 1, 2 ** 64, None),   # both fail: the scalar recurrence
+    (192, 0, 2 ** 32),              # 16-bit G, 32-bit carry slots
+    (3 * 2 ** 20 + 1, 2 ** 32, 2 ** 64),   # 32-bit G and carry slots
+    (2 ** 61 - 1, 2 ** 64, None),   # no width fits G: the scalar recurrence
 ])
 def test_blocked_residue_division_slot_widths(mod, lo, hi):
     dterms = [(0, 1), (2, -1)] + [(B + 37 * k, (-1) ** k * (k + 2)) for k in range(40)]
@@ -393,7 +421,53 @@ def test_blocked_residue_division_slot_widths(mod, lo, hi):
     assert bound >= lo and (hi is None or bound < hi)
     u = [3, -1, 4, 1, -5, 9]
     exact = naive_div(u, dterms, EDGE_ORDER)
-    assert _div_terms(u, dterms, EDGE_ORDER, mod) == [c % mod for c in exact]
+    got, widths = packed_widths(_div_terms, u, dterms, EDGE_ORDER, mod)
+    assert got == [c % mod for c in exact]
+    assert widths == SLOT_WIDTH_PATHS[mod]
+
+
+@pytest.mark.parametrize("mod, widths", [
+    (2 ** 17 + 1, {32, 64}),        # no 16-bit chunk holds a term; G on 64 bits
+    (3 * 2 ** 20 + 1, {32, 64}),    # G needs 64-bit slots
+    (2 ** 61 - 1, set()),           # G fits no width: the scalar recurrence
+])
+def test_residue_division_wide_moduli(mod, widths):
+    u = NUMERATORS["long"]
+    exact = naive_div(u, EDGE_DIVISOR, EDGE_ORDER)
+    got, seen = packed_widths(_div_terms, u, EDGE_DIVISOR, EDGE_ORDER, mod)
+    assert got == [c % mod for c in exact]
+    assert seen == widths
+
+
+def test_residue_division_splits_chunks():
+    # mod 192 a 16-bit chunk holds weights summing to 342: the 511 terms of
+    # weight +2 run in three chunks, the 128 terms of weight -1 in one
+    dterms = sorted([(0, 1)] + [(e, 2) for e in range(1, 3 * B, 3)]
+                    + [(e, -1) for e in range(2, 3 * B, 12)])
+    u = NUMERATORS["long"]
+    got, seen = packed_widths(_div_terms, u, dterms, EDGE_ORDER, 192)
+    assert got == [c % 192 for c in naive_div(u, dterms, EDGE_ORDER)]
+    assert 16 in seen
+
+
+@pytest.mark.parametrize("mod", [2, 3, 192, 2 ** 17 + 1])
+def test_residue_division_without_slots(mod):
+    # a host that packs no slots runs the scalar loop for every coefficient
+    u = NUMERATORS["long"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_SLOT_CODES", {})
+        got, seen = packed_widths(_div_terms, u, EDGE_DIVISOR, EDGE_ORDER, mod)
+    assert got == [c % mod for c in naive_div(u, EDGE_DIVISOR, EDGE_ORDER)]
+    assert seen == set()
+
+
+def test_prefactor_takes_the_packed_route():
+    # psi(q) and f6 have weights +-1: 16-bit carry chunks, and 1/psi mod 192
+    # needs 32-bit G slots
+    order = 2 * B + 1
+    got, seen = packed_widths(prefactor_a, order, 192)
+    assert seen == {16, 32}
+    assert got.coeffs == tuple(c % 192 for c in prefactor_a(order).coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -474,6 +548,7 @@ def test_conv_terms_equals_the_scalar_sums(case, no_slots):
 
 
 @pytest.mark.parametrize("mod, weight, width", [
+    (192, 5, 16),                   # (M-1)(1 + 30*5) < 2**16
     (192, 191, 32),                 # (M-1)(1 + 30*191) < 2**32
     (2 ** 31 + 11, 5, 64),          # fails 32 bits, fits 64
     (2 ** 40, 2 ** 39, 0),          # fits neither: the scalar loop

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qlab.series import Series
+from qlab.series import _BLOCK, Series
 from qlab.special import (
     borwein_a,
     borwein_b,
@@ -138,6 +138,18 @@ def test_theta_forms_match_eta_quotients():
         assert exact == eta_quotient(factors, order).coeffs
         for mod in (192, 8, 3):
             assert build(order, mod).coeffs == tuple(c % mod for c in exact)
+
+
+@pytest.mark.parametrize("build", [prefactor_a, overpartition_gf])
+def test_residue_builders_at_block_edges(build):
+    # orders around the residue division's blocks, and moduli from 1 up to
+    # 1728 = 2^6 * 3^3, against the exact series reduced
+    B = _BLOCK
+    orders = [1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 77]
+    exact = build(max(orders)).coeffs
+    for order in orders:
+        for mod in (1, 2, 3, 8, 192, 1728):
+            assert build(order, mod).coeffs == tuple(c % mod for c in exact[:order]), (order, mod)
 
 
 def test_overpartition_positive_even():
