@@ -16,10 +16,8 @@ from . import congruences, macmahon, qexpr
 from .macmahon import UnsupportedA
 from .special import overpartition_gf, prefactor_a
 
-_EXPAND_ALIASES = {
-    "prefA": "f1*f6/(f2^2*f3)",
-    "overp": "f2/f1^2",
-}
+# named sequences, built on residues when --mod is given
+_SEQUENCES = {"prefA": prefactor_a, "overp": overpartition_gf}
 
 
 def _parse_range(text: str) -> range:
@@ -30,9 +28,9 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_expand(args) -> int:
-    text = _EXPAND_ALIASES.get(args.expr, args.expr)
+    build = _SEQUENCES.get(args.expr)
     try:
-        series = qexpr.evaluate_text(text, args.order)
+        series = build(args.order, args.mod) if build else qexpr.evaluate_text(args.expr, args.order)
     except qexpr.ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -131,9 +129,8 @@ def cmd_table(args) -> int:
     if args.seq != "modd" and (args.a is not None or args.t is not None):
         print("error: -a and -t apply only to --seq modd", file=sys.stderr)
         return 2
-    if args.seq in ("prefA", "overp"):
-        build = prefactor_a if args.seq == "prefA" else overpartition_gf
-        coeffs = build(top + 1, args.mod).coeffs
+    if args.seq in _SEQUENCES:
+        coeffs = _SEQUENCES[args.seq](top + 1, args.mod).coeffs
         values = [coeffs[n] for n in args.n]
     else:
         if args.a is None or args.t is None:
@@ -188,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("table", help="CSV table of a coefficient sequence")
-    p.add_argument("--seq", choices=("prefA", "overp", "modd"), required=True)
+    p.add_argument("--seq", choices=(*_SEQUENCES, "modd"), required=True)
     p.add_argument("-a", type=int, choices=(-2, 0, 1))
     p.add_argument("-t", type=int)
     p.add_argument("--n", type=_parse_range, required=True, help="range LO..HI")

@@ -16,7 +16,8 @@ test suite:
 * ``powersum_utilde`` -- divisor sums for the power sums of the local
   factors, then Newton's identities (any |a| <= 2);
 * ``explicit_utilde`` -- closed form: an eta-quotient prefactor convolved
-  with a theta-supported coefficient family c_n(a, t) (a in {-2, 0, 1});
+  with a theta-supported coefficient family c_n(a, t) (a in {-2, 0, 1}),
+  read from ``modd_explicit_batch``, the convolution the sweeps use;
 * ``oracle_modd``    -- brute-force enumeration of the defining sum.
 
 On top of these sit the coefficient families c_n(a, t), their Riordan-array
@@ -411,8 +412,7 @@ def w_series(t: int, order: int) -> Series:
     """W_t(q): overpartition prefactor times sum_n c_n(0,t) q^(n(n-1))."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    pref = overpartition_gf(order)
-    return pref * Series.from_terms(theta_weight_terms(0, t, order), order)
+    return Series(_theta_batch(0, t, range(order)))
 
 
 def explicit_utilde(a: int, t: int, order: int) -> Series:
@@ -429,17 +429,7 @@ def explicit_utilde(a: int, t: int, order: int) -> Series:
         raise ValueError("t must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if t == 0:
-        return Series.one(order)
-    if a == 0:
-        sub_order = (order + 3) // 4
-        if t % 2 == 0:
-            inner = explicit_utilde(-2, t // 2, sub_order)
-            return inner.substitute_power(4).truncate(order)
-        inner = w_series((t - 1) // 2, sub_order)
-        return inner.substitute_power(4).shift(1).truncate(order)
-    pref = overpartition_gf(order) if a == -2 else prefactor_a(order)
-    return pref * Series.from_terms(theta_weight_terms(a, t, order), order)
+    return Series(modd_explicit_batch(a, t, range(order)))
 
 
 def modd_direct(a: int, t: int, n: int) -> int:

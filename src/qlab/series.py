@@ -17,6 +17,11 @@ of O(order^2); otherwise ``_mul_kronecker`` packs each operand into one int
 and does a single big-int multiply.  Quotients by a sparse divisor cost
 O(order * nnz) the same way.
 
+Every packed int is made by ``_pack(values, size)`` and read by
+``_unpack(x, size, n)``, value i in slot i of `size` bytes: one ``array``
+for 1, 2, 4 or 8 bytes (byte-swapped on a big-endian host), entry by entry
+for any other size.
+
 Division can also reduce every quotient coefficient mod M.  Past one block
 that residue route runs a block of coefficients at a time: every divisor
 term adds its share from the finished blocks as shifts and sums of ints
@@ -89,9 +94,30 @@ def _mul_dense_terms(u: Sequence[int], terms, order: int, out: list[int] | None 
     return out
 
 
-def _pack(values: Sequence[int], size: int) -> int:
+_ARRAY_CODES = {array(tc).itemsize: tc for tc in "QLIHB"}
+
+
+def _pack(values: Iterable[int], size: int) -> int:
     """sum(v * 256**(size*i)) for nonnegative v < 256**size."""
-    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+    code = _ARRAY_CODES.get(size)
+    if code is None:
+        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+    slots = array(code, values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(x: int, size: int, n: int) -> Sequence[int]:
+    """The low n slots of x (taken mod 256**(size*n)), slot 0 first."""
+    data = (x & ((1 << 8 * size * n) - 1)).to_bytes(size * n, "little")
+    code = _ARRAY_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    slots = array(code, data)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
 
 
 def _max_bits(values: Sequence[int]) -> int:
@@ -107,9 +133,9 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     coefficient is a sum of at most min(len) terms, each below
     2**(bits(a) + bits(b)) in size, so a slot of `width` bits, one more for
     the sign, rounded up to whole bytes, holds it.  Adding half a slot to
-    every slot of the product makes each one nonnegative, so the bytes
-    split into slots without borrows and each slot gives its coefficient
-    back less that bias.  Missing entries of a short operand are zeros.
+    every slot of the product makes each one nonnegative, so ``_unpack``
+    reads the slots without borrows, each its coefficient plus that bias.
+    Missing entries of a short operand are zeros.
     """
     a, b = a[:order], b[:order]
     bits_a, bits_b = _max_bits(a), _max_bits(b)
@@ -120,10 +146,9 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     half = 1 << (8 * size - 1)
     x = _pack([c if c > 0 else 0 for c in a], size) - _pack([-c if c < 0 else 0 for c in a], size)
     y = _pack([c if c > 0 else 0 for c in b], size) - _pack([-c if c < 0 else 0 for c in b], size)
-    nbytes = size * order
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * order, "little")
-    buf = ((x * y + bias) & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
-    return [int.from_bytes(buf[i:i + size], "little") - half for i in range(0, nbytes, size)]
+    # half in each of the `order` slots: half * (B**order - 1) / (B - 1), B = 256**size
+    bias = half * ((1 << 8 * size * order) - 1) // ((1 << 8 * size) - 1)
+    return [v - half for v in _unpack(x * y + bias, size, order)]
 
 
 # Both operands of a product need at least this many nonzero terms before
@@ -161,17 +186,11 @@ _BLOCK = 512
 # at M = 4096.
 _CHUNK_TERMS = 64
 
-# slot width in bits -> array typecode of that item size.  The packed
-# blocks are little-endian ints, so a big-endian host runs the plain loop.
-_SLOT_CODES = ({array(tc).itemsize * 8: tc for tc in "QLIH"}
-               if sys.byteorder == "little" else {})
-
-
 def _slot_width(mod: int, weights) -> int:
     """Bits per packed slot, 16, 32 or 64, that hold (mod-1) * (1 + sum(weights))
-    without a carry; 0 when none does or the host packs no slots."""
+    without a carry; 0 when none does."""
     bound = (mod - 1) * (1 + sum(weights))
-    return next((b for b in (16, 32, 64) if bound < 1 << b and b in _SLOT_CODES), 0)
+    return next((b for b in (16, 32, 64) if bound < 1 << b), 0)
 
 
 def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
@@ -200,10 +219,10 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     that holds `_CHUNK_TERMS` terms of the heaviest weight or every term of
     one sign: 16 bits for mod 192 and weights +-1 or +-2, which halves the
     bytes of every shift against 32.  A chunk is summed on its packed slots,
-    by weight, and unpacked once per block.  When G or the carry fits no
-    width, the order is at most B, or the host packs no slots, every
-    coefficient runs the scalar recurrence, as every one does on the exact
-    route (`mod` == 0).
+    by weight, and unpacked once per block by ``_unpack``.  When G or the
+    carry fits no width, or the order is at most B, every coefficient runs
+    the scalar recurrence, as every one does on the exact route
+    (`mod` == 0).
     """
     if mod < 0:
         raise ValueError(f"modulus {mod} must be >= 0")
@@ -241,12 +260,8 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
                     total += w
                     dj, o = divmod(step - 1 - e, step)
                     chunk.setdefault(w, []).append((dj, (o + 1) * width))
-            code, gcode = _SLOT_CODES[width], _SLOT_CODES[gwidth]
-            ginv = int.from_bytes(array(gcode, g).tobytes(), "little")
-            gbytes = step * gwidth // 8
-            gmask = (1 << 8 * gbytes) - 1
-            bits = step * width
-            mask = (1 << bits) - 1
+            size, gsize = width // 8, gwidth // 8
+            ginv = _pack(g, gsize)
             rmod = mod.__rmod__
             r = [0] * order
             pairs: list[int] = []
@@ -266,15 +281,13 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
                             part += pairs[k + dj] >> shift
                         carry += w * part
                     if carry:
-                        slots = array(code, (carry & mask).to_bytes(bits // 8, "little"))
-                        acc = list(map(sub if sign > 0 else add, acc, slots))
-                v = int.from_bytes(array(gcode, map(rmod, acc)).tobytes(), "little")
-                quot = array(gcode, (v * ginv & gmask).to_bytes(gbytes, "little"))
-                block = list(map(rmod, quot[:hi - s]))
+                        acc = list(map(sub if sign > 0 else add, acc, _unpack(carry, size, hi - s)))
+                quot = _unpack(_pack(map(rmod, acc), gsize) * ginv, gsize, hi - s)
+                block = list(map(rmod, quot))
                 r[s:hi] = block
                 if hi < order:
-                    prev = int.from_bytes(array(code, block).tobytes(), "little")
-                    pairs[k] |= prev << bits
+                    prev = _pack(block, size)
+                    pairs[k] |= prev << step * width
             return r
     # split the terms into +1 / -1 / general coefficient groups so the
     # hot loop does no multiplications for eta-style divisors
@@ -323,15 +336,16 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
     the gcd of their differences (max(args) + 1 for one argument), so
     x = B + A*i reads u only on the columns u[s::A]: term q^e reads row
     i - j of column s = (B - e) mod A, with j = (e - B + s) / A.  Each
-    column a term reads is packed once, rows reversed, one row per slot of
-    `width` bits, so pack_s >> (j * width) holds row i - j in slot i (slots
-    counted from the top) and drops the rows no argument reads.  The terms
-    are summed by weight w = c mod `mod`, each group's shifted packs once
-    times w, and the one sum is unpacked once.  A slot then holds exactly
-    the scalar sum, at most (mod-1) * sum(w), so it cannot carry while
-    (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width`` picks the width.
-    When no width fits, for `mod` == 0, and when an entry of u[:max(args)+1]
-    lies outside [0, mod), every argument runs in the scalar loop.
+    column a term reads is packed once by ``_pack``, rows reversed, one row
+    per slot of `width` bits, so pack_s >> (j * width) holds row i - j in
+    slot i (slots counted from the top) and drops the rows no argument
+    reads.  The terms are summed by weight w = c mod `mod`, each group's
+    shifted packs once times w, and ``_unpack`` reads the one sum.  A slot
+    then holds exactly the scalar sum, at most (mod-1) * sum(w), so it
+    cannot carry while (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width``
+    picks the width.  When no width fits, for `mod` == 0, and when an entry
+    of u[:max(args)+1] lies outside [0, mod), every argument runs in the
+    scalar loop.
     """
     if not args:
         return []
@@ -352,7 +366,6 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
                 acc += c * u[x - e]
             out.append(acc)
         return out
-    code = _SLOT_CODES[width]
     step = gcd(*(x - low for x in args)) or top + 1
     base = low % step
     rows = (top - base) // step + 1
@@ -364,12 +377,11 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
         s = (base - e) % step
         if s not in packs:
             col = u[s:top + 1:step]
-            packs[s] = (int.from_bytes(array(code, col[::-1]).tobytes(), "little")
-                        << (rows - len(col)) * width)
+            packs[s] = _pack(col[::-1], width // 8) << (rows - len(col)) * width
         groups.setdefault(w, []).append((s, (e - base + s) // step * width))
     total = sum(w * sum(packs[s] >> shift for s, shift in group)
                 for w, group in groups.items())
-    slots = array(code, total.to_bytes(rows * width // 8, "little"))
+    slots = _unpack(total, width // 8, rows)
     return [slots[rows - 1 - (x - base) // step] for x in args]
 
 

@@ -7,6 +7,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from qlab.cli import build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
@@ -36,6 +38,19 @@ def test_expand_mod_json_csv(capsys):
     assert blob["coeffs"] == ["1", "-1", "1", "-1"]
     code, out, _ = run(capsys, "expand", "q^2", "--order", "3", "--format", "csv")
     assert out.splitlines()[0] == "n,coeff" and out.splitlines()[3] == "2,1"
+
+
+@pytest.mark.parametrize("name, expr", [("prefA", "f1*f6/(f2^2*f3)"), ("overp", "f2/f1^2")])
+def test_expand_named_sequences_match_the_dsl(capsys, name, expr):
+    # past one block of 512, so --mod runs the blocked residue division
+    order = "1100"
+    code, exact, _ = run(capsys, "expand", expr, "--order", order)
+    assert code == 0
+    for mod in (None, 2, 192):
+        flags = ["--mod", str(mod)] if mod else []
+        code, out, _ = run(capsys, "expand", name, "--order", order, *flags)
+        want = [int(c) % mod if mod else int(c) for c in exact.split()]
+        assert code == 0 and [int(c) for c in out.split()] == want, mod
 
 
 def test_expand_errors(capsys):

@@ -94,3 +94,30 @@ def test_column_kernels_name_no_oracle(root):
     seen, named = _reach(root)
     assert root == "riordan_series" or {"riordan_series", "_binomial_column"} <= seen
     assert not named & ORACLES, sorted(named & ORACLES)
+
+
+SLOT_FORMAT = {"array", "to_bytes", "from_bytes", "byteswap"}
+SLOT_PAIR = {"_pack", "_unpack", "_ARRAY_CODES"}
+
+
+def test_slot_format_lives_in_one_pair():
+    # every conversion between coefficient lists and packed ints in series
+    # goes through _pack/_unpack, so the byte layout is written down once
+    tree = ast.parse((SRC / "qlab" / "series.py").read_text(encoding="utf-8"))
+    inside, outside = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+        else:
+            name = None
+        for sub in ast.walk(node):
+            ident = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if ident in SLOT_FORMAT:
+                if name in SLOT_PAIR:
+                    inside.add(ident)
+                else:
+                    outside.append(f"series.py:{sub.lineno} {ident}")
+    assert inside == SLOT_FORMAT
+    assert not outside, outside

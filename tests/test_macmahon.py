@@ -144,6 +144,16 @@ def test_explicit_matches_direct():
             assert explicit_utilde(a, t, 300).eq(rows[t]), (a, t)
 
 
+def test_explicit_matches_powersum_past_the_kronecker_threshold():
+    # past order 48**2 the theta series has enough nonzero terms that a
+    # dense product of the prefactor by it would take the Kronecker path
+    order = 3000
+    for a in (-2, 0, 1):
+        rows = powersum_utilde(a, 5, order)
+        for t in range(6):
+            assert explicit_utilde(a, t, order).coeffs == rows[t].coeffs, (a, t)
+
+
 def test_zero_pattern_a0():
     rows = direct_utilde(0, 5, 300)
     for t in (2, 4):
@@ -385,6 +395,13 @@ def test_explicit_examples():
     assert explicit_utilde(1, 0, 7).eq(Series.one(7))
     with pytest.raises(UnsupportedA):
         explicit_utilde(-1, 1, 10)
+    with pytest.raises(UnsupportedA):       # a is checked before t
+        explicit_utilde(-1, -1, 10)
+    for bad in ((1, -1, 10), (1, 2, 0)):
+        with pytest.raises(ValueError):
+            explicit_utilde(*bad)
+    with pytest.raises(ValueError):
+        w_series(-1, 10)
 
 
 def test_modd_single_and_batch():

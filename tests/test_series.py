@@ -19,8 +19,10 @@ from qlab.series import (
     _div_terms,
     _mul_dense_terms,
     _mul_kronecker,
+    _pack,
     _slot_width,
     _terms_of,
+    _unpack,
     coeff_at,
     eq_mod,
     poly_mul,
@@ -450,17 +452,6 @@ def test_residue_division_splits_chunks():
     assert 16 in seen
 
 
-@pytest.mark.parametrize("mod", [2, 3, 192, 2 ** 17 + 1])
-def test_residue_division_without_slots(mod):
-    # a host that packs no slots runs the scalar loop for every coefficient
-    u = NUMERATORS["long"]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_SLOT_CODES", {})
-        got, seen = packed_widths(_div_terms, u, EDGE_DIVISOR, EDGE_ORDER, mod)
-    assert got == [c % mod for c in naive_div(u, EDGE_DIVISOR, EDGE_ORDER)]
-    assert seen == set()
-
-
 def test_prefactor_takes_the_packed_route():
     # psi(q) and f6 have weights +-1: 16-bit carry chunks, and 1/psi mod 192
     # needs 32-bit G slots
@@ -481,6 +472,20 @@ def test_blocked_residue_division_small_blocks(tail, num, lead, mod, order):
         mp.setattr(series, "_BLOCK", 4)
         got = _div_terms(num, dterms, order, mod)
     assert got == [c % mod for c in naive_div(num, dterms, order)]
+
+
+# -- the one slot format ------------------------------------------------
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+def test_pack_unpack_round_trip(size):
+    rnd = random.Random(size)
+    top = 256 ** size - 1
+    for values in ([], [0], [top], [0, top, 0], [top] * 5,
+                   [rnd.randrange(top + 1) for _ in range(40)]):
+        x = _pack(values, size)
+        assert x == sum(v << 8 * size * i for i, v in enumerate(values))
+        assert list(_unpack(x, size, len(values))) == values
+        assert list(_unpack(x + (7 << 8 * size * len(values)), size, len(values))) == values
 
 
 # -- the packed convolution against the scalar sums ---------------------
@@ -538,13 +543,10 @@ def conv_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(conv_cases(), st.booleans())
-def test_conv_terms_equals_the_scalar_sums(case, no_slots):
+@given(conv_cases())
+def test_conv_terms_equals_the_scalar_sums(case):
     u, terms, args, mod = case
-    with pytest.MonkeyPatch.context() as mp:
-        if no_slots:                # a host that packs no slots
-            mp.setattr(series, "_SLOT_CODES", {})
-        assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
+    assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
 
 
 @pytest.mark.parametrize("mod, weight, width", [
