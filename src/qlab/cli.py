@@ -172,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", help="family id (repeatable)")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--budget", type=int,
-                   help="override every family's argument bound (default: the profile's)")
+                   help="every family's argument budget (default: the profile's); "
+                        "an m_odd sweep reaches at least t^2+2000, and the "
+                        "a=0 support-pattern families stop there")
     p.add_argument("--j", type=int, nargs="+",
                    help="explicit J values (default: the family's first two)")
     p.set_defaults(func=cmd_verify)

@@ -10,10 +10,12 @@ arguments, the modulus, and optional side conditions.  The engine sweeps
 never tolerates approximation: all checks are exact integer congruences.
 
 Every family runs through one loop, ``_sweep``.  For each swept J (once,
-with J = None, when no t is involved) ``_args_of`` lists the arguments
-and the bound the report gives, ``_values`` evaluates the sequence there,
+with J = None, when no t is involved) ``_args_of`` lists the arguments up
+to the bound the report gives, ``_values`` evaluates the sequence there,
 and ``_verdict`` is the one pass/fail test for every expected outcome.
-``_values`` is the only place that knows the evaluation route:
+``_bound`` is the one range policy, and ``_reads`` sizes the expansions
+for the plan and ``_values`` alike.  ``_values`` is the only place that
+knows the evaluation route:
 
 * m_odd congruence, parity and valuation claims go through the closed
   forms (prefactor array + c_n values).
@@ -89,7 +91,7 @@ class CongruenceFamily:
     arg_residues: tuple[int, ...] = (0,)
     n_excluded: tuple[int, tuple[int, ...]] | None = None  # COEFF side condition
     val_table: tuple[tuple[int, int], ...] = ()            # (residue, min nu_2)
-    dp_backed: bool = False       # sweep only DP_WINDOW past t^2 (see _dp_order)
+    dp_backed: bool = False       # stop at DP_WINDOW past t^2 whatever the budget (see _bound)
     easy3_cross: bool = False     # also assert m_odd(1) == m_odd(-2) mod 3
     note: str = ""
 
@@ -430,18 +432,6 @@ class SweepCache:
         return rows
 
 
-def _modd_pref_kind(a: int) -> str:
-    return "prefactor_a" if a == 1 else "overpartition"
-
-
-def _modd_pref_len(a: int, top: int) -> int:
-    """Prefactor length the closed form reads for m_odd(a, t; n), n <= top.
-
-    The a=0 form reads the overpartition counts at n//4 or (n-1)//4 only.
-    """
-    return top // 4 + 1 if a == 0 else top + 1
-
-
 def _sweep_modulus(fam: CongruenceFamily) -> int:
     """SWEEP_MOD when every modulus the family checks divides it, else 0.
 
@@ -472,78 +462,85 @@ def _is_square(n: int) -> bool:
 # ---------------------------------------------------------------------
 
 
-def _modd_bound(t: int, n_budget: int) -> int:
-    """m_odd sweeps always reach 2000 past the series' leading exponent t^2."""
-    return max(n_budget, t * t + 2000)
+def _bound(fam: CongruenceFamily, t: int | None, n_budget: int) -> int:
+    """The largest argument one J sweeps: the whole range policy.
 
-
-def _dp_order(t: int) -> int:
-    """Bound of a dp_backed family's sweep, and the order of its power-sum
-    rows: DP_WINDOW past t^2.
-
-    The power-sum route could reach the profile budget; the window stays so
-    the swept ranges, and the benchmark's pinned checked counts, stay put.
+    Families that are not m_odd stop at the budget.  An m_odd sweep reaches
+    DP_WINDOW past the series' leading exponent t^2: the dp_backed
+    families stop there, the others at the budget when it lies further.
     """
-    return t * t + DP_WINDOW + 1
+    if fam.kind != MODD:
+        return n_budget
+    if fam.dp_backed:
+        return t * t + DP_WINDOW
+    return max(n_budget, t * t + DP_WINDOW)
+
+
+def _reads(fam: CongruenceFamily, top: int, mod: int) -> dict[tuple[str, int], int]:
+    """{(expansion kind, mod): length} the values at arguments up to `top` read.
+
+    The first entry serves the family's own values, the last the m_odd(-2)
+    partners of an easy3_cross family.  The a=0 form, and the
+    reinterpretation's m_odd(-2) side at x//4, read the overpartition counts
+    at n//4 or below; the other exact m_odd claims read no expansion.
+    """
+    if fam.kind in (PREFACTOR_A, OVERPARTITION):
+        return {(fam.kind.lower(), mod): top + 1}
+    if fam.kind != MODD or fam.expected == EXACT_ZERO:
+        return {}
+    kind = "prefactor_a" if fam.a == 1 else "overpartition"
+    reads = {(kind, mod): top // 4 + 1 if fam.a == 0 else top + 1}
+    if fam.easy3_cross:
+        reads[("overpartition", mod)] = top + 1
+    return reads
 
 
 def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[int], int]:
-    """(the arguments one J checks, in check order; the bound it reports).
+    """(the arguments one J checks, in check order; ``_bound``, which it reports).
 
     Arguments ascend, except that a VALUATION_TABLE family reads them in
     table order and skips x = 0.
     """
+    bound = _bound(fam, t, n_budget)
     if fam.kind == COEFF:
         mod_, excluded = fam.n_excluded or (1, ())
-        return [n for n in range(1, n_budget + 1) if n % mod_ not in excluded], n_budget
-    if fam.dp_backed:
-        bound = _dp_order(t)
-        top = bound - 1
-    else:
-        bound = top = _modd_bound(t, n_budget) if fam.kind == MODD else n_budget
+        return [n for n in range(1, bound + 1) if n % mod_ not in excluded], bound
     if fam.expected == VALUATION_TABLE:
         return [x for r, _ in fam.val_table
-                for x in range(r or fam.arg_mod, top + 1, fam.arg_mod)], bound
-    args = [x for r in fam.arg_residues for x in range(r, top + 1, fam.arg_mod)]
+                for x in range(r or fam.arg_mod, bound + 1, fam.arg_mod)], bound
+    args = [x for r in fam.arg_residues for x in range(r, bound + 1, fam.arg_mod)]
     args.sort()
     return args, bound
 
 
-def _values(fam: CongruenceFamily, t: int | None, args: list[int], cache: SweepCache,
-            mod: int) -> tuple[Iterable, Iterable]:
+def _values(fam: CongruenceFamily, t: int | None, args: list[int], bound: int,
+            cache: SweepCache, mod: int) -> tuple[Iterable, Iterable]:
     """The family's sequence at `args`, and the m_odd(-2, t) partners an
     easy3_cross family checks mod 3 (else Nones), each in the order of
     `args` and read from expansions reduced mod `mod` (0: exact).
 
-    Exact m_odd claims read the power-sum rows, built once per (a, t,
-    order) in the cache; the dp_backed families share theirs at the
-    ``_dp_order`` window, the others read them to max(args).  The
-    reinterpretation claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n),
-    its right side from the closed form.
+    Exact m_odd claims read the power-sum rows to the J's `bound`, so the
+    dp_backed families share one build per (a, t).  The reinterpretation
+    claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n), its right side
+    from the closed form.
     """
-    top = max(args)
     partners = repeat(None, len(args))
     if fam.kind == COEFF:
-        column = coeff_column(fam.a, t, top)
+        column = coeff_column(fam.a, t, max(args))
         return [column[n] for n in args], partners
+    exps = [cache.coeffs(kind, n, m) for (kind, m), n in _reads(fam, max(args), mod).items()]
     if fam.kind != MODD:
-        coeffs = cache.coeffs(fam.kind.lower(), top + 1, mod)
-        return map(coeffs.__getitem__, args), partners
+        return map(exps[0].__getitem__, args), partners
     if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        order = _dp_order(t) if fam.dp_backed else top + 1
-        series = cache.dp_utilde(fam.a, t, order)[t]
+        series = cache.dp_utilde(fam.a, t, bound + 1)[t]
         values = [series.coeff(x) for x in args]
         if fam.expected == EQUALS_MODD_M2:
-            quarters = [x // 4 for x in args]
-            pref = cache.coeffs("overpartition", _modd_pref_len(0, top), mod)
-            rhs = modd_explicit_batch(-2, t // 2, quarters, pref, mod)
+            rhs = modd_explicit_batch(-2, t // 2, [x // 4 for x in args], exps[0], mod)
             values = [v - w for v, w in zip(values, rhs)]
         return values, partners
-    pref = cache.coeffs(_modd_pref_kind(fam.a), _modd_pref_len(fam.a, top), mod)
-    values = modd_explicit_batch(fam.a, t, args, pref, mod)
+    values = modd_explicit_batch(fam.a, t, args, exps[0], mod)
     if fam.easy3_cross:
-        pref = cache.coeffs("overpartition", top + 1, mod)
-        partners = modd_explicit_batch(-2, t, args, pref, mod)
+        partners = modd_explicit_batch(-2, t, args, exps[-1], mod)
     return values, partners
 
 
@@ -584,16 +581,16 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
         t = None if j is None else fam.t_of(j)
         args, bound = _args_of(fam, t, n_budget)
         if not args:
-            raise BudgetTooSmall(f"{fam.id}: no arguments below {bound}")
+            raise BudgetTooSmall(f"{fam.id}: no arguments up to {bound}")
         top = max(top, bound)
-        values, partners = _values(fam, t, args, cache, mod)
+        values, partners = _values(fam, t, args, bound, cache, mod)
         for x, v, cross in zip(args, values, partners):
             checked += 1
             cex = _verdict(fam, j, x, v, cross)
             if cex is None:
                 continue
             if mod:     # the verdict came from residues: check the exact value
-                (v,), (cross,) = _values(fam, t, [x], cache, 0)
+                (v,), (cross,) = _values(fam, t, [x], bound, cache, 0)
                 cex = _verdict(fam, j, x, v, cross)
                 if cex is None:
                     raise ArithmeticError(
@@ -636,19 +633,10 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
         n_budget = _budget_for(fam, profile)
     if n_budget < 0:
         raise ValueError(f"{fam.id}: budget {n_budget} must be >= 0")
-    ts = [fam.t_of(j) for j in j_values]
     mod = _sweep_modulus(fam)
-    lengths = {}
-    if fam.kind in (PREFACTOR_A, OVERPARTITION):
-        lengths[(fam.kind.lower(), mod)] = n_budget + 1
-    elif fam.expected == EQUALS_MODD_M2:      # m_odd(-2, t/2; n) for 4n in the DP window
-        lengths[("overpartition", mod)] = max(_modd_pref_len(0, _dp_order(t) - 1) for t in ts)
-    elif fam.kind == MODD and fam.expected != EXACT_ZERO:
-        top = max(_modd_bound(t, n_budget) for t in ts)
-        lengths[(_modd_pref_kind(fam.a), mod)] = _modd_pref_len(fam.a, top)
-        if fam.easy3_cross:
-            lengths[("overpartition", mod)] = top + 1
-    return j_values, n_budget, lengths
+    # the reads grow with the bound, so the largest J's bound sizes them all
+    top = max(_bound(fam, t, n_budget) for t in [fam.t_of(j) for j in j_values] or [None])
+    return j_values, n_budget, _reads(fam, top, mod)
 
 
 def verify_family(family, j_values=None, n_budget: int | None = None,
@@ -656,10 +644,8 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
     """Sweep one family (by id or record) and report pass/fail.
 
     Without `n_budget` the family's quick-profile budget applies (see
-    ``_budget_for``); an explicit budget is honoured as given.  For m_odd
-    families with t*t above the budget, the bound is extended to
-    t^2 + 2000 so the sweep always sees coefficients beyond the series'
-    leading exponent.  Each expansion is sized once, before the J loop.
+    ``_budget_for``), and ``_bound`` turns it into each J's largest argument,
+    the reported max_arg.  Each expansion is sized once, before the J loop.
     Raises BudgetTooSmall if some J has no argument to check, and
     ArithmeticError if the residue and exact routes disagree.
     """

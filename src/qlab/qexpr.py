@@ -591,13 +591,17 @@ def parse_fixture_file(text: str) -> list[LemmaFixture]:
 
 
 def load_fixtures(path=None) -> list[LemmaFixture]:
-    """Fixtures from `path`, or the packaged dissection corpus by default."""
+    """Fixtures from `path`, or the packaged dissection corpus by default;
+    a file with none is a ValueError, since checking it would check nothing."""
     if path is None:
         text = resources.files("qlab").joinpath("fixtures/dissections.qx").read_text("utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    return parse_fixture_file(text)
+    fixtures = parse_fixture_file(text)
+    if not fixtures:
+        raise ValueError(f"{path}: holds no fixtures")
+    return fixtures
 
 
 def check_fixture(fx: LemmaFixture, order: int | None = None) -> FixtureReport:

@@ -212,6 +212,11 @@ def test_lemmas_bad_expression(capsys, tmp_path):
     path.write_text("name: bad\nlhs = f1 +\nrhs = f1\ncheck_to = 60\n", encoding="utf-8")
     _, _, err = run(capsys, "lemmas", str(path))
     assert err.strip() == "error: bad: lhs: expected an atom (at offset 4)"
+    # a file with no fixture checks nothing, so it cannot pass
+    for text in ("", "# only a comment\n\n# and another\n"):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "lemmas", str(path))
+        assert code == 2 and out == "" and err.strip() == f"error: {path}: holds no fixtures"
 
 
 def test_table(capsys):

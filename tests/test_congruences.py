@@ -10,6 +10,7 @@ from qlab.macmahon import modd_explicit, modd_explicit_batch
 from qlab.series import Series
 from qlab.special import prefactor_a
 from qlab.congruences import (
+    COEFF,
     EQUALS_MODD_M2,
     EXACT_ZERO,
     OVERPARTITION,
@@ -268,9 +269,9 @@ def test_residue_route_agrees_with_exact_route_per_family():
     assert len(fams) == 33
     for fam in fams:
         t = fam.t_of(fam.j_min)
-        args, _ = _args_of(fam, t, 1500)
-        values, partners = _values(fam, t, args, cache, SWEEP_MOD)
-        exact, exact_partners = _values(fam, t, args, cache, 0)
+        args, bound = _args_of(fam, t, 1500)
+        values, partners = _values(fam, t, args, bound, cache, SWEEP_MOD)
+        exact, exact_partners = _values(fam, t, args, bound, cache, 0)
         for x, v, w, p, q in zip(args, values, exact, partners, exact_partners, strict=True):
             assert (v - w) % SWEEP_MOD == 0, (fam.id, x)
             assert (p is None) == (q is None) == (not fam.easy3_cross), (fam.id, x)
@@ -437,9 +438,9 @@ def test_power_sum_route_equals_closed_form(family_id):
     for f in (fam, everywhere):
         args, bound = _args_of(f, t, 3000)
         assert bound == 3000
-        values, _ = _values(f, t, args, SweepCache(), 0)
+        values, _ = _values(f, t, args, bound, SweepCache(), 0)
         assert list(values) == modd_explicit_batch(f.a, t, args), f
-    assert sum(1 for v in _values(everywhere, t, args, SweepCache(), 0)[0] if v) > 400
+    assert sum(1 for v in _values(everywhere, t, args, bound, SweepCache(), 0)[0] if v) > 400
 
 
 def test_repeated_j_is_rejected():
@@ -457,3 +458,18 @@ def test_budget_extension_beyond_leading_exponent():
     r = verify_family("v1-2c", j_values=(0,), n_budget=100)
     assert r.passed
     assert r.ranges["max_arg"] >= 63 * 63 + 2000
+
+
+def test_bound_is_the_largest_argument_swept():
+    # the reported bound is inclusive for every family: no argument lies
+    # above it, and each residue class checked reaches it within one step
+    for fam in registry():
+        if fam.kind == COEFF:
+            continue
+        j_values, n_budget, _ = _sweep_plan(fam)
+        for t in [fam.t_of(j) for j in j_values] or [None]:
+            args, bound = _args_of(fam, t, n_budget)
+            assert max(args) <= bound < max(args) + fam.arg_mod, (fam.id, t)
+            for r in {x % fam.arg_mod for x in args}:
+                top = max(x for x in args if x % fam.arg_mod == r)
+                assert bound < top + fam.arg_mod, (fam.id, t, r)

@@ -121,3 +121,31 @@ def test_slot_format_lives_in_one_pair():
                     outside.append(f"series.py:{sub.lineno} {ident}")
     assert inside == SLOT_FORMAT
     assert not outside, outside
+
+
+WINDOW_HELPERS = {"_modd_bound", "_dp_order", "_modd_pref_len", "_modd_pref_kind"}
+
+
+def test_sweep_range_lives_in_one_function():
+    # the J window is one policy, _bound: only it reads DP_WINDOW or takes
+    # t^2, and the helpers that used to restate the window stay gone
+    tree = ast.parse((SRC / "qlab" / "congruences.py").read_text(encoding="utf-8"))
+    window, squares, defined = [], [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        defined.add(node.name)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == "DP_WINDOW":
+                window.append(node.name)
+            if (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+                    and all(isinstance(o, ast.Name) and o.id == "t"
+                            for o in (sub.left, sub.right))):
+                squares.append(node.name)
+            if (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+                    and isinstance(sub.left, ast.Name) and sub.left.id == "t"):
+                squares.append(node.name)
+    assert "_bound" in defined
+    assert set(window) == {"_bound"}, window
+    assert set(squares) == {"_bound"}, squares
+    assert not defined & WINDOW_HELPERS, sorted(defined & WINDOW_HELPERS)
