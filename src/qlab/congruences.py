@@ -12,7 +12,11 @@ never tolerates approximation: all checks are exact integer congruences.
 Every family runs through one loop, ``_sweep``.  For each swept J (once,
 with J = None, when no t is involved) ``_args_of`` lists the arguments up
 to the bound the report gives, ``_values`` evaluates the sequence there,
-and ``_verdict`` is the one pass/fail test for every expected outcome.
+and ``_holds`` decides the whole J at once: a congruence claim mod M holds
+iff M divides the gcd of the values (with SWEEP_MOD on residues).  Only a
+J that test does not pass is scanned with ``_verdict``, the per-value test
+of every expected outcome, for its first counterexample.  The same gcd,
+with the count of nonzero values, is the per-J row of the report.
 ``_bound`` is the one range policy, and ``_reads`` sizes the expansions
 for the plan and ``_values`` alike.  ``_values`` is the only place that
 knows the evaluation route:
@@ -38,9 +42,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
-from math import isqrt
+from functools import cached_property, reduce
+from itertools import islice, repeat
+from math import gcd, isqrt
+from operator import countOf, mod as remainder, sub
 from typing import Iterable
 
 from .macmahon import coeff_column, modd_explicit_batch, powersum_utilde
@@ -495,29 +500,35 @@ def _reads(fam: CongruenceFamily, top: int, mod: int) -> dict[tuple[str, int], i
     return reads
 
 
+def _table_classes(fam: CongruenceFamily, bound: int) -> list[tuple[range, int]]:
+    """(arguments up to `bound`, min nu_2) per VALUATION_TABLE row, in table
+    order; x = 0 is skipped."""
+    return [(range(r or fam.arg_mod, bound + 1, fam.arg_mod), nu) for r, nu in fam.val_table]
+
+
 def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[int], int]:
     """(the arguments one J checks, in check order; ``_bound``, which it reports).
 
-    Arguments ascend, except that a VALUATION_TABLE family reads them in
-    table order and skips x = 0.
+    Arguments ascend, except that a VALUATION_TABLE family reads them class
+    by class in table order (``_table_classes``).
     """
     bound = _bound(fam, t, n_budget)
     if fam.kind == COEFF:
         mod_, excluded = fam.n_excluded or (1, ())
         return [n for n in range(1, bound + 1) if n % mod_ not in excluded], bound
     if fam.expected == VALUATION_TABLE:
-        return [x for r, _ in fam.val_table
-                for x in range(r or fam.arg_mod, bound + 1, fam.arg_mod)], bound
+        return [x for xs, _ in _table_classes(fam, bound) for x in xs], bound
     args = [x for r in fam.arg_residues for x in range(r, bound + 1, fam.arg_mod)]
     args.sort()
     return args, bound
 
 
 def _values(fam: CongruenceFamily, t: int | None, args: list[int], bound: int,
-            cache: SweepCache, mod: int) -> tuple[Iterable, Iterable]:
-    """The family's sequence at `args`, and the m_odd(-2, t) partners an
-    easy3_cross family checks mod 3 (else Nones), each in the order of
-    `args` and read from expansions reduced mod `mod` (0: exact).
+            cache: SweepCache, mod: int) -> tuple[list[int], Iterable]:
+    """The family's sequence at `args` (a list), and the m_odd(-2, t)
+    partners an easy3_cross family checks mod 3 (a list, else Nones), each
+    in the order of `args` and read from expansions reduced mod `mod`
+    (0: exact).
 
     Exact m_odd claims read the power-sum rows to the J's `bound`, so the
     dp_backed families share one build per (a, t).  The reinterpretation
@@ -527,16 +538,16 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int], bound: int,
     partners = repeat(None, len(args))
     if fam.kind == COEFF:
         column = coeff_column(fam.a, t, max(args))
-        return [column[n] for n in args], partners
+        return list(map(column.__getitem__, args)), partners
     exps = [cache.coeffs(kind, n, m) for (kind, m), n in _reads(fam, max(args), mod).items()]
     if fam.kind != MODD:
-        return map(exps[0].__getitem__, args), partners
+        return list(map(exps[0].__getitem__, args)), partners
     if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        series = cache.dp_utilde(fam.a, t, bound + 1)[t]
-        values = [series.coeff(x) for x in args]
+        # every argument is at most bound, inside the row's bound + 1 terms
+        values = list(map(cache.dp_utilde(fam.a, t, bound + 1)[t].coeffs.__getitem__, args))
         if fam.expected == EQUALS_MODD_M2:
             rhs = modd_explicit_batch(-2, t // 2, [x // 4 for x in args], exps[0], mod)
-            values = [v - w for v, w in zip(values, rhs)]
+            values = list(map(sub, values, rhs))
         return values, partners
     values = modd_explicit_batch(fam.a, t, args, exps[0], mod)
     if fam.easy3_cross:
@@ -544,9 +555,33 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int], bound: int,
     return values, partners
 
 
+def _wants_odd(fam: CongruenceFamily, x: int) -> bool:
+    """Whether a parity claim wants the value at argument `x` odd."""
+    if fam.expected == PARITY_A2N:      # a(2n) odd iff n=0 or n a square prime to 3
+        return x == 0 or (_is_square(x // 2) and x % 6 != 0)
+    return x % 2 == 1 and _is_square(x)     # m_odd(-2,1;N) odd iff N an odd square
+
+
+def _odd_support(fam: CongruenceFamily, top: int) -> set[int]:
+    """The x <= top where ``_wants_odd`` holds.
+
+    The candidates are a superset of that support: x = 0 or x//2 a square
+    k^2 for PARITY_A2N, the odd squares for PARITY_M2_T1.
+    """
+    if fam.expected == PARITY_A2N:
+        candidates = [x for k in range(isqrt(top // 2) + 1) for x in (2 * k * k, 2 * k * k + 1)]
+    else:
+        candidates = [k * k for k in range(1, isqrt(top) + 1, 2)]
+    return {x for x in candidates if x <= top and _wants_odd(fam, x)}
+
+
 def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int, cross) -> dict | None:
     """The counterexample the value `v` at argument `x` (and its mod-3
-    partner `cross`) makes against the family's claim, or None."""
+    partner `cross`) makes against the family's claim, or None.
+
+    The per-value test: ``_sweep`` calls it only on a J that ``_holds``
+    did not pass, to find the first counterexample.
+    """
     expected = fam.expected
     if expected == CONG_ZERO:
         if v % fam.modulus:
@@ -559,10 +594,7 @@ def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int, cross) -> dic
         if v % (1 << bound):     # v != 0 and nu_2(v) < bound
             return _cex(j, x, v, 1 << bound, required_nu2=bound)
     elif expected in (PARITY_A2N, PARITY_M2_T1):
-        if expected == PARITY_A2N:      # a(2n) odd iff n=0 or n a square prime to 3
-            want = 1 if (x == 0 or (_is_square(x // 2) and x % 6 != 0)) else 0
-        else:                           # m_odd(-2,1;N) odd iff N an odd square
-            want = 1 if (x % 2 == 1 and _is_square(x)) else 0
+        want = int(_wants_odd(fam, x))
         if v % 2 != want:
             return _cex(j, x, v, 2, expected=want)
     else:
@@ -572,11 +604,52 @@ def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int, cross) -> dic
     return None
 
 
+def _holds(fam: CongruenceFamily, args: list[int], values: list[int], partners,
+           bound: int, mod: int, observed: int) -> bool:
+    """Whether ``_verdict`` passes every value of one J, decided on the whole list.
+
+    Sound, not exact: True implies that no value is a counterexample;
+    False only sends the J to the per-value scan.  `observed` is
+    gcd(mod, *values), and M divides every value iff it divides that gcd
+    (M divides `mod` on residues).  A VALUATION_TABLE family takes the gcd
+    per table row, over the block of `args` that ``_table_classes`` lays
+    out for it.  A parity claim holds when every argument with an odd value
+    is one it wants odd, and as many of the (distinct) arguments are.  The
+    gcds run through ``reduce``, so no copy of a value list is made.
+    """
+    expected = fam.expected
+    if expected == CONG_ZERO:
+        ok = observed % fam.modulus == 0
+    elif expected in (EXACT_ZERO, EQUALS_MODD_M2):
+        ok = not any(values)
+    elif expected == VALUATION_TABLE:
+        blocks = iter(values)
+        ok = all(reduce(gcd, islice(blocks, len(xs)), mod) % (1 << nu) == 0
+                 for xs, nu in _table_classes(fam, bound))
+    elif expected in (PARITY_A2N, PARITY_M2_T1):
+        want = _odd_support(fam, max(args))
+        odd = [x for x, v in zip(args, values) if v & 1]
+        ok = want.issuperset(odd) and len(odd) == countOf(map(want.__contains__, args), True)
+    else:
+        return False        # the scan raises for an unknown kind
+    return ok and (not fam.easy3_cross or reduce(gcd, map(sub, values, partners), 3) == 3)
+
+
 def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
-           cache: SweepCache) -> tuple[int, int, dict | None]:
-    """(arguments checked, largest bound reported, first counterexample or None)."""
+           cache: SweepCache) -> tuple[int, int, dict | None, list[dict]]:
+    """(arguments checked, largest bound reported, first counterexample or
+    None, one report row per J swept).
+
+    ``_holds`` decides each J on its whole value list; only a J it does not
+    pass is scanned with ``_verdict`` up to its first counterexample, and
+    the count of checked arguments stops there.  A row holds, over the J's
+    whole argument list, `nonzero` (values not 0 mod SWEEP_MOD on residues,
+    not 0 on the exact route) and `observed_modulus`, gcd(mod, *values):
+    capped at SWEEP_MOD on residues, 0 when every exact value is 0.
+    """
     mod = _sweep_modulus(fam)
     checked = top = 0
+    rows = []
     for j in j_values or (None,):
         t = None if j is None else fam.t_of(j)
         args, bound = _args_of(fam, t, n_budget)
@@ -584,6 +657,12 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
             raise BudgetTooSmall(f"{fam.id}: no arguments up to {bound}")
         top = max(top, bound)
         values, partners = _values(fam, t, args, bound, cache, mod)
+        observed = reduce(gcd, values, mod)
+        zeros = countOf(map(remainder, values, repeat(mod)) if mod else values, 0)
+        rows.append({"J": j, "nonzero": len(values) - zeros, "observed_modulus": observed})
+        if _holds(fam, args, values, partners, bound, mod, observed):
+            checked += len(args)
+            continue
         for x, v, cross in zip(args, values, partners):
             checked += 1
             cex = _verdict(fam, j, x, v, cross)
@@ -595,8 +674,8 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
                 if cex is None:
                     raise ArithmeticError(
                         f"{fam.id}: residue and exact routes disagree at N={x}")
-            return checked, top, cex
-    return checked, top, None
+            return checked, top, cex, rows
+    return checked, top, None, rows
 
 
 def _cex(j, n, value, modulus, **extra):
@@ -655,10 +734,11 @@ def verify_family(family, j_values=None, n_budget: int | None = None,
         cache = SweepCache()
     start = time.perf_counter()
     cache.reserve(lengths)
-    checked, bound, cex = _sweep(fam, j_values, n_budget, cache)
+    checked, bound, cex, per_j = _sweep(fam, j_values, n_budget, cache)
     ranges = {"J": list(j_values)} if fam.t_rule is not None else {}
     ranges["max_n" if fam.kind == COEFF else "max_arg"] = bound
     ranges["checked"] = checked
+    ranges["per_j"] = per_j
     millis = 1000 * (time.perf_counter() - start)
     return VerifyReport(
         family_id=fam.id,

@@ -470,7 +470,7 @@ def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[i
     if a not in _EXPLICIT_AS:
         raise UnsupportedA(f"no closed form for a={a}")
     args = list(args)
-    if any(n < 0 for n in args):
+    if min(args, default=0) < 0:
         raise ValueError("arguments must be >= 0")
     if not args:
         return []

@@ -19,8 +19,9 @@ O(order * nnz) the same way.
 
 Every packed int is made by ``_pack(values, size)`` and read by
 ``_unpack(x, size, n)``, value i in slot i of `size` bytes: one ``array``
-for 1, 2, 4 or 8 bytes (byte-swapped on a big-endian host), entry by entry
-for any other size.
+of 1, 2, 4 or 8 bytes (byte-swapped on a big-endian host), for 3, 5, 6 and
+7 bytes the next wider one with its slots narrowed or widened by strided
+byte copies, and entry by entry above 8 bytes.
 
 Division can also reduce every quotient coefficient mod M.  Past one block
 that residue route runs a block of coefficients at a time: every divisor
@@ -98,23 +99,44 @@ _ARRAY_CODES = {array(tc).itemsize: tc for tc in "QLIHB"}
 
 
 def _pack(values: Iterable[int], size: int) -> int:
-    """sum(v * 256**(size*i)) for nonnegative v < 256**size."""
-    code = _ARRAY_CODES.get(size)
-    if code is None:
+    """sum(v * 256**(size*i)) for nonnegative v < 256**size.
+
+    A size with no array code of its own up to 8 bytes (3, 5, 6, 7) goes
+    through the next wider array: byte j of every slot is copied by one
+    strided slice, out[j::size] = raw[j::wide].  A size above 8 packs
+    entry by entry.
+    """
+    wide = min((w for w in _ARRAY_CODES if w >= size), default=0)
+    if not wide:
         return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
-    slots = array(code, values)
+    slots = array(_ARRAY_CODES[wide], values)
     if sys.byteorder == "big":
         slots.byteswap()
-    return int.from_bytes(slots.tobytes(), "little")
+    raw = slots.tobytes()
+    if wide > size:
+        out = bytearray(size * len(slots))
+        for j in range(size):
+            out[j::size] = raw[j::wide]
+        raw = out
+    return int.from_bytes(raw, "little")
 
 
 def _unpack(x: int, size: int, n: int) -> Sequence[int]:
-    """The low n slots of x (taken mod 256**(size*n)), slot 0 first."""
+    """The low n slots of x (taken mod 256**(size*n)), slot 0 first.
+
+    The inverse of ``_pack``: an array of the next wider size for sizes up
+    to 8, filled by strided byte copies when it is wider; a list above 8.
+    """
     data = (x & ((1 << 8 * size * n) - 1)).to_bytes(size * n, "little")
-    code = _ARRAY_CODES.get(size)
-    if code is None:
+    wide = min((w for w in _ARRAY_CODES if w >= size), default=0)
+    if not wide:
         return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
-    slots = array(code, data)
+    if wide > size:
+        buf = bytearray(wide * n)
+        for j in range(size):
+            buf[j::wide] = data[j::size]
+        data = buf
+    slots = array(_ARRAY_CODES[wide], data)
     if sys.byteorder == "big":
         slots.byteswap()
     return slots
@@ -366,7 +388,7 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
                 acc += c * u[x - e]
             out.append(acc)
         return out
-    step = gcd(*(x - low for x in args)) or top + 1
+    step = gcd(*map(low.__rsub__, args)) or top + 1
     base = low % step
     rows = (top - base) // step + 1
     packs: dict[int, int] = {}
@@ -381,8 +403,10 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
         groups.setdefault(w, []).append((s, (e - base + s) // step * width))
     total = sum(w * sum(packs[s] >> shift for s, shift in group)
                 for w, group in groups.items())
-    slots = _unpack(total, width // 8, rows)
-    return [slots[rows - 1 - (x - base) // step] for x in args]
+    slots = _unpack(total, width // 8, rows)[::-1]     # row i at index i
+    if step == 1:       # then base is 0: row x holds argument x
+        return list(map(slots.__getitem__, args))
+    return [slots[(x - base) // step] for x in args]
 
 
 class Series:

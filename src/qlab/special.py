@@ -16,6 +16,7 @@ unit of exponent, for it and for the expression evaluator.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 from .series import Series, _div_terms, _mul_dense_terms
@@ -93,8 +94,16 @@ def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
     sparse divisions by them; so every pass costs O(order * sqrt(order/r)).
     A larger |e| raises f_r, or 1/f_r, to |e| by repeated squaring and
     multiplies it in once.
+
+    When g > 1 divides every scale r and every exponent where u is nonzero,
+    the passes run on u[::g] with scales r/g at order ceil(order/g), and the
+    result is spread back with stride g: f_(g*r)(q) = f_r(q^g).
     """
-    out = list(u[:order])
+    u, full = u[:order], order
+    g = math.gcd(*(r for r, _ in factors), *compress(range(len(u)), u))
+    if g > 1:
+        u, factors, order = u[::g], [(r // g, e) for r, e in factors], (order - 1) // g + 1
+    out = list(u)
     out += [0] * (order - len(out))
     for r, e in factors:
         if 0 < e <= _MAX_PASSES:
@@ -110,6 +119,10 @@ def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
         if abs(e) > _MAX_PASSES:
             base = eta(r, order) if e > 0 else eta_inv(r, order)
             out = list((Series(out) * base ** abs(e)).coeffs)
+    if g > 1:
+        spread = [0] * full
+        spread[::g] = out
+        return spread
     return out
 
 

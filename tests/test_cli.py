@@ -125,6 +125,39 @@ def test_verify_single_family(capsys):
     assert "1/1 families pass" in err
 
 
+# (nonzero, observed_modulus) per default J at the quick profile; None is
+# not pinned.  v1-0 and vm2-1b at J=0 check only values 0 mod 192, and the
+# observed moduli of v0odd-3 (claim 16), v1-2c (8), a24n19-mod8 (8) and
+# ovc3-27n18-mod3 (3) are sharper than the claims.
+PER_J = {
+    "v1-0": [(0, 192), (0, 192)],
+    "vm2-1b": [(0, None), (None, 4)],
+    "v0odd-3": [(None, 64), (None, 64)],
+    "v1-2c": [(None, 16), (None, 16)],
+    "a24n19-mod8": [(None, 24)],
+    "ovc3-27n18-mod3": [(None, 12)],
+    "m0-even-vanish": [(0, 0), (0, 0)],
+}
+
+
+def test_verify_reports_per_j_rows(capsys):
+    argv = ["verify", "--profile", "quick"]
+    for fid in PER_J:
+        argv += ["--family", fid]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    blobs = [json.loads(line) for line in out.splitlines()]
+    assert [b["id"] for b in blobs] == list(PER_J)
+    for blob in blobs:
+        rows = blob["ranges"]["per_j"]
+        assert [row["J"] for row in rows] == blob["ranges"].get("J", [None])
+        for row, (nonzero, observed) in zip(rows, PER_J[blob["id"]], strict=True):
+            assert set(row) == {"J", "nonzero", "observed_modulus"}
+            assert nonzero is None or row["nonzero"] == nonzero, blob["id"]
+            assert observed is None or row["observed_modulus"] == observed, blob["id"]
+            assert 0 <= row["nonzero"] <= blob["ranges"]["checked"]
+
+
 def test_verify_custom_budget_and_j(capsys):
     code, out, _ = run(capsys, "verify", "--family", "v1-1", "--budget", "3000",
                        "--j", "0", "2")

@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import random
+from itertools import repeat
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlab import congruences
 from qlab.macmahon import modd_explicit, modd_explicit_batch
@@ -11,9 +15,13 @@ from qlab.series import Series
 from qlab.special import prefactor_a
 from qlab.congruences import (
     COEFF,
+    CONG_ZERO,
     EQUALS_MODD_M2,
     EXACT_ZERO,
     OVERPARTITION,
+    PARITY_A2N,
+    PARITY_M2_T1,
+    VALUATION_TABLE,
     SWEEP_MOD,
     BudgetTooSmall,
     CongruenceFamily,
@@ -22,6 +30,7 @@ from qlab.congruences import (
     UnknownFamily,
     VerifyReport,
     _args_of,
+    _sweep,
     _sweep_modulus,
     _sweep_plan,
     _values,
@@ -473,3 +482,138 @@ def test_bound_is_the_largest_argument_swept():
             for r in {x % fam.arg_mod for x in args}:
                 top = max(x for x in args if x % fam.arg_mod == r)
                 assert bound < top + fam.arg_mod, (fam.id, t, r)
+
+
+# -- the bulk verdict against the per-value scan -------------------------
+
+# (family, change): every expected kind, on residues and on the exact
+# route, a family without a t rule, one with easy3 partners, and one whose
+# two J share one t
+BULK_CASES = [
+    ("a24n13-mod2", {}),                    # CONG_ZERO, no t rule
+    ("vm2A-3", {}),                         # CONG_ZERO, two J
+    ("vm2A-3", {"modulus": 5}),             # CONG_ZERO on the exact route
+    ("c1-1", {}),                           # CONG_ZERO on a c_n column
+    ("v1-mod3-13", {}),                     # easy3 partners
+    ("ovc8", {}),                           # VALUATION_TABLE, nu_2 up to 6
+    ("pre1-24", {}),
+    ("m1-t1-6n5", {}),                      # EXACT_ZERO, t=1 for both J
+    ("m0-even-reinterp", {}),               # EQUALS_MODD_M2
+    ("a2n-parity", {}),                     # PARITY_A2N
+    ("m2-parity-t1", {}),                   # PARITY_M2_T1
+]
+WHERE = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n - 1}
+
+
+def passing_value(fam, x, rnd):
+    if fam.expected == CONG_ZERO:
+        return fam.modulus * rnd.randint(-3, 3)
+    if fam.expected == VALUATION_TABLE:
+        return (1 << fam.nu2_bounds[x % fam.arg_mod]) * rnd.randint(-3, 3)
+    if fam.expected in (PARITY_A2N, PARITY_M2_T1):
+        odd = congruences._verdict(fam, None, x, 1, None) is None
+        return 2 * rnd.randint(-3, 3) + odd
+    return 0
+
+
+def failing_value(fam, x, rnd):
+    """A value ``_verdict`` rejects; for VALUATION_TABLE one that only its
+    own class rejects when that class asks for nu_2 >= 2."""
+    if fam.expected == CONG_ZERO:
+        return passing_value(fam, x, rnd) + rnd.randint(1, fam.modulus - 1)
+    if fam.expected == VALUATION_TABLE:
+        return (1 << fam.nu2_bounds[x % fam.arg_mod] - 1) * (2 * rnd.randint(-3, 3) + 1)
+    if fam.expected in (PARITY_A2N, PARITY_M2_T1):
+        return passing_value(fam, x, rnd) + 1
+    return rnd.choice((-1, 1)) * rnd.randint(1, 10 ** 30)
+
+
+def planted(fam, j_values, n_budget, fails, seed):
+    """A stand-in for ``congruences._values``: exact values that pass,
+    except at the (J index, position) pairs in `fails`, with residues that
+    differ from them by multiples of the sweep modulus."""
+    rnd = random.Random(seed)
+    table = {}
+    for index, j in enumerate(j_values or (None,)):
+        t = None if j is None else fam.t_of(j)
+        if t in table:      # two J with one t share the first one's values
+            continue
+        args, _ = _args_of(fam, t, n_budget)
+        bad = {WHERE[where](len(args)) for i, where in fails if i == index}
+        row = table[t] = {}
+        for pos, x in enumerate(args):
+            v = passing_value(fam, x, rnd)
+            cross = v - 3 * rnd.randint(-3, 3) if fam.easy3_cross else None
+            if pos in bad:      # break the value, its easy3 partner, or both
+                broken = rnd.choice(("value", "partner", "both")) if fam.easy3_cross else "value"
+                if broken != "partner":
+                    v = failing_value(fam, x, rnd)
+                if broken != "value":
+                    cross += rnd.choice((1, 2))
+            row[x] = (v, cross, rnd.randint(-2, 2))
+
+    def values(fam, t, args, bound, cache, mod):
+        got = [table[t][x] for x in args]
+        partners = [c + mod * k for _, c, k in got] if fam.easy3_cross else repeat(None, len(args))
+        return [v + mod * k for v, _, k in got], partners
+
+    return values
+
+
+def scan_reference(fam, j_values, n_budget, values_of):
+    """(checked, top, cex, rows) of the per-value loop: every exact value
+    through ``_verdict`` until the first counterexample; each row over the
+    J's residues."""
+    mod = _sweep_modulus(fam)
+    checked = top = 0
+    rows = []
+    for j in j_values or (None,):
+        t = None if j is None else fam.t_of(j)
+        args, bound = _args_of(fam, t, n_budget)
+        top = max(top, bound)
+        residues, _ = values_of(fam, t, args, bound, None, mod)
+        observed = mod
+        nonzero = 0
+        for v in residues:
+            observed = gcd(observed, v)
+            nonzero += (v % mod if mod else v) != 0
+        rows.append({"J": j, "nonzero": nonzero, "observed_modulus": observed})
+        values, partners = values_of(fam, t, args, bound, None, 0)
+        for x, v, cross in zip(args, values, partners):
+            checked += 1
+            cex = congruences._verdict(fam, j, x, v, cross)
+            if cex is not None:
+                return checked, top, cex, rows
+    return checked, top, None, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BULK_CASES),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(WHERE))), max_size=3),
+       st.integers(0, 2 ** 32))
+@example(("ovc8", {}), [(0, "last")], 0)        # 32 in class 7 of ovc8, which wants 2^6
+@example(("pre1-24", {}), [(0, "middle")], 1)
+def test_bulk_verdict_equals_the_per_value_scan(case, fails, seed):
+    family_id, change = case
+    fam = dataclasses.replace(lookup(family_id), **change)
+    j_values, n_budget, _ = _sweep_plan(fam, n_budget=400)
+    values_of = planted(fam, j_values, n_budget, fails, seed)
+    want = scan_reference(fam, j_values, n_budget, values_of)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(congruences, "_values", values_of)
+        assert _sweep(fam, j_values, n_budget, SweepCache()) == want
+
+
+def test_quick_pass_calls_no_per_value_verdict(monkeypatch):
+    # a passing J is decided by its bulk test alone
+    calls = []
+    real = congruences._verdict
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(congruences, "_verdict", counted)
+    reports = verify_all("quick")
+    assert all(r.passed for r in reports)
+    assert calls == []

@@ -488,6 +488,25 @@ def test_pack_unpack_round_trip(size):
         assert list(_unpack(x + (7 << 8 * size * len(values)), size, len(values))) == values
 
 
+def bytes_pack(values, size):
+    """The slot format entry by entry: value i in bytes i*size .. (i+1)*size-1."""
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+@pytest.mark.parametrize("size", [3, 5, 6, 7])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_odd_slot_sizes_match_the_byte_format(size, n):
+    # sizes without an array code of their own go through a wider array
+    rnd = random.Random(size * n)
+    top = 256 ** size - 1
+    for values in ([0] * n, [top] * n,
+                   [rnd.choice((0, top, rnd.randrange(top + 1))) for _ in range(n)]):
+        x = _pack(values, size)
+        assert x == bytes_pack(values, size)
+        assert list(_unpack(x, size, n)) == values
+        assert list(_unpack(x + (top << 8 * size * n), size, n)) == values
+
+
 # -- the packed convolution against the scalar sums ---------------------
 
 def naive_conv(u, terms, args, mod):

@@ -1,13 +1,16 @@
 """Named series constructors against independent counting oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlab.series import _BLOCK, Series
+from qlab import special
+from qlab.series import _BLOCK, Series, _div_terms, _mul_dense_terms
 from qlab.special import (
     borwein_a,
     borwein_b,
     eta,
     eta_inv,
+    eta_product,
     eta_quotient,
     overpartition_gf,
     pentagonal_terms,
@@ -91,6 +94,47 @@ def test_eta_quotient_examples():
     assert overpartition_gf(6).coeffs == (1, 2, 4, 8, 14, 24)
     assert prefactor_a(9).coeffs == (1, -1, 1, -1, 2, -3, 4, -5, 7)
     assert eta_quotient([], 5).eq(Series.one(5))
+
+
+def plain_passes(u, factors, order):
+    """u * prod f_r^e by one sparse pass per unit of exponent, at full order."""
+    out = list(u[:order]) + [0] * max(0, order - len(u))
+    for r, e in factors:
+        for _ in range(e):
+            out = _mul_dense_terms(out, pentagonal_terms(r, order), order)
+    for r, e in factors:
+        for _ in range(-e):
+            out = _div_terms(out, pentagonal_terms(r, order), order)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 6]),
+       st.dictionaries(st.integers(1, 5), st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+       st.lists(st.integers(-9, 9), max_size=12), st.booleans(), st.integers(1, 150))
+def test_eta_product_reduces_a_shared_scale(g, exps, head, on_lattice, order):
+    # f_(g*r)(q) = f_r(q^g): with every scale and every nonzero exponent of u
+    # on the g-lattice the passes run at order ceil(order/g) or below; an
+    # entry of u at exponent 1 leaves nothing to reduce
+    factors = [(g * k, e) for k, e in exps.items()]
+    u = [0] * (g * len(head) + 2)
+    u[:g * len(head):g] = head
+    if not on_lattice:
+        u[1] = 1
+    orders = []
+
+    def spy(scale, n):
+        orders.append(n)
+        return pentagonal_terms(scale, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "pentagonal_terms", spy)
+        got = eta_product(u, factors, order)
+    assert got == plain_passes(u, factors, order)
+    if on_lattice:      # reduced by g or by a multiple of it
+        assert max(orders) <= (order - 1) // g + 1
+    else:
+        assert set(orders) == {order}
 
 
 def test_eta_quotient_validation():
