@@ -57,6 +57,10 @@ OVC_MIN_BUDGET = 50000
 COEFF_BUDGET = 1500
 DP_WINDOW = 2000
 SWEEP_MOD = 192               # 2^6 * 3: every congruence modulus in the registry divides it
+# The largest argument a sweep may reach.  Every expansion a sweep reads
+# holds one coefficient per argument, so a J or budget far past the
+# profiles' FULL_BUDGET would ask for more memory than a machine has.
+MAX_ORDER = 10 ** 6
 
 # sequence kinds; MODD and COEFF families also carry the parameter a
 MODD = "MODD"
@@ -695,7 +699,8 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
 
     `None` takes the profile's value: J from the family's ``j_min`` on, the
     budget from ``_budget_for``.  Raises ValueError for J values the family
-    cannot take, for a repeated J and for a negative budget.  Exact m_odd
+    cannot take, for a repeated J, for a negative budget and for a plan
+    that would sweep past ``MAX_ORDER``.  Exact m_odd
     claims read no prefactor for their own values.
     """
     if fam.t_rule is None:
@@ -715,6 +720,9 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
     mod = _sweep_modulus(fam)
     # the reads grow with the bound, so the largest J's bound sizes them all
     top = max(_bound(fam, t, n_budget) for t in [fam.t_of(j) for j in j_values] or [None])
+    if top > MAX_ORDER:
+        raise ValueError(f"{fam.id}: the sweep would reach argument {top}, "
+                         f"past MAX_ORDER = {MAX_ORDER}")
     return j_values, n_budget, _reads(fam, top, mod)
 
 

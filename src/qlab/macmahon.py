@@ -32,7 +32,7 @@ for the Riordan array, ``_binomial_c`` for the binomial forms.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 
 from .arith import exact_div
 from .series import (_KRONECKER_MIN_TERMS, Poly, Series, _conv_terms, _mul_coeffs,
@@ -86,9 +86,7 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     d = local_factor_coeffs(a, order - 1)
     rows = [[0] * order for _ in range(t_max + 1)]
     rows[0][0] = 1
-    eff = t_max
-    while eff > 0 and eff * eff >= order:
-        eff -= 1
+    eff = min(t_max, isqrt(order - 1))
     reachable = 0
     for part in range(1, order, 2):
         g = []
@@ -130,9 +128,7 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
         raise ValueError("t_max must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    eff = t_max
-    while eff > 0 and eff * eff >= order:
-        eff -= 1
+    eff = min(t_max, isqrt(order - 1))
     p = [None] + [_odd_power_sum(a, k, order) for k in range(1, eff + 1)]
     rows = [[1] + [0] * (order - 1)]
     for t in range(1, eff + 1):

@@ -9,6 +9,7 @@ of the line):
     atom   := INT | 'q' | 'f' INT | NAME '(' arg ')' | '(' expr ')'
     arg    := ['-'] 'q' ('^' INT)?
     NAME   := 'phi' | 'psi' | 'P' | 'b' | 'aB'
+    INT    := ASCII digits '0'..'9', one or more
 
 Evaluation is exact: every expression becomes a `Series` at a requested
 order.  Quotients are handled by factoring the q-valuation out of the
@@ -121,12 +122,13 @@ class SumExpr:
 # ---------------------------------------------------------------------
 
 _PUNCT = set("+-*/^()")
+_DIGITS = set("0123456789")
 
 
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = self.end = 0
 
     def _skip(self):
         text, n = self.text, len(self.text)
@@ -141,36 +143,35 @@ class _Lexer:
                 return
 
     def peek(self):
-        """(kind, value, position) without consuming."""
+        """(kind, value, position) without consuming; the token ends at
+        ``self.end``.  Digits are ASCII 0-9 only, so int() reads every INT."""
         self._skip()
         text, n = self.text, len(self.text)
-        if self.pos >= n:
-            return ("eof", None, self.pos)
-        start = self.pos
+        start = self.end = self.pos
+        if start >= n:
+            return ("eof", None, start)
         ch = text[start]
         if ch in _PUNCT:
+            self.end = start + 1
             return ("punct", ch, start)
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = start
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
+            self.end = j
             return ("int", int(text[start:j]), start)
         if ch.isalpha():
             j = start
-            while j < n and (text[j].isalpha() or text[j].isdigit()):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS):
                 j += 1
+            self.end = j
             return ("word", text[start:j], start)
         raise ExprSyntaxError(f"unexpected character {ch!r}", start)
 
     def next(self):
-        kind, value, start = self.peek()
-        if kind == "punct":
-            self.pos = start + 1
-        elif kind == "int":
-            self.pos = start + len(str(value))
-        elif kind == "word":
-            self.pos = start + len(value)
-        return (kind, value, start)
+        token = self.peek()
+        self.pos = self.end
+        return token
 
 
 class _Parser:

@@ -30,7 +30,9 @@ that pack the finished residues in 16-bit slots (32 or 64 bits when M or
 the weights are too large), the terms grouped by the sign of their signed
 residue; then one packed multiply by G, the inverse of the divisor mod
 (q^block, M), solves the block.  The exact route runs the scalar
-recurrence, and so does the residue route when no slot width fits.
+recurrence, one loop over the quotient index, and so does the residue route
+when no slot width fits.  ``Series.__pow__``, ``Poly.__pow__`` and
+``poly_pow_mod`` share one square-and-multiply, ``_power``.
 
 ``_conv_terms`` reads a product u * sum(c*q^e) at chosen exponents only, as
 the closed forms need it.  On residues it packs u too: one column u[s::A]
@@ -44,7 +46,7 @@ from __future__ import annotations
 import sys
 from array import array
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -67,6 +69,19 @@ class OutOfRange(SeriesError):
 def _terms_of(coeffs) -> list[tuple[int, int]]:
     """Nonzero (exponent, coefficient) pairs, ascending exponent."""
     return [(e, c) for e, c in enumerate(coeffs) if c]
+
+
+def _power(base, e: int, one, mul):
+    """base**e for e >= 0 by square-and-multiply; `one` is the identity and
+    `mul(x, y)` the product, so a caller can reduce after every step."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 def _mul_dense_terms(u: Sequence[int], terms, order: int, out: list[int] | None = None) -> list[int]:
@@ -244,10 +259,18 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     by weight, and unpacked once per block by ``_unpack``.  When G or the
     carry fits no width, or the order is at most B, every coefficient runs
     the scalar recurrence, as every one does on the exact route
-    (`mod` == 0).
+    (`mod` == 0).  That recurrence is one loop over the quotient index n:
+    each divisor term q^e with e <= n takes its coefficient times r[n-e]
+    off, the terms grouped as +1, -1 and the rest, so an eta or theta
+    divisor multiplies nothing.
+
+    An empty `dterms`, the zero divisor, raises NonUnitConstant; the Series
+    and Poly divisions leave that check to this one place.
     """
     if mod < 0:
         raise ValueError(f"modulus {mod} must be >= 0")
+    if not dterms:
+        raise NonUnitConstant("division by the zero series")
     e0, lead = dterms[0]
     if e0 != 0 or lead not in (1, -1):
         raise NonUnitConstant("divisor constant term must be +1 or -1")
@@ -316,12 +339,10 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     plus = [e for e, c in tail if c == 1]
     minus = [e for e, c in tail if c == -1]
     rest = [(e, c) for e, c in tail if c not in (1, -1)]
-    warm = max([e for e, _ in tail], default=0)
     r = [0] * order
     base = list(u[:order])
     base += [0] * (order - len(base))
-    mid = min(order, warm)
-    for n, acc in zip(range(mid), base):
+    for n, acc in enumerate(base):
         for e in plus:
             if e > n:
                 break
@@ -333,14 +354,6 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
         for e, c in rest:
             if e > n:
                 break
-            acc -= c * r[n - e]
-        r[n] = acc % mod if mod else acc
-    for n, acc in zip(range(mid, order), base[mid:]):
-        for e in plus:
-            acc -= r[n - e]
-        for e in minus:
-            acc += r[n - e]
-        for e, c in rest:
             acc -= c * r[n - e]
         r[n] = acc % mod if mod else acc
     return r
@@ -506,30 +519,16 @@ class Series:
         """self**e for e >= 0 by repeated squaring, at the same order."""
         if e < 0:
             raise ValueError("negative series power; invert first")
-        result = Series.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, Series.one(self.order), mul)
 
     def invert(self) -> Series:
         """Multiplicative inverse; requires constant coefficient +-1."""
-        dterms = _terms_of(self.coeffs)
-        if not dterms:
-            raise NonUnitConstant("cannot invert the zero series")
-        return Series(_div_terms([1], dterms, self.order))
+        return Series(_div_terms([1], _terms_of(self.coeffs), self.order))
 
     def div(self, other: Series) -> Series:
         """self / other, exact; other must have constant coefficient +-1."""
         order = min(self.order, other.order)
-        dterms = _terms_of(other.coeffs[:order])
-        if not dterms:
-            raise NonUnitConstant("division by the zero series")
-        return Series(_div_terms(self.coeffs[:order], dterms, order))
+        return Series(_div_terms(self.coeffs[:order], _terms_of(other.coeffs[:order]), order))
 
     def __truediv__(self, other: Series) -> Series:
         return self.div(other)
@@ -580,16 +579,10 @@ class Series:
 
     def first_mismatch(self, other: Series, m: int = 0) -> int | None:
         """Lowest exponent where the series differ (mod m), else None."""
-        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        if m == 0:
-            for i in range(n):
-                if a[i] != b[i]:
-                    return i
-        else:
-            for i in range(n):
-                if (a[i] - b[i]) % m:
-                    return i
+        for i in range(min(self.order, other.order)):
+            if a[i] != b[i] and (not m or (a[i] - b[i]) % m):
+                return i
         return None
 
 
@@ -663,14 +656,7 @@ class Poly:
     def __pow__(self, e: int) -> Poly:
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, Poly([1]), mul)
 
     def eval_at(self, x: int) -> int:
         acc = 0
@@ -693,20 +679,9 @@ def poly_pow_mod(p: Poly, e: int, m: int) -> Poly:
     def red(x: Poly) -> Poly:
         return Poly([c % m for c in x.coeffs])
 
-    result = red(Poly([1]))
-    base = red(p)
-    while e:
-        if e & 1:
-            result = red(result * base)
-        e >>= 1
-        if e:
-            base = red(base * base)
-    return result
+    return _power(red(p), e, red(Poly([1])), lambda x, y: red(x * y))
 
 
 def series_of_rational(num: Poly, den: Poly, order: int) -> Series:
     """Power-series expansion of num/den to `order`; den(0) must be +-1."""
-    dterms = _terms_of(den.coeffs)
-    if not dterms:
-        raise NonUnitConstant("division by the zero polynomial")
-    return Series(_div_terms(list(num.coeffs), dterms, order))
+    return Series(_div_terms(list(num.coeffs), _terms_of(den.coeffs), order))

@@ -88,12 +88,13 @@ _MAX_PASSES = 32
 def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
     """u * prod f_r^e over the (r, e) pairs, truncated to `order`.
 
-    `u` may be shorter than `order` (missing entries are zeros).  A factor
-    with 0 < e <= _MAX_PASSES is applied as e sparse multiplications by
-    ``pentagonal_terms(r)``, then one with -_MAX_PASSES <= e < 0 as |e|
-    sparse divisions by them; so every pass costs O(order * sqrt(order/r)).
-    A larger |e| raises f_r, or 1/f_r, to |e| by repeated squaring and
-    multiplies it in once.
+    `u` may be shorter than `order` (missing entries are zeros).  One loop
+    takes the factors in the given order.  A factor with |e| <= _MAX_PASSES
+    is applied as |e| sparse passes over ``pentagonal_terms(r)``,
+    multiplications for e > 0 and divisions for e < 0, each costing
+    O(order * sqrt(order/r)); a larger |e| raises f_r, or 1/f_r, to |e| by
+    repeated squaring and multiplies it in once.  Every step is exact in
+    Z[[q]]/(q^order), so the order of the factors changes no coefficient.
 
     When g > 1 divides every scale r and every exponent where u is nonzero,
     the passes run on u[::g] with scales r/g at order ceil(order/g), and the
@@ -106,19 +107,14 @@ def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
     out = list(u)
     out += [0] * (order - len(out))
     for r, e in factors:
-        if 0 < e <= _MAX_PASSES:
-            terms = pentagonal_terms(r, order)
-            for _ in range(e):
-                out = _mul_dense_terms(out, terms, order)
-    for r, e in factors:
-        if -_MAX_PASSES <= e < 0:
-            terms = pentagonal_terms(r, order)
-            for _ in range(-e):
-                out = _div_terms(out, terms, order)
-    for r, e in factors:
         if abs(e) > _MAX_PASSES:
             base = eta(r, order) if e > 0 else eta_inv(r, order)
             out = list((Series(out) * base ** abs(e)).coeffs)
+            continue
+        terms = pentagonal_terms(r, order)
+        apply = _mul_dense_terms if e > 0 else _div_terms
+        for _ in range(abs(e)):
+            out = apply(out, terms, order)
     if g > 1:
         spread = [0] * full
         spread[::g] = out

@@ -5,10 +5,12 @@ import io
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from qlab import congruences
 from qlab.cli import build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
@@ -62,6 +64,9 @@ def test_expand_errors(capsys):
     assert code == 2
     code, out, err = run(capsys, "expand", "f1", "--order", "5", "--mod", "-3")
     assert code == 2 and out == "" and "--mod" in err
+    for expr in ("f1\u00b2", "q^\u00b2", "f\u0661"):
+        code, out, err = run(capsys, "expand", expr, "--order", "4")
+        assert code == 2 and out == "" and "offset" in err and "Traceback" not in err
 
 
 def test_modd(capsys):
@@ -200,6 +205,23 @@ def test_verify_negative_budget_is_rejected(capsys):
     assert "ValueError" in err and "-5" in err
 
 
+def test_verify_rejects_a_sweep_past_max_order(capsys):
+    # J = 100000 puts t^2 + 2000 near 4e10: the plan is refused before any
+    # expansion is allocated, instead of ending in a MemoryError
+    assert congruences.MAX_ORDER >= congruences.FULL_BUDGET
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--family", "v1-1", "--j", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "ValueError" in err and "40000402001" in err and str(congruences.MAX_ORDER) in err
+    code, out, err = run(capsys, "verify", "--family", "ovc8",
+                         "--budget", str(congruences.MAX_ORDER + 1))
+    assert code == 2 and out == "" and str(congruences.MAX_ORDER + 1) in err
+    # the bound itself is allowed; only the plan is made here, nothing built
+    fam = congruences.lookup("ovc8")
+    assert congruences._sweep_plan(fam, None, congruences.MAX_ORDER)[1] == congruences.MAX_ORDER
+
+
 def test_modd_rejects_negative_arguments(capsys):
     # the oracle used to print 0 for a negative n and hang on a negative t
     for method in ("direct", "explicit", "oracle", "powersum", "all"):
@@ -237,7 +259,8 @@ def test_lemmas_bad_expression(capsys, tmp_path):
     # message names the fixture and the side
     path = tmp_path / "bad.qx"
     for lhs, rhs, where in (("f1 +", "f1", "lhs"), ("zeta(q)", "f1", "lhs"),
-                            ("f1", "f2 *", "rhs")):
+                            ("f1", "f2 *", "rhs"), ("f1\u00b2", "f1^2", "lhs"),
+                            ("f1", "f\u0661", "rhs")):
         path.write_text(f"name: bad\nlhs = {lhs}\nrhs = {rhs}\ncheck_to = 60\n",
                         encoding="utf-8")
         code, out, err = run(capsys, "lemmas", str(path))

@@ -149,3 +149,25 @@ def test_sweep_range_lives_in_one_function():
     assert set(window) == {"_bound"}, window
     assert set(squares) == {"_bound"}, squares
     assert not defined & WINDOW_HELPERS, sorted(defined & WINDOW_HELPERS)
+
+
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_series_kernels_run_one_loop_per_job():
+    # one square-and-multiply, one scalar division recurrence, one pass
+    # loop over the eta factors
+    series = _functions(SRC / "qlab" / "series.py")
+    halvings = {name for name, fn in series.items() for node in ast.walk(fn)
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)}
+    assert halvings == {"_power"}, sorted(halvings)
+    scalar = [node for node in ast.walk(series["_div_terms"]) if isinstance(node, ast.For)
+              and "n" in {t.id for t in ast.walk(node.target) if isinstance(t, ast.Name)}]
+    assert len(scalar) == 1, [node.lineno for node in scalar]
+    assert ast.unparse(scalar[0].iter) == "enumerate(base)"
+    eta = _functions(SRC / "qlab" / "special.py")["eta_product"]
+    over = [node.lineno for node in ast.walk(eta) if isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Name) and node.iter.id == "factors"]
+    assert len(over) == 1, over

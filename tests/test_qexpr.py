@@ -55,6 +55,21 @@ def test_parse_syntax_errors_carry_offsets():
         parse("")
 
 
+def test_lexer_reads_ascii_digits_only():
+    # str.isdigit() also holds for superscripts and other scripts' digits,
+    # which int() rejects or reads as a different numeral
+    for text, offset in (("f1\u00b2", 2), ("q^\u00b2", 2), ("f2/f1^\u00b2", 6)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == offset, text
+    with pytest.raises(UnknownSymbol) as err:
+        parse("f\u0661")           # ARABIC-INDIC DIGIT ONE
+    assert err.value.position == 0
+    # an INT ends where its digits end, leading zeros included
+    assert evaluate_text("q^02", 4).coeffs == (0, 0, 1, 0)
+    assert evaluate_text("f01^002", 6).eq(evaluate_text("f1^2", 6))
+
+
 def test_parse_unknown_symbol():
     with pytest.raises(UnknownSymbol):
         parse("g3 + 1")

@@ -137,6 +137,23 @@ def test_eta_product_reduces_a_shared_scale(g, exps, head, on_lattice, order):
         assert set(orders) == {order}
 
 
+@pytest.mark.parametrize("factors", [[(1, 40), (2, -3), (3, 2), (4, -35)],
+                                     [(4, -35), (3, 2), (2, -3), (1, 40)]])
+def test_eta_product_takes_factors_in_any_order(factors):
+    # passes and squarings of either sign interleave in the one factor loop;
+    # every step is exact to the order, so the product is that of plain
+    # Series arithmetic, repeated multiplications by f_r or 1/f_r
+    order, u = 160, [3, 0, -1, 4]
+    want = Series(u + [0] * (order - len(u)))
+    for r, e in factors:
+        unit = eta(r, order) if e > 0 else eta_inv(r, order)
+        for _ in range(abs(e)):
+            want = want * unit
+    assert any(abs(e) <= special._MAX_PASSES for _, e in factors)
+    assert any(abs(e) > special._MAX_PASSES for _, e in factors)
+    assert eta_product(u, factors, order) == list(want.coeffs)
+
+
 def test_eta_quotient_validation():
     with pytest.raises(ValueError):
         eta_quotient([(1, 2), (1, 1)], 10)
