@@ -261,8 +261,8 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     the scalar recurrence, as every one does on the exact route
     (`mod` == 0).  That recurrence is one loop over the quotient index n:
     each divisor term q^e with e <= n takes its coefficient times r[n-e]
-    off, the terms grouped as +1, -1 and the rest, so an eta or theta
-    divisor multiplies nothing.
+    off, the terms grouped as +1, -1 and the rest, so a divisor with
+    coefficients +-1, such as an eta factor, multiplies nothing.
 
     An empty `dterms`, the zero divisor, raises NonUnitConstant; the Series
     and Poly divisions leave that check to this one place.
