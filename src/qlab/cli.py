@@ -197,10 +197,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _size(args) -> tuple[str, int]:
+    """(the option, its value) that sizes what the command builds."""
+    if args.command == "modd":
+        return "-n", args.n
+    if args.command == "table":
+        return "--n", args.n[-1] if len(args.n) else 0
+    return "--order", getattr(args, "order", None) or 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "order", None) is not None and args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return 2
+    flag, size = _size(args)
+    if size > congruences.MAX_ORDER:
+        print(f"error: {flag} {size} is past MAX_ORDER = {congruences.MAX_ORDER}",
+              file=sys.stderr)
         return 2
     if getattr(args, "mod", 0) < 0:
         print("error: --mod must be >= 0", file=sys.stderr)

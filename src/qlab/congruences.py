@@ -4,19 +4,21 @@ sweep engine that verifies each one exactly over parameter ranges.
 Every family is a declarative record: which coefficient sequence it
 constrains (a MacMahon-type m_odd family, the prefactor a(n), the
 overpartition counts, or one of the c_n(a,t) coefficient families), the
-rule t = alpha*J + beta when t is involved, the arithmetic progression of
-arguments, the modulus, and optional side conditions.  The engine sweeps
-(J, N) ranges, reports the first counterexample when a claim fails, and
+rule t = alpha*J + beta when t is involved, the argument classes, and
+optional side conditions.  Every kind of claim derives one table,
+``CongruenceFamily.classes``: one (first argument, modulus) pair per class
+of arguments, modulus 0 for "the value is 0".  The engine sweeps (J, N)
+ranges, reports the smallest failing argument when a claim fails, and
 never tolerates approximation: all checks are exact integer congruences.
 
 Every family runs through one loop, ``_sweep``.  For each swept J (once,
-with J = None, when no t is involved) ``_args_of`` lists the arguments up
-to the bound the report gives, ``_values`` evaluates the sequence there,
-and ``_holds`` decides the whole J at once: a congruence claim mod M holds
-iff M divides the gcd of the values (with SWEEP_MOD on residues).  Only a
-J that test does not pass is scanned with ``_verdict``, the per-value test
-of every expected outcome, for its first counterexample.  The same gcd,
-with the count of nonzero values, is the per-J row of the report.
+with J = None, when no t is involved) ``_args_of`` lists the arguments in
+ascending order up to the bound the report gives, ``_values`` evaluates
+the sequence there, and ``_holds`` decides the whole J at once: a class
+holds iff its modulus divides the gcd of its values (with SWEEP_MOD on
+residues).  Only a J that test does not pass is scanned with ``_verdict``,
+the per-value test, for its first counterexample.  The gcd of the class
+gcds, with the count of nonzero values, is the per-J row of the report.
 ``_bound`` is the one range policy, and ``_reads`` sizes the expansions
 for the plan and ``_values`` alike.  ``_values`` is the only place that
 knows the evaluation route:
@@ -75,6 +77,9 @@ PARITY_A2N = "PARITY_A2N"
 PARITY_M2_T1 = "PARITY_M2_T1"
 VALUATION_TABLE = "VALUATION_TABLE"
 EQUALS_MODD_M2 = "EQUALS_MODD_M2"
+# expected outcome -> the modulus of its classes; None: the record's modulus
+_EXPECTED = {CONG_ZERO: None, EXACT_ZERO: 0, EQUALS_MODD_M2: 0,
+             PARITY_A2N: 2, PARITY_M2_T1: 2, VALUATION_TABLE: None}
 
 
 class BudgetTooSmall(ValueError):
@@ -98,11 +103,19 @@ class CongruenceFamily:
     j_min: int = 0
     arg_mod: int = 1
     arg_residues: tuple[int, ...] = (0,)
-    n_excluded: tuple[int, tuple[int, ...]] | None = None  # COEFF side condition
     val_table: tuple[tuple[int, int], ...] = ()            # (residue, min nu_2)
     dp_backed: bool = False       # stop at DP_WINDOW past t^2 whatever the budget (see _bound)
     easy3_cross: bool = False     # also assert m_odd(1) == m_odd(-2) mod 3
     note: str = ""
+
+    def __post_init__(self):
+        if self.expected not in _EXPECTED:
+            raise ValueError(f"{self.id}: unknown expected kind {self.expected!r}")
+        starts = [start for start, _ in self.classes]      # the layout ``_args_of`` needs
+        if not starts or starts[-1] - starts[0] >= self.arg_mod \
+                or len(self.class_modulus) < len(starts):
+            raise ValueError(f"{self.id}: argument classes must differ mod {self.arg_mod} "
+                             "and start less than arg_mod apart")
 
     @property
     def sequence(self) -> str:
@@ -110,9 +123,23 @@ class CongruenceFamily:
         return self.kind if self.a is None else f"{self.kind}({self.a})"
 
     @cached_property
-    def nu2_bounds(self) -> dict[int, int]:
-        """The VALUATION_TABLE lookup: residue mod arg_mod -> min nu_2."""
-        return dict(self.val_table)
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """(first argument, modulus) per argument class first + arg_mod*N,
+        ascending by first argument: every value in the class is 0 mod the
+        modulus, and modulus 0 claims it is 0.  A valuation row (r, nu)
+        has modulus 2^nu; a valuation or c_n class r = 0 starts at arg_mod."""
+        if self.expected == VALUATION_TABLE:
+            rows = [(r, 1 << nu) for r, nu in self.val_table]
+        else:
+            m = _EXPECTED[self.expected]
+            rows = [(r, self.modulus if m is None else m) for r in self.arg_residues]
+        skip_zero = self.expected == VALUATION_TABLE or self.kind == COEFF
+        return tuple(sorted(((r or self.arg_mod) if skip_zero else r, m) for r, m in rows))
+
+    @cached_property
+    def class_modulus(self) -> dict[int, int]:
+        """The ``classes`` lookup: x % arg_mod -> the modulus of x's class."""
+        return {start % self.arg_mod: m for start, m in self.classes}
 
     def t_of(self, j: int) -> int:
         alpha, beta = self.t_rule
@@ -130,16 +157,16 @@ class CongruenceFamily:
         return f"{head}{beta:+d}"
 
     def arg_rule_str(self) -> str:
-        """The arguments the sweep reads."""
+        """The arguments the sweep reads; a c_n family names the n it skips."""
         if self.expected == PARITY_A2N:
             return "2n, all n"
-        if self.kind == COEFF and self.n_excluded:
-            mod_, excluded = self.n_excluded
-            return f"n ≢ {','.join(map(str, sorted(set(excluded))))} (mod {mod_})"
         if self.arg_mod == 1:
             return "all n"
         residues = (sorted(r for r, _ in self.val_table) if self.expected == VALUATION_TABLE
                     else self.arg_residues)
+        if self.kind == COEFF:
+            off = sorted(set(range(self.arg_mod)).difference(residues))
+            return f"n ≢ {','.join(map(str, off))} (mod {self.arg_mod})"
         rs = ",".join(map(str, residues))
         rs = rs if len(residues) == 1 else "{" + rs + "}"
         return f"{self.arg_mod}N+{rs}"
@@ -189,6 +216,11 @@ class VerifyReport:
 def _quadratic_nonresidues(p: int) -> tuple[int, ...]:
     squares = {(r * r) % p for r in range(p)}
     return tuple(r for r in range(1, p) if r not in squares)
+
+
+def _off(arg_mod: int, *excluded: int) -> dict:
+    """The classes of a c_n claim that holds for n off `excluded` mod `arg_mod`."""
+    return {"arg_mod": arg_mod, "arg_residues": tuple(sorted({*range(arg_mod)} - {*excluded}))}
 
 
 def _build_registry() -> list[CongruenceFamily]:
@@ -243,38 +275,38 @@ def _build_registry() -> list[CongruenceFamily]:
     for s in range(1, 6):
         add(CongruenceFamily(
             f"cm2-1-s{s}", COEFF, -2, CONG_ZERO, modulus=2 ** (s + 1),
-            t_rule=(2 ** s, -1), j_min=1, n_excluded=(2, (1,)),
+            t_rule=(2 ** s, -1), j_min=1, **_off(2, 1),
             note="even n only"))
     add(CongruenceFamily("cm2-2", COEFF, -2, CONG_ZERO, modulus=3,
-                         t_rule=(27, 13), j_min=0, n_excluded=(27, (13, 14))))
+                         t_rule=(27, 13), j_min=0, **_off(27, 13, 14)))
     add(CongruenceFamily("cm2-3", COEFF, -2, CONG_ZERO, modulus=3,
-                         t_rule=(27, -1), j_min=1, n_excluded=(27, (1, 26))))
+                         t_rule=(27, -1), j_min=1, **_off(27, 1, 26)))
     add(CongruenceFamily("c0-1a", COEFF, 0, CONG_ZERO, modulus=4,
-                         t_rule=(4, -1), j_min=1, n_excluded=(4, (0, 1))))
+                         t_rule=(4, -1), j_min=1, **_off(4, 0, 1)))
     add(CongruenceFamily("c0-1b", COEFF, 0, CONG_ZERO, modulus=8,
-                         t_rule=(8, -1), j_min=1, n_excluded=(4, (0, 1))))
+                         t_rule=(8, -1), j_min=1, **_off(4, 0, 1)))
     add(CongruenceFamily("c0-2a", COEFF, 0, CONG_ZERO, modulus=16,
-                         t_rule=(32, -1), j_min=1, n_excluded=(8, (0, 1))))
+                         t_rule=(32, -1), j_min=1, **_off(8, 0, 1)))
     add(CongruenceFamily("c0-2b", COEFF, 0, CONG_ZERO, modulus=32,
-                         t_rule=(64, -1), j_min=1, n_excluded=(8, (0, 1))))
+                         t_rule=(64, -1), j_min=1, **_off(8, 0, 1)))
     add(CongruenceFamily("c0-3", COEFF, 0, CONG_ZERO, modulus=3,
-                         t_rule=(27, 12), j_min=0, n_excluded=(27, (13, 15))))
+                         t_rule=(27, 12), j_min=0, **_off(27, 13, 15)))
     # exceptional set {0,1} mod 27: the n(n-1) support is symmetric under
     # n -> 1-n, and the leading coefficient sits at n = t+1 = 27J
     add(CongruenceFamily("c0-4", COEFF, 0, CONG_ZERO, modulus=3,
-                         t_rule=(27, -1), j_min=1, n_excluded=(27, (0, 1))))
+                         t_rule=(27, -1), j_min=1, **_off(27, 0, 1)))
     add(CongruenceFamily("c1-1", COEFF, 1, CONG_ZERO, modulus=2,
-                         t_rule=(2, -1), j_min=1, n_excluded=(2, (1,))))
+                         t_rule=(2, -1), j_min=1, **_off(2, 1)))
     for s in range(2, 6):
         half = 2 ** (s - 1)
         add(CongruenceFamily(
             f"c1-2-s{s}", COEFF, 1, CONG_ZERO, modulus=4,
             t_rule=(2 ** s, -1), j_min=1,
-            n_excluded=(half, (1 % half, (half - 1) % half))))
+            **_off(half, 1 % half, (half - 1) % half)))
     # halving (1+z)^(64J) mod 8 stops at (1+z^16)^(4J), so the mod-8
     # support of c_n(1,64J-1) is n = +-1 mod 16 (and n^2 = 1 mod 32 still)
     add(CongruenceFamily("c1-3", COEFF, 1, CONG_ZERO, modulus=8,
-                         t_rule=(64, -1), j_min=1, n_excluded=(16, (1, 15))))
+                         t_rule=(64, -1), j_min=1, **_off(16, 1, 15)))
 
     # ----- m_odd(-2, t; .) --------------------------------------------
     add(CongruenceFamily(
@@ -445,20 +477,11 @@ def _sweep_modulus(fam: CongruenceFamily) -> int:
     """SWEEP_MOD when every modulus the family checks divides it, else 0.
 
     A value's residue mod SWEEP_MOD settles v % m for every such m, so the
-    family can read reduced expansions; 0 means the exact route.  Claims
-    about exact values (vanishing, the a=0 reinterpretation) always take
-    the exact route.
+    family can read reduced expansions; 0 means the exact route, which a
+    class modulus 0 (vanishing, the a=0 reinterpretation) always takes.
     """
-    if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        return 0
-    moduli = [1 << bound for _, bound in fam.val_table]
-    if fam.expected == CONG_ZERO:
-        moduli.append(fam.modulus)
-    if fam.expected in (PARITY_A2N, PARITY_M2_T1):
-        moduli.append(2)
-    if fam.easy3_cross:
-        moduli.append(3)
-    return SWEEP_MOD if all(SWEEP_MOD % m == 0 for m in moduli) else 0
+    moduli = [m for _, m in fam.classes] + [3] * fam.easy3_cross
+    return SWEEP_MOD if all(m and SWEEP_MOD % m == 0 for m in moduli) else 0
 
 
 def _is_square(n: int) -> bool:
@@ -504,25 +527,15 @@ def _reads(fam: CongruenceFamily, top: int, mod: int) -> dict[tuple[str, int], i
     return reads
 
 
-def _table_classes(fam: CongruenceFamily, bound: int) -> list[tuple[range, int]]:
-    """(arguments up to `bound`, min nu_2) per VALUATION_TABLE row, in table
-    order; x = 0 is skipped."""
-    return [(range(r or fam.arg_mod, bound + 1, fam.arg_mod), nu) for r, nu in fam.val_table]
-
-
 def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[int], int]:
-    """(the arguments one J checks, in check order; ``_bound``, which it reports).
+    """(the arguments one J checks, ascending; ``_bound``, which it reports).
 
-    Arguments ascend, except that a VALUATION_TABLE family reads them class
-    by class in table order (``_table_classes``).
+    Every class of ``fam.classes`` runs from its first argument to the
+    bound.  The first arguments lie within arg_mod of each other, so the
+    list repeats the classes in their order: args[i] is in class i % k.
     """
     bound = _bound(fam, t, n_budget)
-    if fam.kind == COEFF:
-        mod_, excluded = fam.n_excluded or (1, ())
-        return [n for n in range(1, bound + 1) if n % mod_ not in excluded], bound
-    if fam.expected == VALUATION_TABLE:
-        return [x for xs, _ in _table_classes(fam, bound) for x in xs], bound
-    args = [x for r in fam.arg_residues for x in range(r, bound + 1, fam.arg_mod)]
+    args = [x for start, _ in fam.classes for x in range(start, bound + 1, fam.arg_mod)]
     args.sort()
     return args, bound
 
@@ -586,56 +599,39 @@ def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int, cross) -> dic
     The per-value test: ``_sweep`` calls it only on a J that ``_holds``
     did not pass, to find the first counterexample.
     """
-    expected = fam.expected
-    if expected == CONG_ZERO:
-        if v % fam.modulus:
-            return _cex(j, x, v, fam.modulus)
-    elif expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        if v != 0:
-            return _cex(j, x, v, 0)
-    elif expected == VALUATION_TABLE:
-        bound = fam.nu2_bounds[x % fam.arg_mod]
-        if v % (1 << bound):     # v != 0 and nu_2(v) < bound
-            return _cex(j, x, v, 1 << bound, required_nu2=bound)
-    elif expected in (PARITY_A2N, PARITY_M2_T1):
+    if fam.expected in (PARITY_A2N, PARITY_M2_T1):
         want = int(_wants_odd(fam, x))
         if v % 2 != want:
             return _cex(j, x, v, 2, expected=want)
     else:
-        raise ValueError(f"{fam.id}: bad expected kind {expected}")
+        m = fam.class_modulus[x % fam.arg_mod]
+        if v % m if m else v:
+            if fam.expected == VALUATION_TABLE:
+                return _cex(j, x, v, m, required_nu2=m.bit_length() - 1)
+            return _cex(j, x, v, m)
     if cross is not None and (v - cross) % 3:
         return _cex(j, x, v, 3, cross_easy3=str(cross))
     return None
 
 
 def _holds(fam: CongruenceFamily, args: list[int], values: list[int], partners,
-           bound: int, mod: int, observed: int) -> bool:
+           gcds: list[int]) -> bool:
     """Whether ``_verdict`` passes every value of one J, decided on the whole list.
 
     Sound, not exact: True implies that no value is a counterexample;
-    False only sends the J to the per-value scan.  `observed` is
-    gcd(mod, *values), and M divides every value iff it divides that gcd
-    (M divides `mod` on residues).  A VALUATION_TABLE family takes the gcd
-    per table row, over the block of `args` that ``_table_classes`` lays
-    out for it.  A parity claim holds when every argument with an odd value
-    is one it wants odd, and as many of the (distinct) arguments are.  The
-    gcds run through ``reduce``, so no copy of a value list is made.
+    False only sends the J to the per-value scan.  `gcds` holds, per
+    class of ``fam.classes``, the gcd of `mod` and the class's values: a
+    class modulus m divides every value iff it divides that gcd (m divides
+    `mod` on residues), and modulus 0 holds iff the gcd is 0.  A parity
+    claim holds when every argument with an odd value is one it wants odd,
+    and as many of the (distinct) arguments are.
     """
-    expected = fam.expected
-    if expected == CONG_ZERO:
-        ok = observed % fam.modulus == 0
-    elif expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        ok = not any(values)
-    elif expected == VALUATION_TABLE:
-        blocks = iter(values)
-        ok = all(reduce(gcd, islice(blocks, len(xs)), mod) % (1 << nu) == 0
-                 for xs, nu in _table_classes(fam, bound))
-    elif expected in (PARITY_A2N, PARITY_M2_T1):
+    if fam.expected in (PARITY_A2N, PARITY_M2_T1):
         want = _odd_support(fam, max(args))
         odd = [x for x, v in zip(args, values) if v & 1]
         ok = want.issuperset(odd) and len(odd) == countOf(map(want.__contains__, args), True)
     else:
-        return False        # the scan raises for an unknown kind
+        ok = all(g % m == 0 if m else g == 0 for (_, m), g in zip(fam.classes, gcds))
     return ok and (not fam.easy3_cross or reduce(gcd, map(sub, values, partners), 3) == 3)
 
 
@@ -644,14 +640,16 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
     """(arguments checked, largest bound reported, first counterexample or
     None, one report row per J swept).
 
-    ``_holds`` decides each J on its whole value list; only a J it does not
-    pass is scanned with ``_verdict`` up to its first counterexample, and
-    the count of checked arguments stops there.  A row holds, over the J's
-    whole argument list, `nonzero` (values not 0 mod SWEEP_MOD on residues,
-    not 0 on the exact route) and `observed_modulus`, gcd(mod, *values):
-    capped at SWEEP_MOD on residues, 0 when every exact value is 0.
+    ``_holds`` decides each J on one gcd per class, over every k-th value
+    (see ``_args_of``); only a J it does not pass is scanned in ascending
+    order with ``_verdict``, so the counterexample is its smallest failing
+    argument, and the count of checked arguments stops there.  A row
+    holds `nonzero` (values not 0 mod SWEEP_MOD on residues, not 0 on the
+    exact route) and `observed_modulus`, gcd(mod, *values): capped at
+    SWEEP_MOD on residues, 0 when every exact value is 0.
     """
     mod = _sweep_modulus(fam)
+    k = len(fam.classes)
     checked = top = 0
     rows = []
     for j in j_values or (None,):
@@ -661,10 +659,11 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
             raise BudgetTooSmall(f"{fam.id}: no arguments up to {bound}")
         top = max(top, bound)
         values, partners = _values(fam, t, args, bound, cache, mod)
-        observed = reduce(gcd, values, mod)
+        gcds = [reduce(gcd, islice(values, i, None, k), mod) for i in range(k)]
         zeros = countOf(map(remainder, values, repeat(mod)) if mod else values, 0)
+        observed = reduce(gcd, gcds)
         rows.append({"J": j, "nonzero": len(values) - zeros, "observed_modulus": observed})
-        if _holds(fam, args, values, partners, bound, mod, observed):
+        if _holds(fam, args, values, partners, gcds):
             checked += len(args)
             continue
         for x, v, cross in zip(args, values, partners):

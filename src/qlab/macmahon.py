@@ -442,14 +442,9 @@ def modd_powersum(a: int, t: int, n: int) -> int:
     return powersum_utilde(a, t, n + 1)[t].coeff(n)
 
 
-def modd_explicit(a: int, t: int, n: int, pref=None) -> int:
-    """m_odd(a, t; n) via the closed forms.
-
-    `pref` may carry precomputed prefactor coefficients (overpartition
-    counts for a = -2 or 0, the f1f6/(f2^2 f3) expansion for a = 1) with
-    length > n; it is computed on the fly when omitted.
-    """
-    return modd_explicit_batch(a, t, [n], pref)[0]
+def modd_explicit(a: int, t: int, n: int) -> int:
+    """m_odd(a, t; n) via the closed forms."""
+    return modd_explicit_batch(a, t, [n])[0]
 
 
 def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:

@@ -332,15 +332,6 @@ class _Val:
         self.val = val
         self.unit = unit
 
-    @classmethod
-    def of_series(cls, s: Series) -> "_Val":
-        v = s.valuation()
-        if v is None:
-            return cls(0, None)
-        if v == 0:
-            return cls(0, s)
-        return cls(v, Series(s.coeffs[v:]))
-
 
 _THETA_BASE = {
     "phi": lambda order: phi(order),
@@ -447,7 +438,8 @@ class _Evaluator:
             base = _THETA_BASE[node.name]((order + m - 1) // m)
             if node.negated:
                 base = base.substitute_negq()
-            return _Val.of_series(base.substitute_power(m).truncate(order))
+            # every theta base has constant term 1, so the atom is a unit
+            return _Val(0, base.substitute_power(m).truncate(order))
         if isinstance(node, GroupAtom):
             return self.expr(node.expr)
         raise TypeError(f"not an atom: {node!r}")

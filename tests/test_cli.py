@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qlab import congruences
-from qlab.cli import build_parser, main
+from qlab.cli import _size, build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -220,6 +220,30 @@ def test_verify_rejects_a_sweep_past_max_order(capsys):
     # the bound itself is allowed; only the plan is made here, nothing built
     fam = congruences.lookup("ovc8")
     assert congruences._sweep_plan(fam, None, congruences.MAX_ORDER)[1] == congruences.MAX_ORDER
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--seq", "prefA", "--n", "0..100000000"],
+    ["expand", "f1", "--order", "100000000"],
+    ["lemmas", "--order", "100000000"],
+    ["modd", "-a", "1", "-t", "2", "-n", "100000000"],
+    ["modd", "-a", "1", "-t", "2", "-n", "100000000", "--method", "direct"],
+])
+def test_sizes_past_max_order_are_refused(capsys, argv):
+    # each of these used to end in a MemoryError traceback
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "100000000" in err and str(congruences.MAX_ORDER) in err
+
+
+def test_sizes_up_to_max_order_are_accepted():
+    # the limit itself passes the size check (the command is not run here)
+    for argv in (["table", "--seq", "prefA", "--n", f"0..{congruences.MAX_ORDER}"],
+                 ["modd", "-a", "1", "-t", "2", "-n", str(congruences.MAX_ORDER)],
+                 ["expand", "f1", "--order", str(congruences.MAX_ORDER)]):
+        assert _size(build_parser().parse_args(argv))[1] == congruences.MAX_ORDER
 
 
 def test_modd_rejects_negative_arguments(capsys):

@@ -253,6 +253,44 @@ def test_counterexample_shape_per_expected_kind(family_id, change, cex):
     assert r.status == "fail" and r.counterexample == cex
 
 
+def test_valuation_table_reports_its_smallest_failing_argument():
+    # rows 2 and 4 raised to nu_2 >= 5: pbar(2) = 4 is the first failure;
+    # the table order used to reach class 4 first and report pbar(4) = 14
+    # after 126 checks
+    table = ((0, 1), (1, 1), (4, 5), (2, 5), (3, 3), (5, 3), (6, 3), (7, 6))
+    r = verify_family(dataclasses.replace(lookup("ovc8"), val_table=table), n_budget=500)
+    assert r.counterexample == {"J": None, "N": 2, "value": "4", "modulus": 32,
+                                "required_nu2": 5}
+    assert r.checked == 2
+
+
+def test_record_rejects_a_bad_claim_or_layout():
+    with pytest.raises(ValueError, match="unknown expected kind"):
+        CongruenceFamily("x", OVERPARTITION, None, "CONG_ONE", modulus=2)
+    with pytest.raises(ValueError, match="unknown expected kind"):
+        dataclasses.replace(lookup("ovc8"), expected="VALUATION")
+    # two rows for one class, and classes that open more than arg_mod apart
+    with pytest.raises(ValueError, match="classes"):
+        dataclasses.replace(lookup("vm2A-1"), arg_residues=(3, 11))
+    with pytest.raises(ValueError, match="classes"):
+        dataclasses.replace(lookup("vm2A-1"), arg_residues=(3, 12))
+    with pytest.raises(ValueError, match="classes"):
+        dataclasses.replace(lookup("ovc8"), val_table=((1, 1), (1, 2)))
+
+
+def test_arguments_repeat_the_classes_in_order():
+    # the bulk test takes class i's gcd over args[i::k], for every plan
+    for fam in registry():
+        k, m = len(fam.classes), fam.arg_mod
+        assert fam.class_modulus == {start % m: mod for start, mod in fam.classes}, fam.id
+        j_values, n_budget, _ = _sweep_plan(fam)
+        for t in [fam.t_of(j) for j in j_values] or [None]:
+            args, _ = _args_of(fam, t, n_budget)
+            assert args == sorted(set(args)), (fam.id, t)
+            assert all(x % m == args[i % k] % m == fam.classes[i % k][0] % m
+                       for i, x in enumerate(args)), (fam.id, t)
+
+
 def test_residue_route_covers_every_congruence_claim():
     # a family whose moduli stopped dividing 192 would silently fall back
     # to the exact route; only exact-value claims belong there
@@ -270,9 +308,8 @@ def test_residue_route_covers_every_congruence_claim():
 
 def test_residue_route_agrees_with_exact_route_per_family():
     # every m_odd family on the residue route, at its own argument shape
-    # (unsorted table order, two residue classes, the a=0 quarters): the
-    # residue route's values and easy3 partners are congruent mod 192 to
-    # the exact route's
+    # (one or two residue classes, the a=0 quarters): the residue route's
+    # values and easy3 partners are congruent mod 192 to the exact route's
     cache = SweepCache()
     fams = [f for f in registry() if f.kind == MODD and _sweep_modulus(f)]
     assert len(fams) == 33
@@ -494,6 +531,7 @@ BULK_CASES = [
     ("vm2A-3", {}),                         # CONG_ZERO, two J
     ("vm2A-3", {"modulus": 5}),             # CONG_ZERO on the exact route
     ("c1-1", {}),                           # CONG_ZERO on a c_n column
+    ("c0-3", {}),                           # 25 c_n classes, two J
     ("v1-mod3-13", {}),                     # easy3 partners
     ("ovc8", {}),                           # VALUATION_TABLE, nu_2 up to 6
     ("pre1-24", {}),
@@ -506,25 +544,22 @@ WHERE = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n -
 
 
 def passing_value(fam, x, rnd):
-    if fam.expected == CONG_ZERO:
-        return fam.modulus * rnd.randint(-3, 3)
-    if fam.expected == VALUATION_TABLE:
-        return (1 << fam.nu2_bounds[x % fam.arg_mod]) * rnd.randint(-3, 3)
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
         odd = congruences._verdict(fam, None, x, 1, None) is None
         return 2 * rnd.randint(-3, 3) + odd
-    return 0
+    return fam.class_modulus[x % fam.arg_mod] * rnd.randint(-3, 3)
 
 
 def failing_value(fam, x, rnd):
     """A value ``_verdict`` rejects; for VALUATION_TABLE one that only its
     own class rejects when that class asks for nu_2 >= 2."""
-    if fam.expected == CONG_ZERO:
-        return passing_value(fam, x, rnd) + rnd.randint(1, fam.modulus - 1)
-    if fam.expected == VALUATION_TABLE:
-        return (1 << fam.nu2_bounds[x % fam.arg_mod] - 1) * (2 * rnd.randint(-3, 3) + 1)
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
         return passing_value(fam, x, rnd) + 1
+    m = fam.class_modulus[x % fam.arg_mod]
+    if fam.expected == VALUATION_TABLE:
+        return (m >> 1) * (2 * rnd.randint(-3, 3) + 1)
+    if m:
+        return passing_value(fam, x, rnd) + rnd.randint(1, m - 1)
     return rnd.choice((-1, 1)) * rnd.randint(1, 10 ** 30)
 
 

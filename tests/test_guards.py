@@ -171,3 +171,30 @@ def test_series_kernels_run_one_loop_per_job():
     over = [node.lineno for node in ast.walk(eta) if isinstance(node, ast.For)
             and isinstance(node.iter, ast.Name) and node.iter.id == "factors"]
     assert len(over) == 1, over
+
+
+CLASS_SOURCES = {"val_table", "arg_residues"}
+CLASS_SPELLINGS = {"n_excluded", "nu2_bounds", "_table_classes"}
+
+
+def test_argument_classes_are_read_from_one_table():
+    # every sweep step reads CongruenceFamily.classes; only it (and the
+    # printed argument rule) reads the record's raw class fields, and the
+    # per-kind spellings of a class stay gone
+    tree = ast.parse((SRC / "qlab" / "congruences.py").read_text(encoding="utf-8"))
+    readers, named = set(), set()
+
+    def visit(node, fn):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+            named.add(node.name)
+        ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, ast.Attribute) and ident in CLASS_SOURCES:
+            readers.add(fn)
+        named.update(filter(None, [ident, getattr(node, "arg", None)]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    assert readers == {"classes", "arg_rule_str"}, sorted(readers, key=str)
+    assert not named & CLASS_SPELLINGS, sorted(named & CLASS_SPELLINGS)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlab import qexpr
 from qlab.series import Series
-from qlab.special import borwein_b, eta, prefactor_a, psi
+from qlab.special import borwein_b, eta, eta_inv, prefactor_a, psi
 from qlab.qexpr import (
     DivisionByNonUnit,
     ExprError,
@@ -116,6 +116,9 @@ def test_eval_respects_valuations():
     assert evaluate_text("psi(q^2)*q", 6).coeffs == (0, 1, 0, 1, 0, 0)
     assert evaluate_text("0*f1 + 0", 3).is_zero()
     assert evaluate_text("f1^0", 3).eq(Series.one(3))
+    # the denominator cancels to -q^100 f1, past the first padding of 64:
+    # the evaluator widens and retries (at order 306, after 114)
+    assert evaluate_text("q^100/(f1 - f1*(1 + q^100))", 50).eq(-eta_inv(1, 50))
 
 
 def test_eval_errors():
