@@ -110,6 +110,12 @@ def cmd_lemmas(args) -> int:
     except (OSError, ValueError, qexpr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.order is None:
+        for fx in fixtures:
+            if fx.check_to > congruences.MAX_ORDER:
+                print(f"error: {fx.name}: check_to {fx.check_to} is past MAX_ORDER = "
+                      f"{congruences.MAX_ORDER}", file=sys.stderr)
+                return 2
     reports = qexpr.check_fixtures(fixtures, args.order)
     for r in reports:
         print(r.line())

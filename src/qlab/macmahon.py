@@ -35,8 +35,8 @@ from __future__ import annotations
 from math import comb, isqrt
 
 from .arith import exact_div
-from .series import (_KRONECKER_MIN_TERMS, Poly, Series, _conv_terms, _mul_coeffs,
-                     _mul_dense_terms, series_of_rational)
+from .series import (Poly, Series, _conv_terms, _mul_coeffs, _unpack_signed,
+                     series_of_rational)
 from .special import overpartition_gf, prefactor_a
 
 
@@ -70,12 +70,19 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
 
     Processes the odd parts n in increasing order; for each, the local
     factor g_n = sum d_m q^(m*n) is folded into the partial sums S_t
-    descending in t, S_t += S_(t-1) * g_n.  A g_n with fewer than
-    ``_KRONECKER_MIN_TERMS`` nonzero terms is added into S_t in place, one
-    slice pass per term (``_mul_dense_terms(out=)``); a denser one, from the
-    few smallest parts, goes through the product entry ``_mul_coeffs``.
-    Since U~_t starts at q^(t^2), any t with t^2 >= order is identically
-    zero at this truncation and is skipped.
+    descending in t, S_t += S_(t-1) * g_n.  Since U~_t starts at q^(t^2),
+    any t with t^2 >= order is identically zero at this truncation and is
+    skipped.
+
+    Each row S_t is one int for the whole run.  Evaluating at q = 2^W maps
+    Z[q]/q^order into Z/2^(W*order) as a ring homomorphism, since q^order
+    goes to 0, so the update of S_t by g_n is one shift-add per nonzero
+    term, S_t += d_m * (S_(t-1) << W*m*n), reduced mod 2^(W*order) once per
+    (part, t); intermediate values need no bound.  At the end each row is
+    decoded once by ``series._unpack_signed``, which is exact when every
+    coefficient c of the row has |c| < 2^(W-1).  ``_dp_slot_bits`` takes W
+    from the majorant |[q^n] U~_t| <= [q^n] h^t / t!, with h the sum of
+    |d_m| q^(m*k) over odd k and m >= 1, computed without the DP.
     """
     if a not in _DP_AS:
         raise ValueError(f"need a in {_DP_AS}, got {a}")
@@ -84,28 +91,51 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     if order < 1:
         raise ValueError("order must be >= 1")
     d = local_factor_coeffs(a, order - 1)
-    rows = [[0] * order for _ in range(t_max + 1)]
-    rows[0][0] = 1
     eff = min(t_max, isqrt(order - 1))
+    width = _dp_slot_bits(a, eff, order)
+    ring = (1 << width * order) - 1
+    rows = [1] + [0] * eff
     reachable = 0
     for part in range(1, order, 2):
-        g = []
-        for m in range(1, (order - 1) // part + 1):
-            if d[m]:
-                g.append((m * part, d[m]))
+        g = [(width * m * part, d[m]) for m in range(1, (order - 1) // part + 1) if d[m]]
         if not g:
             continue
         reachable = min(eff, reachable + 1)
-        if len(g) < _KRONECKER_MIN_TERMS:
-            for t in range(reachable, 0, -1):
-                _mul_dense_terms(rows[t - 1], g, order, out=rows[t])
-            continue
-        dense = [0] * order
-        for e, c in g:
-            dense[e] = c
         for t in range(reachable, 0, -1):
-            rows[t] = [x + y for x, y in zip(rows[t], _mul_coeffs(rows[t - 1], dense, order))]
-    return [Series(r) for r in rows]
+            src, acc = rows[t - 1], rows[t]
+            for shift, c in g:
+                if c == 1:
+                    acc += src << shift
+                elif c == -1:
+                    acc -= src << shift
+                else:
+                    acc += c * (src << shift)
+            rows[t] = acc & ring
+    out = [Series(_unpack_signed(r, width // 8, order)) for r in rows]
+    return out + [Series([0] * order) for _ in range(t_max - eff)]
+
+
+def _dp_slot_bits(a: int, t_max: int, order: int) -> int:
+    """Bits per slot, a multiple of 8, that hold every coefficient of
+    U~_t(a; q) for t <= t_max below `order` with its sign.
+
+    Write |g_k| = sum_m |d_m| q^(m*k) and h = sum over odd k of |g_k|.
+    Coefficientwise, |[q^n] U~_t| = |[q^n] e_t(g)| <= [q^n] e_t(|g|) <=
+    [q^n] h^t / t!: expanding h^t gives each product of t distinct |g_k|
+    t! times, beside other terms that are all nonnegative.  The width is
+    the bit length of the largest such bound over t, plus one for the
+    sign, rounded up to whole bytes.  It is computed without the DP.
+    """
+    d = local_factor_coeffs(a, order - 1)
+    h = [0] * order
+    for k in range(1, order, 2):
+        h[k::k] = [x + abs(y) for x, y in zip(h[k::k], d[1:])]
+    bits, power, fact = 1, [1], 1         # t = 0: U~_0 = 1
+    for t in range(1, t_max + 1):
+        power = _mul_coeffs(power, h, order)
+        fact *= t
+        bits = max(bits, (max(power) // fact).bit_length())
+    return (bits + 8) // 8 * 8             # one more bit for the sign, whole bytes
 
 
 def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:

@@ -9,19 +9,21 @@ floating point anywhere in this package.
 
 Multiplication and division are sparse-aware.  ``_mul_coeffs`` is the one
 product entry of ``Series.__mul__``, ``Poly.__mul__`` (and so
-``poly_pow_mod``) and the dense low parts of ``macmahon.direct_utilde``:
-when either operand has fewer than ``_KRONECKER_MIN_TERMS`` nonzero terms it
-runs ``_mul_dense_terms``, one slice pass per nonzero term of the sparser
-operand, so products by theta/pentagonal series cost O(order * nnz) instead
-of O(order^2); otherwise ``_mul_kronecker`` packs each operand into one int
-and does a single big-int multiply.  Quotients by a sparse divisor cost
-O(order * nnz) the same way.
+``poly_pow_mod``): when either operand has fewer than
+``_KRONECKER_MIN_TERMS`` nonzero terms it runs ``_mul_dense_terms``, one
+slice pass per nonzero term of the sparser operand, so products by
+theta/pentagonal series cost O(order * nnz) instead of O(order^2);
+otherwise ``_mul_kronecker`` packs each operand into one int and does a
+single big-int multiply.  Quotients by a sparse divisor cost O(order * nnz)
+the same way.
 
 Every packed int is made by ``_pack(values, size)`` and read by
 ``_unpack(x, size, n)``, value i in slot i of `size` bytes: one ``array``
 of 1, 2, 4 or 8 bytes (byte-swapped on a big-endian host), for 3, 5, 6 and
 7 bytes the next wider one with its slots narrowed or widened by strided
-byte copies, and entry by entry above 8 bytes.
+byte copies, and entry by entry above 8 bytes.  ``_unpack_signed`` reads
+slots that hold signed values, by a half-slot bias: the Kronecker product
+and the packed rows of ``macmahon.direct_utilde`` decode through it.
 
 Division can also reduce every quotient coefficient mod M.  Past one block
 that residue route runs a block of coefficients at a time: every divisor
@@ -84,17 +86,13 @@ def _power(base, e: int, one, mul):
     return result
 
 
-def _mul_dense_terms(u: Sequence[int], terms, order: int, out: list[int] | None = None) -> list[int]:
-    """u * sum(c*q^e for e, c in terms), truncated to `order`, added into `out`.
+def _mul_dense_terms(u: Sequence[int], terms, order: int) -> list[int]:
+    """u * sum(c*q^e for e, c in terms), truncated to `order`.
 
     `u` may be shorter than `order`; missing entries are treated as zero
     (the caller guarantees they really are zero, e.g. sparse numerators).
-    `out`, when given, holds at least `order` entries and is updated in
-    place and returned, so a caller accumulating a sum of products allocates
-    nothing per product; by default it is a fresh list of `order` zeros.
     """
-    if out is None:
-        out = [0] * order
+    out = [0] * order
     nu = min(len(u), order)
     for e, c in terms:
         if e >= order:
@@ -157,6 +155,20 @@ def _unpack(x: int, size: int, n: int) -> Sequence[int]:
     return slots
 
 
+def _unpack_signed(x: int, size: int, n: int) -> list[int]:
+    """The low n slots of x read as signed values c_i, slot 0 first.
+
+    x must equal sum(c_i * 256**(size*i)) mod 256**(size*n) with every
+    |c_i| < 2**(8*size - 1).  Adding half a slot to each of the n slots
+    makes every one nonnegative, so ``_unpack`` reads them without borrows,
+    each its value plus that bias.
+    """
+    half = 1 << (8 * size - 1)
+    # half in each of the n slots: half * (B**n - 1) / (B - 1), B = 256**size
+    x += half * ((1 << 8 * size * n) - 1) // ((1 << 8 * size) - 1)
+    return [v - half for v in _unpack(x, size, n)]
+
+
 def _max_bits(values: Sequence[int]) -> int:
     """Bit length of the largest |v|; 0 when every v is 0 (or none is given)."""
     return max(max(values, default=0), -min(values, default=0)).bit_length()
@@ -169,10 +181,9 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     and its negative parts are packed apart and subtracted.  A product
     coefficient is a sum of at most min(len) terms, each below
     2**(bits(a) + bits(b)) in size, so a slot of `width` bits, one more for
-    the sign, rounded up to whole bytes, holds it.  Adding half a slot to
-    every slot of the product makes each one nonnegative, so ``_unpack``
-    reads the slots without borrows, each its coefficient plus that bias.
-    Missing entries of a short operand are zeros.
+    the sign, rounded up to whole bytes, holds it, and ``_unpack_signed``
+    reads the product's slots.  Missing entries of a short operand are
+    zeros.
     """
     a, b = a[:order], b[:order]
     bits_a, bits_b = _max_bits(a), _max_bits(b)
@@ -180,12 +191,9 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
         return [0] * order
     width = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
     size = (width + 7) // 8
-    half = 1 << (8 * size - 1)
     x = _pack([c if c > 0 else 0 for c in a], size) - _pack([-c if c < 0 else 0 for c in a], size)
     y = _pack([c if c > 0 else 0 for c in b], size) - _pack([-c if c < 0 else 0 for c in b], size)
-    # half in each of the `order` slots: half * (B**order - 1) / (B - 1), B = 256**size
-    bias = half * ((1 << 8 * size * order) - 1) // ((1 << 8 * size) - 1)
-    return [v - half for v in _unpack(x * y + bias, size, order)]
+    return _unpack_signed(x * y, size, order)
 
 
 # Both operands of a product need at least this many nonzero terms before

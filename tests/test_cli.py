@@ -299,6 +299,21 @@ def test_lemmas_bad_expression(capsys, tmp_path):
         assert code == 2 and out == "" and err.strip() == f"error: {path}: holds no fixtures"
 
 
+def test_lemmas_check_to_past_max_order_is_refused(capsys, tmp_path):
+    # a fixture's own check_to is a size too: past MAX_ORDER it used to end
+    # in a MemoryError traceback; an --order within MAX_ORDER still runs it
+    path = tmp_path / "huge.qx"
+    path.write_text("name: huge\nlhs = f1\nrhs = f1\ncheck_to = 100000000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lemmas", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.strip() == (f"error: huge: check_to 100000000 is past MAX_ORDER = "
+                           f"{congruences.MAX_ORDER}")
+    code, out, _ = run(capsys, "lemmas", str(path), "--order", "60")
+    assert code == 0 and out.strip().splitlines()[-1] == "1/1 pass"
+
+
 def test_table(capsys):
     code, out, _ = run(capsys, "table", "--seq", "prefA", "--n", "0..23", "--mod", "2")
     assert code == 0

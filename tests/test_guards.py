@@ -84,6 +84,16 @@ def test_powersum_route_names_no_closed_form():
     assert not named & CLOSED_FORMS, sorted(named & CLOSED_FORMS)
 
 
+def test_direct_route_names_no_other_route():
+    # the DP is one of the routes the tests triangulate m_odd with, so
+    # nothing it calls may read the closed forms, the power sums or the
+    # brute-force oracle
+    seen, named = _reach("direct_utilde")
+    assert {"local_factor_coeffs", "_dp_slot_bits", "_unpack_signed"} <= seen
+    others = CLOSED_FORMS | {"powersum_utilde", "_odd_power_sum", "oracle_modd"}
+    assert not named & others, sorted(named & others)
+
+
 ORACLES = {"te_sum", "_binomial_c", "series_of_rational"}
 
 

@@ -3,13 +3,13 @@ Chebyshev/Riordan machinery, and the classical t=1 identities."""
 
 import pytest
 
-from qlab import series
 from qlab.series import Poly, Series, series_of_rational
 from qlab.special import eta, eta_quotient
 from qlab.special import overpartition_gf, prefactor_a
 from qlab.macmahon import (
     UnsupportedA,
     _binomial_c,
+    _dp_slot_bits,
     _theta_batch,
     chebyshev_T,
     coeff_c,
@@ -98,19 +98,37 @@ def test_direct_matches_oracle():
                 assert rows[t].coeff(n) == oracle_modd(a, t, n), (a, t, n)
 
 
-@pytest.mark.parametrize("a, order", [(-2, 150), (2, 150), (-1, 230), (1, 230), (0, 300)])
-def test_direct_dense_parts_match_oracle(monkeypatch, a, order):
-    # at these orders part 3 has at least K nonzero terms, so the DP runs
-    # it into the dense row U~_1 by a Kronecker product; the oracle runs no
-    # product kernel
-    calls = []
-    real = series._mul_kronecker
-    monkeypatch.setattr(series, "_mul_kronecker", lambda x, y, n: calls.append(n) or real(x, y, n))
-    rows = direct_utilde(a, 2, order)
-    assert calls
-    for t in (1, 2):
-        for n in range(order - 2, order):
-            assert rows[t].coeff(n) == oracle_modd(a, t, n), (a, t, n)
+# (t, order) where the DP's slot width grows by a byte from order to order + 1
+WIDTH_STEPS = {-2: (2, 11), 2: (2, 11), -1: (2, 72), 1: (2, 72), 0: (2, 60)}
+
+
+@pytest.mark.parametrize("a", [-2, -1, 0, 1, 2])
+def test_direct_packed_rows_match_oracle_and_powersum(a):
+    # the packed DP against the brute-force oracle on the last two
+    # coefficients and against the power-sum route on every one: on both
+    # sides of a slot-width step, past t = isqrt(order - 1), at orders 1, 2
+    t_step, step = WIDTH_STEPS[a]
+    assert _dp_slot_bits(a, t_step, step + 1) == _dp_slot_bits(a, t_step, step) + 8
+    cases = ((t_step, step), (t_step, step + 1), (6, 17), (0, 1), (3, 1), (1, 2), (4, 2))
+    for t_max, order in cases:
+        rows = direct_utilde(a, t_max, order)
+        assert len(rows) == t_max + 1 and all(r.order == order for r in rows)
+        assert [r.coeffs for r in rows] == [r.coeffs for r in powersum_utilde(a, t_max, order)]
+        for t in range(t_max + 1):
+            for n in range(max(order - 2, 0), order):
+                assert rows[t].coeff(n) == oracle_modd(a, t, n), (a, t, n)
+    rows = direct_utilde(a, 6, 17)            # isqrt(16) = 4
+    assert rows[5].is_zero() and rows[6].is_zero()
+
+
+@pytest.mark.parametrize("a", [-2, -1, 0, 1, 2])
+def test_dp_slot_bits_hold_every_coefficient(a):
+    # the majorant's width holds each returned coefficient with its sign
+    for t_max, order in ((5, 800), (10, 400), (12, 300), (3, 41), (2, 12), (4, 2), (0, 1)):
+        rows = direct_utilde(a, t_max, order)
+        need = max(max(map(abs, r.coeffs)).bit_length() for r in rows) + 1
+        bits = _dp_slot_bits(a, t_max, order)
+        assert bits % 8 == 0 and bits >= need, (t_max, order, bits, need)
 
 
 def test_powersum_matches_direct():
