@@ -19,6 +19,14 @@ from .special import overpartition_gf, prefactor_a
 # named sequences, built on residues when --mod is given
 _SEQUENCES = {"prefA": prefactor_a, "overp": overpartition_gf}
 
+# The largest `modd -n` each slow route is run at; `--method all` runs both.
+# The DP costs about n^2 log n bit operations: a=2, t=3 took 2.0 s at
+# n = 5000 and 10.8 s at n = 10000.  The oracle's enumeration grows faster
+# still: for a=2 at most 0.6 s over t <= 10 at n = 100, 28 s at n = 150,
+# t = 6.  --method powersum took 0.4 s at n = 10000, a=2, t=3 (one
+# process, 2-vCPU VM, Python 3.11).
+_ROUTE_LIMITS = {"direct": 5000, "oracle": 100}
+
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
@@ -73,8 +81,6 @@ def _modd_all(a: int, t: int, n: int) -> list[int | None]:
 
 def cmd_modd(args) -> int:
     method = args.method
-    if method is None:
-        method = "explicit" if args.a in (-2, 0, 1) else "direct"
     try:
         if method == "all":
             values = _modd_all(args.a, args.t, args.n)
@@ -171,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=int, required=True, choices=(-2, -1, 0, 1, 2))
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "explicit", "oracle", "powersum", "all"))
+    p.add_argument("--method", choices=("direct", "explicit", "oracle", "powersum", "all"),
+                   help="route (default: explicit where a has a closed form, else "
+                        "direct); direct takes n <= {direct}, oracle n <= {oracle}, "
+                        "all both".format(**_ROUTE_LIMITS))
     p.set_defaults(func=cmd_modd)
 
     p = sub.add_parser("verify", help="sweep congruence families")
@@ -222,6 +231,13 @@ def main(argv=None) -> int:
         print(f"error: {flag} {size} is past MAX_ORDER = {congruences.MAX_ORDER}",
               file=sys.stderr)
         return 2
+    if args.command == "modd":
+        args.method = args.method or ("explicit" if args.a in (-2, 0, 1) else "direct")
+        for route, limit in _ROUTE_LIMITS.items():
+            if args.method in (route, "all") and args.n > limit:
+                print(f"error: -n {args.n} is past the {route} route's limit of {limit}; "
+                      f"--method powersum answers it", file=sys.stderr)
+                return 2
     if getattr(args, "mod", 0) < 0:
         print("error: --mod must be >= 0", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import comb, isqrt
 
 from .arith import exact_div
-from .series import (Poly, Series, _conv_terms, _mul_coeffs, _unpack_signed,
+from .series import (Poly, Series, _conv_terms, _mul_kronecker, _unpack_signed,
                      series_of_rational)
 from .special import overpartition_gf, prefactor_a
 
@@ -132,7 +132,7 @@ def _dp_slot_bits(a: int, t_max: int, order: int) -> int:
         h[k::k] = [x + abs(y) for x, y in zip(h[k::k], d[1:])]
     bits, power, fact = 1, [1], 1         # t = 0: U~_0 = 1
     for t in range(1, t_max + 1):
-        power = _mul_coeffs(power, h, order)
+        power = _mul_kronecker(power, h, order)
         fact *= t
         bits = max(bits, (max(power) // fact).bit_length())
     return (bits + 8) // 8 * 8             # one more bit for the sign, whole bytes
@@ -146,9 +146,8 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
     are divisor sums, [q^N] p_k = sum over odd n | N of [x^(N/n)] h_k with
     h_k = x^k/(1+a*x+x^2)^k, and Newton's identities
     t*e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) p_i give e_t from them, each
-    product with i < t by ``series._mul_coeffs`` (one Kronecker multiply on
-    rows this dense; e_0 = 1 needs none) and the division by t checked
-    exact.
+    product with i < t one ``series._mul_kronecker`` (e_0 = 1 needs none)
+    and the division by t checked exact.
     Rows with t^2 >= order are zero at this truncation, as in
     ``direct_utilde``.
     """
@@ -165,7 +164,7 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
         acc = p[t] if t % 2 else [-y for y in p[t]]     # i = t: e_0 = 1, no product
         for i in range(1, t):
             sign = 1 if i % 2 else -1
-            acc = [x + sign * y for x, y in zip(acc, _mul_coeffs(rows[t - i], p[i], order))]
+            acc = [x + sign * y for x, y in zip(acc, _mul_kronecker(rows[t - i], p[i], order))]
         rows.append(acc if t == 1 else [exact_div(c, t) for c in acc])
     rows += [[0] * order for _ in range(t_max - eff)]
     return [Series(r) for r in rows]
@@ -460,16 +459,26 @@ def explicit_utilde(a: int, t: int, order: int) -> Series:
 
 def modd_direct(a: int, t: int, n: int) -> int:
     """m_odd(a, t; n) via the dynamic program."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return direct_utilde(a, t, n + 1)[t].coeff(n)
+    return _modd_row(direct_utilde, a, t, n)
 
 
 def modd_powersum(a: int, t: int, n: int) -> int:
     """m_odd(a, t; n) via the power sums and Newton's identities."""
+    return _modd_row(powersum_utilde, a, t, n)
+
+
+def _modd_row(route, a: int, t: int, n: int) -> int:
+    """[q^n] of row t from `route`; 0 when t^2 > n, as t distinct odd parts
+    sum to at least t^2, so no row past isqrt(n) is built."""
+    if a not in _DP_AS:
+        raise ValueError(f"need a in {_DP_AS}, got {a}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return powersum_utilde(a, t, n + 1)[t].coeff(n)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t * t > n:
+        return 0
+    return route(a, t, n + 1)[t].coeff(n)
 
 
 def modd_explicit(a: int, t: int, n: int) -> int:

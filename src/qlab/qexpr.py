@@ -21,8 +21,8 @@ Each term first flattens its eta-quotient part into one exponent map
 term made only of such factors (nested, raised to any power), with equal
 scales cancelling.  The other factors (integers, theta atoms, groups
 holding a sum) are multiplied and divided left to right as before, and
-``special.eta_product`` then applies each f_r^e as |e| sparse passes
-(``series._mul_dense_terms`` for e > 0, ``series._div_terms`` for e < 0).
+``special.eta_product`` then applies each f_r^e: one product by f_r^e
+for e > 0, |e| sparse division passes (``series._div_terms``) for e < 0.
 A denominator such as /(f2^5*f6^5) thus costs ten sparse passes, not an
 O(order^2) division by one dense series.
 
@@ -479,9 +479,8 @@ def evaluate(ast: SumExpr, order: int) -> Series:
     """Exact Series of the expression to `order`.
 
     Each term's eta and q factors are first gathered into one exponent map
-    {scale: e} and applied by ``special.eta_product``, one sparse pass per
-    unit of exponent, after the term's other factors (see the module
-    docstring).
+    {scale: e} and applied by ``special.eta_product`` after the term's
+    other factors (see the module docstring).
 
     Raises NegativeValuation if the expression has a pole at q = 0, and
     DivisionByNonUnit if some denominator is not +-1 times a power of q

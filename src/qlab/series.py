@@ -7,15 +7,13 @@ two series can only ever be compared over the range both actually know.
 All arithmetic is exact (arbitrary-precision integers); there is no
 floating point anywhere in this package.
 
-Multiplication and division are sparse-aware.  ``_mul_coeffs`` is the one
-product entry of ``Series.__mul__``, ``Poly.__mul__`` (and so
-``poly_pow_mod``): when either operand has fewer than
-``_KRONECKER_MIN_TERMS`` nonzero terms it runs ``_mul_dense_terms``, one
-slice pass per nonzero term of the sparser operand, so products by
-theta/pentagonal series cost O(order * nnz) instead of O(order^2);
-otherwise ``_mul_kronecker`` packs each operand into one int and does a
-single big-int multiply.  Quotients by a sparse divisor cost O(order * nnz)
-the same way.
+There is one product kernel.  Every product of two coefficient lists,
+``Series.__mul__`` and ``Poly.__mul__`` (and so ``_power`` and
+``poly_pow_mod``) included, is one ``_mul_kronecker``: each operand is
+packed into one int and a single big-int multiply gives every
+coefficient.  There is no sparse product; a theta or pentagonal operand
+is packed like any other.  Division is sparse-aware: a quotient by a
+divisor with nnz nonzero terms costs O(order * nnz).
 
 Every packed int is made by ``_pack(values, size)`` and read by
 ``_unpack(x, size, n)``, value i in slot i of `size` bytes: one ``array``
@@ -86,28 +84,6 @@ def _power(base, e: int, one, mul):
     return result
 
 
-def _mul_dense_terms(u: Sequence[int], terms, order: int) -> list[int]:
-    """u * sum(c*q^e for e, c in terms), truncated to `order`.
-
-    `u` may be shorter than `order`; missing entries are treated as zero
-    (the caller guarantees they really are zero, e.g. sparse numerators).
-    """
-    out = [0] * order
-    nu = min(len(u), order)
-    for e, c in terms:
-        if e >= order:
-            break
-        m = min(nu, order - e)
-        seg = out[e:e + m]
-        if c == 1:
-            out[e:e + m] = [x + y for x, y in zip(seg, u)]
-        elif c == -1:
-            out[e:e + m] = [x - y for x, y in zip(seg, u)]
-        else:
-            out[e:e + m] = [x + c * y for x, y in zip(seg, u)]
-    return out
-
-
 _ARRAY_CODES = {array(tc).itemsize: tc for tc in "QLIHB"}
 
 
@@ -175,7 +151,8 @@ def _max_bits(values: Sequence[int]) -> int:
 
 
 def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    """Dense a * b truncated to `order`, by one big-int multiply.
+    """a * b truncated to `order`, by one big-int multiply; the product of
+    any two coefficient lists, however sparse.
 
     Each operand becomes one int with coefficient i in slot i: its positive
     and its negative parts are packed apart and subtracted.  A product
@@ -194,27 +171,6 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     x = _pack([c if c > 0 else 0 for c in a], size) - _pack([-c if c < 0 else 0 for c in a], size)
     y = _pack([c if c > 0 else 0 for c in b], size) - _pack([-c if c < 0 else 0 for c in b], size)
     return _unpack_signed(x * y, size, order)
-
-
-# Both operands of a product need at least this many nonzero terms before
-# one Kronecker multiply beats the slice passes over the sparser one.
-_KRONECKER_MIN_TERMS = 48
-
-
-def _mul_coeffs(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    """a * b truncated to `order`, for coefficient sequences of any length.
-
-    The one product entry: ``_mul_kronecker`` when both operands have at
-    least ``_KRONECKER_MIN_TERMS`` nonzero terms, else ``_mul_dense_terms``
-    with the term list of the sparser operand.
-    """
-    a, b = a[:order], b[:order]
-    na, nb = len(a) - a.count(0), len(b) - b.count(0)
-    if min(na, nb) >= _KRONECKER_MIN_TERMS:
-        return _mul_kronecker(a, b, order)
-    if na > nb:
-        a, b = b, a
-    return _mul_dense_terms(b, _terms_of(a), order)
 
 
 # Quotient coefficients per block on the residue route.  On
@@ -519,7 +475,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        return Series(_mul_coeffs(self.coeffs, other.coeffs, min(self.order, other.order)))
+        return Series(_mul_kronecker(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     __rmul__ = __mul__
 
@@ -656,8 +612,8 @@ class Poly:
             return Poly([other * c for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly()
-        return Poly(_mul_coeffs(self.coeffs, other.coeffs,
-                                len(self.coeffs) + len(other.coeffs) - 1))
+        return Poly(_mul_kronecker(self.coeffs, other.coeffs,
+                                   len(self.coeffs) + len(other.coeffs) - 1))
 
     __rmul__ = __mul__
 

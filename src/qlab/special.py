@@ -9,8 +9,9 @@ are built as theta quotients, phi(-q) = f1^2/f2 and psi(q) = f2^2/f1, which
 take fewer and sparser divisions than their eta forms; with `mod` > 0 the
 division kernel reduces every coefficient as it goes, so the integers stay
 small.  `eta_quotient` stays as the general constructor and the test oracle;
-`eta_product` applies eta factors to a given series, one sparse pass per
-unit of exponent, for it and for the expression evaluator.
+`eta_product` applies eta factors to a given series, for it and for the
+expression evaluator: a positive power is one product, a negative one
+sparse division passes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from itertools import compress
 from typing import Sequence
 
-from .series import Series, _div_terms, _mul_dense_terms
+from .series import Series, _div_terms, _mul_kronecker
 
 EtaFactors = Sequence[tuple[int, int]]
 
@@ -76,12 +77,12 @@ def eta_quotient(factors: EtaFactors, order: int) -> Series:
     return Series(eta_product([1], factors, order))
 
 
-# An eta exponent larger than this in size is raised by repeated squaring.
-# Passes cost time linear in |e|; squaring takes about 2*log2|e| dense
-# products whose coefficients grow with |e|.  At order 1064 f1^-32 took
-# 0.13 s in passes and 0.38 s by squaring (f1^32: 0.12 s and 0.02 s), so
-# the bound is there to keep a huge |e|, such as f1^100000, from running
-# |e| passes.
+# A negative eta exponent larger than this in size is raised by repeated
+# squaring of 1/f_r; a positive one is always one product by f_r^e.
+# Division passes cost time linear in |e|; squaring takes about 2*log2|e|
+# dense products whose coefficients grow with |e|.  At order 1064 f1^-32
+# took 0.13 s in passes and 0.38 s by squaring, so the bound is there to
+# keep a huge |e|, such as f1^-100000, from running |e| passes.
 _MAX_PASSES = 32
 
 
@@ -89,16 +90,18 @@ def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
     """u * prod f_r^e over the (r, e) pairs, truncated to `order`.
 
     `u` may be shorter than `order` (missing entries are zeros).  One loop
-    takes the factors in the given order.  A factor with |e| <= _MAX_PASSES
-    is applied as |e| sparse passes over ``pentagonal_terms(r)``,
-    multiplications for e > 0 and divisions for e < 0, each costing
-    O(order * sqrt(order/r)); a larger |e| raises f_r, or 1/f_r, to |e| by
-    repeated squaring and multiplies it in once.  Every step is exact in
+    takes the factors in the given order.  A factor with e > 0 is one
+    product by f_r^e, raised by square-and-multiply, each step one
+    ``series._mul_kronecker``.  A factor with -_MAX_PASSES <= e < 0 is
+    applied as |e| sparse division passes over ``pentagonal_terms(r)``, each
+    costing O(order * sqrt(order/r)); a more negative e raises 1/f_r to |e|
+    by repeated squaring and multiplies it in once.  Every step is exact in
     Z[[q]]/(q^order), so the order of the factors changes no coefficient.
 
     When g > 1 divides every scale r and every exponent where u is nonzero,
-    the passes run on u[::g] with scales r/g at order ceil(order/g), and the
-    result is spread back with stride g: f_(g*r)(q) = f_r(q^g).
+    the factors are applied to u[::g] with scales r/g at order
+    ceil(order/g), and the result is spread back with stride g:
+    f_(g*r)(q) = f_r(q^g).
     """
     u, full = u[:order], order
     g = math.gcd(*(r for r, _ in factors), *compress(range(len(u)), u))
@@ -107,14 +110,13 @@ def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
     out = list(u)
     out += [0] * (order - len(out))
     for r, e in factors:
-        if abs(e) > _MAX_PASSES:
+        if e > 0 or e < -_MAX_PASSES:
             base = eta(r, order) if e > 0 else eta_inv(r, order)
-            out = list((Series(out) * base ** abs(e)).coeffs)
+            out = _mul_kronecker(out, (base ** abs(e)).coeffs, order)
             continue
         terms = pentagonal_terms(r, order)
-        apply = _mul_dense_terms if e > 0 else _div_terms
-        for _ in range(abs(e)):
-            out = apply(out, terms, order)
+        for _ in range(-e):
+            out = _div_terms(out, terms, order)
     if g > 1:
         spread = [0] * full
         spread[::g] = out

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qlab import congruences
-from qlab.cli import _size, build_parser, main
+from qlab.cli import _ROUTE_LIMITS, _size, build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -236,6 +236,43 @@ def test_sizes_past_max_order_are_refused(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert "100000000" in err and str(congruences.MAX_ORDER) in err
+
+
+def test_modd_huge_t_is_zero_at_once(capsys):
+    # t^2 > n: no t distinct odd parts sum to n; the DP and power-sum rows
+    # up to t used to be built first, ending in a MemoryError traceback
+    start = time.perf_counter()
+    code, out, err = run(capsys, "modd", "-a", "1", "-t", "1000000000", "-n", "5",
+                         "--method", "all")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.strip() == "0 0 0 0" and err == ""
+
+
+@pytest.mark.parametrize("argv, route", [
+    (["modd", "-a", "2", "-t", "3", "-n", "20000"], "direct"),
+    (["modd", "-a", "2", "-t", "7", "-n", "150", "--method", "oracle"], "oracle"),
+    (["modd", "-a", "1", "-t", "2", "-n", "150", "--method", "all"], "oracle"),
+    (["modd", "-a", "1", "-t", "2", "-n", "6000", "--method", "all"], "direct"),
+])
+def test_slow_routes_past_their_limit_are_refused(capsys, argv, route):
+    # each of these ran for seconds to minutes below MAX_ORDER
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert route in err and str(_ROUTE_LIMITS[route]) in err and "powersum" in err
+
+
+def test_powersum_runs_past_the_slow_routes_limits(capsys):
+    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "3", "-n", "20000",
+                       "--method", "powersum")
+    assert code == 0 and int(out) != 0
+    # each limit itself is accepted (t^2 > n keeps the DP from running)
+    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "100", "-n", str(_ROUTE_LIMITS["direct"]))
+    assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "2", "-n", str(_ROUTE_LIMITS["oracle"]),
+                       "--method", "all")
+    assert code == 0 and len(set(out.split()) - {"-"}) == 1
 
 
 def test_sizes_up_to_max_order_are_accepted():

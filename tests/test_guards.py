@@ -183,6 +183,26 @@ def test_series_kernels_run_one_loop_per_job():
     assert len(over) == 1, over
 
 
+GONE_PRODUCTS = {"_mul_dense_terms", "_mul_coeffs", "_KRONECKER_MIN_TERMS"}
+
+
+def test_every_product_is_one_kronecker_multiply():
+    # one product kernel: no slice-pass product and no term-count switch
+    # between two kernels, and each product site calls the Kronecker multiply
+    tree = ast.parse((SRC / "qlab" / "series.py").read_text(encoding="utf-8"))
+    bound = {node.name if isinstance(node, ast.FunctionDef) else node.id
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not bound & GONE_PRODUCTS, sorted(bound & GONE_PRODUCTS)
+    sites = {f"{cls.name}.__mul__": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__mul__"}
+    sites["special.eta_product"] = _functions(SRC / "qlab" / "special.py")["eta_product"]
+    assert set(sites) == {"Series.__mul__", "Poly.__mul__", "special.eta_product"}
+    for site, fn in sites.items():
+        called = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert "_mul_kronecker" in called, (site, sorted(called))
+
+
 CLASS_SOURCES = {"val_table", "arg_residues"}
 CLASS_SPELLINGS = {"n_excluded", "nu2_bounds", "_table_classes"}
 

@@ -163,8 +163,8 @@ def test_explicit_matches_direct():
 
 
 def test_explicit_matches_powersum_past_the_kronecker_threshold():
-    # past order 48**2 the theta series has enough nonzero terms that a
-    # dense product of the prefactor by it would take the Kronecker path
+    # past order 48**2 the theta series has more than 48 nonzero terms, so
+    # the closed form is held to the power sums on a long, dense convolution
     order = 3000
     for a in (-2, 0, 1):
         rows = powersum_utilde(a, 5, order)

@@ -5,7 +5,7 @@ from array import array
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlab import series
 from qlab.series import (
@@ -17,7 +17,6 @@ from qlab.series import (
     _BLOCK,
     _conv_terms,
     _div_terms,
-    _mul_dense_terms,
     _mul_kronecker,
     _pack,
     _slot_width,
@@ -260,7 +259,7 @@ big_coeffs = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40), st.just
 def test_mul_kronecker_matches_dense_loop(xs, ys, order):
     # signed entries up to 10**40, unequal lengths, operands longer or
     # shorter than `order`, empty and all-zero operands
-    assert _mul_kronecker(xs, ys, order) == _mul_dense_terms(xs, _terms_of(ys), order)
+    assert _mul_kronecker(xs, ys, order) == naive_mul(xs, ys, order)
 
 
 def test_mul_kronecker_edge_cases():
@@ -281,9 +280,9 @@ def test_mul_kronecker_slots_at_their_bound():
                 assert _mul_kronecker(a, b, 2 * n) == naive_mul(a, b, 2 * n), (bits, n, sign)
 
 
-# -- the product entry against the naive double loop -------------------
+# -- the product kernel against the naive double loop -----------------
 
-K = series._KRONECKER_MIN_TERMS
+K = 48
 
 
 @st.composite
@@ -301,29 +300,25 @@ def operands(draw, max_len=3 * K):
     return cs
 
 
+_WIDE = random.Random(400)
+THREE_TERMS = [0] * 40
+THREE_TERMS[0], THREE_TERMS[7], THREE_TERMS[39] = 1, -3, 2
+WIDE_COEFFS = [_WIDE.choice((1, -1)) * (1 << 399 | _WIDE.getrandbits(399)) for _ in range(300)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(operands(), operands(), st.integers(0, 7 * K))
+@example(THREE_TERMS, WIDE_COEFFS, 340)     # a sparse operand times 400-bit coefficients
 def test_product_entry_matches_double_loop(xs, ys, order):
-    # sparse*sparse, sparse*dense and dense*dense on both sides of K, zero
-    # and empty operands, unequal lengths, orders below and past both
+    # sparse*sparse, sparse*dense and dense*dense, zero and empty operands,
+    # unequal lengths, orders below and past both lengths
     want = naive_mul(xs, ys, order)
-    assert series._mul_coeffs(xs, ys, order) == want
-    assert series._mul_coeffs(tuple(xs), tuple(ys), order) == want
+    assert series._mul_kronecker(xs, ys, order) == want
+    assert series._mul_kronecker(tuple(xs), tuple(ys), order) == want
     n = min(len(xs), len(ys))
     assert (Series(xs) * Series(ys)).coeffs == tuple(naive_mul(xs, ys, n))
     full = naive_mul(xs, ys, len(xs) + len(ys))
     assert (Poly(xs) * Poly(ys)).coeffs == Poly(full).coeffs
-
-
-def test_product_entry_takes_both_paths(monkeypatch):
-    seen = []
-    real = series._mul_kronecker
-    monkeypatch.setattr(series, "_mul_kronecker", lambda a, b, n: seen.append(n) or real(a, b, n))
-    dense, sparse = [1] * K, [1] * (K - 1)
-    assert series._mul_coeffs(dense, sparse, 2 * K) == naive_mul(dense, sparse, 2 * K)
-    assert seen == []
-    assert series._mul_coeffs(dense, dense + [0], 2 * K) == naive_mul(dense, dense, 2 * K)
-    assert seen == [2 * K]
 
 
 def naive_pow_mod(cs, e, m):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlab import special
-from qlab.series import _BLOCK, Series, _div_terms, _mul_dense_terms
+from qlab.series import _BLOCK, Series, _div_terms
 from qlab.special import (
     borwein_a,
     borwein_b,
@@ -97,11 +97,15 @@ def test_eta_quotient_examples():
 
 
 def plain_passes(u, factors, order):
-    """u * prod f_r^e by one sparse pass per unit of exponent, at full order."""
+    """u * prod f_r^e by one naive pass per unit of exponent, at full order."""
     out = list(u[:order]) + [0] * max(0, order - len(u))
     for r, e in factors:
         for _ in range(e):
-            out = _mul_dense_terms(out, pentagonal_terms(r, order), order)
+            step = [0] * order
+            for k, c in pentagonal_terms(r, order):
+                for i in range(order - k):
+                    step[i + k] += c * out[i]
+            out = step
     for r, e in factors:
         for _ in range(-e):
             out = _div_terms(out, pentagonal_terms(r, order), order)
@@ -114,7 +118,7 @@ def plain_passes(u, factors, order):
        st.lists(st.integers(-9, 9), max_size=12), st.booleans(), st.integers(1, 150))
 def test_eta_product_reduces_a_shared_scale(g, exps, head, on_lattice, order):
     # f_(g*r)(q) = f_r(q^g): with every scale and every nonzero exponent of u
-    # on the g-lattice the passes run at order ceil(order/g) or below; an
+    # on the g-lattice the factors apply at order ceil(order/g) or below; an
     # entry of u at exponent 1 leaves nothing to reduce
     factors = [(g * k, e) for k, e in exps.items()]
     u = [0] * (g * len(head) + 2)
@@ -140,7 +144,7 @@ def test_eta_product_reduces_a_shared_scale(g, exps, head, on_lattice, order):
 @pytest.mark.parametrize("factors", [[(1, 40), (2, -3), (3, 2), (4, -35)],
                                      [(4, -35), (3, 2), (2, -3), (1, 40)]])
 def test_eta_product_takes_factors_in_any_order(factors):
-    # passes and squarings of either sign interleave in the one factor loop;
+    # products, division passes and squarings interleave in the one factor loop;
     # every step is exact to the order, so the product is that of plain
     # Series arithmetic, repeated multiplications by f_r or 1/f_r
     order, u = 160, [3, 0, -1, 4]
