@@ -58,22 +58,18 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _modd_one(method: str, a: int, t: int, n: int) -> int:
-    if method == "direct":
-        return macmahon.modd_direct(a, t, n)
-    if method == "explicit":
-        return macmahon.modd_explicit(a, t, n)
-    if method == "powersum":
-        return macmahon.modd_powersum(a, t, n)
-    return macmahon.oracle_modd(a, t, n)
+# `--method` name -> the macmahon function of that m_odd route (looked up
+# when it runs), in the order `--method all` prints them
+_ROUTES = {"direct": "modd_direct", "explicit": "modd_explicit",
+           "oracle": "oracle_modd", "powersum": "modd_powersum"}
 
 
 def _modd_all(a: int, t: int, n: int) -> list[int | None]:
     """The four routes' values, None for the closed form when a has none."""
     values = []
-    for method in ("direct", "explicit", "oracle", "powersum"):
+    for route in _ROUTES.values():
         try:
-            values.append(_modd_one(method, a, t, n))
+            values.append(getattr(macmahon, route)(a, t, n))
         except UnsupportedA:
             values.append(None)
     return values
@@ -89,7 +85,7 @@ def cmd_modd(args) -> int:
                 print("error: evaluation methods disagree", file=sys.stderr)
                 return 1
         else:
-            print(_modd_one(method, args.a, args.t, args.n))
+            print(getattr(macmahon, _ROUTES[method])(args.a, args.t, args.n))
     except (UnsupportedA, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -177,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=int, required=True, choices=(-2, -1, 0, 1, 2))
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "explicit", "oracle", "powersum", "all"),
+    p.add_argument("--method", choices=(*_ROUTES, "all"),
                    help="route (default: explicit where a has a closed form, else "
                         "direct); direct takes n <= {direct}, oracle n <= {oracle}, "
                         "all both".format(**_ROUTE_LIMITS))
@@ -222,6 +218,9 @@ def _size(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
+    # exact coefficients may pass the 4300-digit default of str(int)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     if getattr(args, "order", None) is not None and args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)

@@ -19,9 +19,10 @@ holds iff its modulus divides the gcd of its values (with SWEEP_MOD on
 residues).  Only a J that test does not pass is scanned with ``_verdict``,
 the per-value test, for its first counterexample.  The gcd of the class
 gcds, with the count of nonzero values, is the per-J row of the report.
-``_bound`` is the one range policy, and ``_reads`` sizes the expansions
-for the plan and ``_values`` alike.  ``_values`` is the only place that
-knows the evaluation route:
+``_bound`` is the one range policy.  ``_reads`` names and sizes every
+expansion a J reads, the power-sum rows included, for the plan and
+``_values`` alike, and ``SweepCache`` is the one store that holds them.
+``_values`` is the only place that knows the evaluation route:
 
 * m_odd congruence, parity and valuation claims go through the closed
   forms (prefactor array + c_n values).
@@ -428,49 +429,35 @@ def lookup(family_id: str) -> CongruenceFamily:
 
 
 class SweepCache:
-    """Prefactor expansions and U~_t(a; q) rows, computed once and shared read-only."""
+    """Every expansion a sweep reads, prefactors and power-sum rows alike,
+    computed once and shared read-only: one entry per (kind, param)."""
 
-    # keyed by the lower-cased kind of the families that read each expansion;
-    # each builder takes (order, mod)
+    # keyed by the lower-cased kind of the families that read each expansion,
+    # "powersum" for the exact m_odd claims' rows; each builder takes
+    # (order, param), the modulus of a prefactor or (a, t) of a row
     _BUILDERS = {
         "overpartition": overpartition_gf,
         "prefactor_a": prefactor_a,
+        "powersum": lambda order, at: powersum_utilde(*at, order)[at[1]],
     }
 
     def __init__(self):
-        self._series: dict[tuple[str, int], tuple] = {}
-        self._dp: dict[int, list[list]] = {}
+        self._series: dict[tuple[str, object], tuple] = {}
 
-    def coeffs(self, kind: str, min_len: int, mod: int = 0) -> tuple:
-        """At least `min_len` coefficients of `kind`, exact for mod=0 and
-        reduced into [0, mod) otherwise; each (kind, mod) is its own entry."""
-        key = (kind, mod)
+    def coeffs(self, kind: str, min_len: int, param=0) -> tuple:
+        """At least `min_len` coefficients of (kind, param), rebuilt at
+        `min_len` when shorter: a prefactor exact for param 0 and reduced
+        into [0, param) otherwise, or the exact U~_t(a; q) for (a, t)."""
+        key = (kind, param)
         have = self._series.get(key)
         if have is None or len(have) < min_len:
-            have = self._series[key] = self._BUILDERS[kind](min_len, mod).coeffs
+            have = self._series[key] = self._BUILDERS[kind](min_len, param).coeffs
         return have
 
-    def reserve(self, *needs: dict[tuple[str, int], int]) -> None:
-        """Build each (kind, mod) expansion once, at the largest length any need asks of it."""
-        for kind, mod in dict.fromkeys(key for need in needs for key in need):
-            self.coeffs(kind, max(need.get((kind, mod), 0) for need in needs), mod)
-
-    def dp_utilde(self, a: int, t_max: int, order: int) -> list:
-        """U~_0..U~_(t_max) from the power-sum route, which reads no closed form.
-
-        A request that an earlier build for the same a covers (as many rows
-        or more, to the same order or beyond) is served by slicing it; any
-        other runs a build of exactly the requested size, which replaces
-        the builds it covers.
-        """
-        builds = self._dp.setdefault(a, [])
-        for rows in builds:
-            if len(rows) > t_max and rows[0].order >= order:
-                return [row.truncate(order) for row in rows[:t_max + 1]]
-        rows = powersum_utilde(a, t_max, order)
-        builds[:] = [b for b in builds if len(b) > len(rows) or b[0].order > order]
-        builds.append(rows)
-        return rows
+    def reserve(self, *needs: dict[tuple[str, object], int]) -> None:
+        """Build each (kind, param) entry once, at the largest length any need asks of it."""
+        for kind, param in dict.fromkeys(key for need in needs for key in need):
+            self.coeffs(kind, max(need.get((kind, param), 0) for need in needs), param)
 
 
 def _sweep_modulus(fam: CongruenceFamily) -> int:
@@ -508,18 +495,24 @@ def _bound(fam: CongruenceFamily, t: int | None, n_budget: int) -> int:
     return max(n_budget, t * t + DP_WINDOW)
 
 
-def _reads(fam: CongruenceFamily, top: int, mod: int) -> dict[tuple[str, int], int]:
-    """{(expansion kind, mod): length} the values at arguments up to `top` read.
+def _reads(fam: CongruenceFamily, t: int | None, top: int,
+           mod: int) -> dict[tuple[str, object], int]:
+    """{(kind, param): length} of every ``SweepCache`` entry the values at
+    arguments up to `top` read, for t = `t`.
 
-    The first entry serves the family's own values, the last the m_odd(-2)
-    partners of an easy3_cross family.  The a=0 form, and the
+    Exact m_odd claims read the power-sum row (a, t).  The a=0 form, and the
     reinterpretation's m_odd(-2) side at x//4, read the overpartition counts
-    at n//4 or below; the other exact m_odd claims read no expansion.
+    at n//4 or below; an easy3_cross family's partners read them too.
     """
     if fam.kind in (PREFACTOR_A, OVERPARTITION):
         return {(fam.kind.lower(), mod): top + 1}
-    if fam.kind != MODD or fam.expected == EXACT_ZERO:
+    if fam.kind != MODD:
         return {}
+    if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
+        reads = {("powersum", (fam.a, t)): top + 1}
+        if fam.expected == EQUALS_MODD_M2:
+            reads[("overpartition", mod)] = top // 4 + 1
+        return reads
     kind = "prefactor_a" if fam.a == 1 else "overpartition"
     reads = {(kind, mod): top // 4 + 1 if fam.a == 0 else top + 1}
     if fam.easy3_cross:
@@ -540,15 +533,15 @@ def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[
     return args, bound
 
 
-def _values(fam: CongruenceFamily, t: int | None, args: list[int], bound: int,
+def _values(fam: CongruenceFamily, t: int | None, args: list[int],
             cache: SweepCache, mod: int) -> tuple[list[int], Iterable]:
     """The family's sequence at `args` (a list), and the m_odd(-2, t)
     partners an easy3_cross family checks mod 3 (a list, else Nones), each
     in the order of `args` and read from expansions reduced mod `mod`
     (0: exact).
 
-    Exact m_odd claims read the power-sum rows to the J's `bound`, so the
-    dp_backed families share one build per (a, t).  The reinterpretation
+    Every expansion is fetched by kind, at the lengths ``_reads`` names.
+    Exact m_odd claims read the power-sum row (a, t).  The reinterpretation
     claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n), its right side
     from the closed form.
     """
@@ -556,19 +549,20 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int], bound: int,
     if fam.kind == COEFF:
         column = coeff_column(fam.a, t, max(args))
         return list(map(column.__getitem__, args)), partners
-    exps = [cache.coeffs(kind, n, m) for (kind, m), n in _reads(fam, max(args), mod).items()]
+    exps = {k: cache.coeffs(k, n, p) for (k, p), n in _reads(fam, t, max(args), mod).items()}
     if fam.kind != MODD:
-        return list(map(exps[0].__getitem__, args)), partners
+        return list(map(exps[fam.kind.lower()].__getitem__, args)), partners
     if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        # every argument is at most bound, inside the row's bound + 1 terms
-        values = list(map(cache.dp_utilde(fam.a, t, bound + 1)[t].coeffs.__getitem__, args))
+        values = list(map(exps["powersum"].__getitem__, args))
         if fam.expected == EQUALS_MODD_M2:
-            rhs = modd_explicit_batch(-2, t // 2, [x // 4 for x in args], exps[0], mod)
+            rhs = modd_explicit_batch(-2, t // 2, [x // 4 for x in args],
+                                      exps["overpartition"], mod)
             values = list(map(sub, values, rhs))
         return values, partners
-    values = modd_explicit_batch(fam.a, t, args, exps[0], mod)
+    pref = exps["prefactor_a" if fam.a == 1 else "overpartition"]
+    values = modd_explicit_batch(fam.a, t, args, pref, mod)
     if fam.easy3_cross:
-        partners = modd_explicit_batch(-2, t, args, exps[-1], mod)
+        partners = modd_explicit_batch(-2, t, args, exps["overpartition"], mod)
     return values, partners
 
 
@@ -658,7 +652,7 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
         if not args:
             raise BudgetTooSmall(f"{fam.id}: no arguments up to {bound}")
         top = max(top, bound)
-        values, partners = _values(fam, t, args, bound, cache, mod)
+        values, partners = _values(fam, t, args, cache, mod)
         gcds = [reduce(gcd, islice(values, i, None, k), mod) for i in range(k)]
         zeros = countOf(map(remainder, values, repeat(mod)) if mod else values, 0)
         observed = reduce(gcd, gcds)
@@ -672,7 +666,7 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
             if cex is None:
                 continue
             if mod:     # the verdict came from residues: check the exact value
-                (v,), (cross,) = _values(fam, t, [x], bound, cache, 0)
+                (v,), (cross,) = _values(fam, t, [x], cache, 0)
                 cex = _verdict(fam, j, x, v, cross)
                 if cex is None:
                     raise ArithmeticError(
@@ -693,14 +687,15 @@ def _cex(j, n, value, modulus, **extra):
 
 
 def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = None,
-                profile: str = "quick") -> tuple[tuple, int, dict[tuple[str, int], int]]:
-    """(J values, budget, {(expansion kind, modulus): length it reads}) of one sweep.
+                profile: str = "quick") -> tuple[tuple, int, dict[tuple[str, object], int]]:
+    """(J values, budget, {(kind, param): length}) of one sweep.
 
+    The lengths name every ``SweepCache`` entry the sweep reads: the
+    ``_reads`` of each J at its ``_bound``, the largest length per entry.
     `None` takes the profile's value: J from the family's ``j_min`` on, the
     budget from ``_budget_for``.  Raises ValueError for J values the family
     cannot take, for a repeated J, for a negative budget and for a plan
-    that would sweep past ``MAX_ORDER``.  Exact m_odd
-    claims read no prefactor for their own values.
+    that would sweep past ``MAX_ORDER``.
     """
     if fam.t_rule is None:
         if j_values:
@@ -717,12 +712,13 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
     if n_budget < 0:
         raise ValueError(f"{fam.id}: budget {n_budget} must be >= 0")
     mod = _sweep_modulus(fam)
-    # the reads grow with the bound, so the largest J's bound sizes them all
-    top = max(_bound(fam, t, n_budget) for t in [fam.t_of(j) for j in j_values] or [None])
+    ts = [fam.t_of(j) for j in j_values] or [None]
+    top = max(_bound(fam, t, n_budget) for t in ts)
     if top > MAX_ORDER:
         raise ValueError(f"{fam.id}: the sweep would reach argument {top}, "
                          f"past MAX_ORDER = {MAX_ORDER}")
-    return j_values, n_budget, _reads(fam, top, mod)
+    reads = [_reads(fam, t, _bound(fam, t, n_budget), mod) for t in ts]
+    return j_values, n_budget, {key: max(r.get(key, 0) for r in reads) for r in reads for key in r}
 
 
 def verify_family(family, j_values=None, n_budget: int | None = None,

@@ -494,8 +494,8 @@ def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[i
     plus one convolution (``_theta_batch``).  With `mod` > 0 the c_n are
     reduced mod `mod` before they multiply the prefactor, so the values are
     only congruent to m_odd mod `mod`, not reduced.  A `pref` passed with
-    it should be reduced mod the same modulus, as the one built when `pref`
-    is omitted is; then the products run on packed slots.
+    it need not be reduced: the products read it mod `mod`, on packed
+    slots (see ``_theta_batch``).
     """
     if a not in _EXPLICIT_AS:
         raise UnsupportedA(f"no closed form for a={a}")
@@ -522,8 +522,8 @@ def _theta_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:
 
     The prefactor is the f1f6/(f2^2 f3) expansion for a = 1 and the
     overpartition counts otherwise; a = 0 gives W_t.  Without `pref` it is
-    built to max(args), reduced mod `mod`.  ``series._conv_terms`` forms
-    the products: on packed slots for `mod` > 0 and a reduced prefactor,
+    built to max(args), reduced mod `mod`; one passed in need not be, as
+    ``series._conv_terms`` reads it mod `mod` on packed slots for `mod` > 0,
     else in a scalar loop of O(sqrt(max)) multiplications per argument.
     """
     if not args:

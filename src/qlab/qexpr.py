@@ -439,7 +439,7 @@ class _Evaluator:
             if node.negated:
                 base = base.substitute_negq()
             # every theta base has constant term 1, so the atom is a unit
-            return _Val(0, base.substitute_power(m).truncate(order))
+            return _Val(0, Series.from_terms([(e * m, c) for e, c in base.nonzero_terms()], order))
         if isinstance(node, GroupAtom):
             return self.expr(node.expr)
         raise TypeError(f"not an atom: {node!r}")
@@ -493,6 +493,8 @@ def evaluate(ast: SumExpr, order: int) -> Series:
             return Series.zero(order)
         if v.val < 0:
             raise NegativeValuation(f"expression has q-valuation {v.val}")
+        if v.val >= order:      # no shift: a huge valuation would allocate its zeros
+            return Series.zero(order)
         if v.val + v.unit.order >= order:
             return v.unit.shift(v.val).truncate(order)
         # leading-term cancellations ate into the padding; widen and retry

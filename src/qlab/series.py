@@ -35,10 +35,11 @@ when no slot width fits.  ``Series.__pow__``, ``Poly.__pow__`` and
 ``poly_pow_mod`` share one square-and-multiply, ``_power``.
 
 ``_conv_terms`` reads a product u * sum(c*q^e) at chosen exponents only, as
-the closed forms need it.  On residues it packs u too: one column u[s::A]
-per residue class s mod A that it reads, A the gcd of the differences of
-the exponents asked for, in slots of the same widths under the same bound
-over the weights c mod M.  Exact products run a scalar loop.
+the closed forms need it.  On residues it reads u mod M, with no scan of
+u: it reduces and packs one column u[s::A] per residue class s mod A that
+it reads, A the gcd of the differences of the exponents asked for, in
+slots of the same widths under the same bound over the weights c mod M.
+Exact products run a scalar loop.
 """
 
 from __future__ import annotations
@@ -326,35 +327,34 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
 def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> list[int]:
     """[q^x] of u * sum(c*q^e for e, c in terms) for each x in `args`.
 
-    `terms` ascend in e, and u holds at least max(args) + 1 coefficients.
-    With `mod` > 0 every c is taken mod `mod` first, so the values are
-    congruent to the exact ones mod `mod`, though not reduced.
+    `terms` ascend in e, and u holds at least max(args) + 1 coefficients
+    (else IndexError).  With `mod` > 0 every c and every entry of u is
+    read mod `mod`, so the values are congruent to the exact ones, though
+    not reduced.  On that residue route the sums run on packed slots.
 
-    On that residue route, when every entry of u lies in [0, mod), the
-    sums run on packed slots.  The arguments lie in one class B mod A, A
-    the gcd of their differences (max(args) + 1 for one argument), so
-    x = B + A*i reads u only on the columns u[s::A]: term q^e reads row
-    i - j of column s = (B - e) mod A, with j = (e - B + s) / A.  Each
-    column a term reads is packed once by ``_pack``, rows reversed, one row
-    per slot of `width` bits, so pack_s >> (j * width) holds row i - j in
-    slot i (slots counted from the top) and drops the rows no argument
-    reads.  The terms are summed by weight w = c mod `mod`, each group's
-    shifted packs once times w, and ``_unpack`` reads the one sum.  A slot
-    then holds exactly the scalar sum, at most (mod-1) * sum(w), so it
-    cannot carry while (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width``
-    picks the width.  When no width fits, for `mod` == 0, and when an entry
-    of u[:max(args)+1] lies outside [0, mod), every argument runs in the
-    scalar loop.
+    The arguments lie in one class B mod A, A the gcd of their differences
+    (max(args) + 1 for one argument), so x = B + A*i reads u only on the
+    columns u[s::A]: term q^e reads row i - j of column s = (B - e) mod A,
+    with j = (e - B + s) / A.  Each column a term reads is reduced and
+    packed once by ``_pack``, rows reversed, one row per slot of `width`
+    bits, so pack_s >> (j * width) holds row i - j in slot i (slots counted
+    from the top) and drops the rows no argument reads.  The terms are
+    summed by weight w = c mod `mod`, each group's shifted packs once times
+    w, and ``_unpack`` reads the one sum.  A slot then holds exactly the
+    scalar sum, at most (mod-1) * sum(w), so it cannot carry while
+    (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width`` picks the width.
+    When no width fits, and for `mod` == 0, every argument runs in the
+    scalar loop.  No route scans u first.
     """
     if not args:
         return []
     low, top = min(args), max(args)
+    if len(u) <= top:
+        raise IndexError(f"u holds {len(u)} coefficients, argument {top} needs {top + 1}")
     width = 0
     if mod:
         terms = [(e, c % mod) for e, c in terms if c % mod]
-        head = u[:top + 1]
-        if len(head) > top and min(head) >= 0 and max(head) < mod:
-            width = _slot_width(mod, [w for _, w in terms])
+        width = _slot_width(mod, [w for _, w in terms])
     if not width:
         out = []
         for x in args:
@@ -362,7 +362,7 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
             for e, c in terms:
                 if e > x:
                     break
-                acc += c * u[x - e]
+                acc += c * (u[x - e] % mod if mod else u[x - e])
             out.append(acc)
         return out
     step = gcd(*map(low.__rsub__, args)) or top + 1
@@ -376,7 +376,7 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
         s = (base - e) % step
         if s not in packs:
             col = u[s:top + 1:step]
-            packs[s] = _pack(col[::-1], width // 8) << (rows - len(col)) * width
+            packs[s] = _pack(map(mod.__rmod__, col[::-1]), width // 8) << (rows - len(col)) * width
         groups.setdefault(w, []).append((s, (e - base + s) // step * width))
     total = sum(w * sum(packs[s] >> shift for s, shift in group)
                 for w, group in groups.items())

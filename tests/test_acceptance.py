@@ -19,7 +19,6 @@ from qlab.macmahon import (
     te_sum,
 )
 from qlab.arith import nu_binomial_kummer, pow2_poly_congruence
-from qlab import congruences
 from qlab.congruences import SweepCache, lookup, registry, verify_all, verify_family
 from qlab.qexpr import check_fixtures, evaluate_text, load_fixtures
 
@@ -132,34 +131,29 @@ def test_c6_coefficient_theorems():
 
 
 def test_c7_congruence_sweep_quick(monkeypatch):
-    # record every expansion and power-sum build: the plan sizes each
+    # record every build of the one sweep store: the plan sizes each
     # expansion once, and the sweep's own reads never ask for more
-    builds, dp_builds = [], []
+    builds = []
 
     def counted(kind, build):
-        def wrapper(order, mod):
-            builds.append((kind, mod, order))
-            return build(order, mod)
+        def wrapper(order, param):
+            builds.append((kind, param, order))
+            return build(order, param)
         return wrapper
-
-    def counted_dp(a, t_max, order):
-        dp_builds.append((a, t_max, order))
-        return powersum_utilde(a, t_max, order)
 
     monkeypatch.setattr(SweepCache, "_BUILDERS", {
         kind: counted(kind, build) for kind, build in SweepCache._BUILDERS.items()})
-    monkeypatch.setattr(congruences, "powersum_utilde", counted_dp)
     with timer("C7a quick-profile sweep", 300.0):
         reports = verify_all("quick")
         bad = [(r.family_id, r.counterexample) for r in reports if not r.passed]
         assert not bad, bad
         assert len(reports) >= 45
+    # the exact claims read one power-sum row per (a, t), each to the
+    # largest bound + 1 any family asks of it
     assert sorted(builds) == [("overpartition", 0, 502), ("overpartition", 192, 50001),
-                              ("prefactor_a", 192, 20001)]
-    # the dp_backed families share one build per (a, t); the exact claims
-    # read the rows to their bound + 1
-    assert dp_builds == [(0, 0, 2001), (0, 2, 2005), (0, 3, 2010),
-                         (0, 1, 20001), (1, 1, 20001)]
+                              ("powersum", (0, 0), 2001), ("powersum", (0, 1), 20001),
+                              ("powersum", (0, 2), 2005), ("powersum", (0, 3), 2010),
+                              ("powersum", (1, 1), 20001), ("prefactor_a", 192, 20001)]
 
 
 def test_c7_congruence_sweep_full_deep_families():

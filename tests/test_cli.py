@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -67,6 +68,31 @@ def test_expand_errors(capsys):
     for expr in ("f1\u00b2", "q^\u00b2", "f\u0661"):
         code, out, err = run(capsys, "expand", expr, "--order", "4")
         assert code == 2 and out == "" and "offset" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("q^999999999999", "0 0 0 0 0"),
+    ("phi(q^999999999999)", "1 0 0 0 0"),
+])
+def test_expand_huge_q_power_is_cheap(capsys, expr, want):
+    # each used to allocate the whole shift or substituted base first and
+    # end in a MemoryError traceback
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", expr, "--order", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.strip() == want and err == ""
+
+
+def test_expand_prints_coefficients_past_4300_digits(capsys):
+    # str(int) refuses more than 4300 digits by default since CPython 3.10.7
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)        # that default, whatever ran before
+    code, out, err = run(capsys, "expand", "2^20000", "--order", "3")
+    first, *rest = out.split()
+    assert code == 0 and err == "" and rest == ["0", "0"]
+    assert len(first) == 6021 and int(first) == 2 ** 20000
+    code, out, err = run(capsys, "expand", "2^20000", "--order", "3", "--format", "json")
+    assert code == 0 and err == "" and len(json.loads(out)["coeffs"][0]) == 6021
 
 
 def test_modd(capsys):

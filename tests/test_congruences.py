@@ -302,7 +302,8 @@ def test_residue_route_covers_every_congruence_claim():
             assert _sweep_modulus(fam) == 0
         elif lengths:
             assert _sweep_modulus(fam) == SWEEP_MOD, fam.id
-        assert {mod for _, mod in lengths} <= {_sweep_modulus(fam)}, fam.id
+        prefactors = {mod for kind, mod in lengths if kind != "powersum"}
+        assert prefactors <= {_sweep_modulus(fam)}, fam.id
     assert len(exact) == 5
 
 
@@ -315,9 +316,9 @@ def test_residue_route_agrees_with_exact_route_per_family():
     assert len(fams) == 33
     for fam in fams:
         t = fam.t_of(fam.j_min)
-        args, bound = _args_of(fam, t, 1500)
-        values, partners = _values(fam, t, args, bound, cache, SWEEP_MOD)
-        exact, exact_partners = _values(fam, t, args, bound, cache, 0)
+        args, _ = _args_of(fam, t, 1500)
+        values, partners = _values(fam, t, args, cache, SWEEP_MOD)
+        exact, exact_partners = _values(fam, t, args, cache, 0)
         for x, v, w, p, q in zip(args, values, exact, partners, exact_partners, strict=True):
             assert (v - w) % SWEEP_MOD == 0, (fam.id, x)
             assert (p is None) == (q is None) == (not fam.easy3_cross), (fam.id, x)
@@ -448,14 +449,17 @@ def test_exact_claims_build_no_prefactor(builds):
     # prefactor (m1-t1-6n5 used to build an exact prefactor_a(20001))
     for fid in ("m1-t1-6n5", "m0-t1-vanish", "m0-even-vanish", "m0-odd-vanish"):
         assert verify_family(fid).passed, fid
-    assert builds == []
+    assert builds and {kind for kind, _, _ in builds} == {"powersum"}
     # the reinterpretation's m_odd(-2) side still reads the closed form
+    del builds[:]
     assert verify_family("m0-even-reinterp").passed
-    assert [(kind, mod) for kind, mod, _ in builds] == [("overpartition", 0)]
+    assert [(kind, mod) for kind, mod, _ in builds if kind != "powersum"] == [
+        ("overpartition", 0)]
 
 
-def test_dp_rows_are_sliced_from_a_covering_build(monkeypatch):
-    # one build per uncovered (a, t_max, order); a covered request slices it
+def test_powersum_rows_are_built_once_per_key(monkeypatch):
+    # one entry per (a, t), built at the requested order and rebuilt only
+    # when a later request asks for more; a shorter one reads its prefix
     real = congruences.powersum_utilde
     calls = []
 
@@ -467,11 +471,39 @@ def test_dp_rows_are_sliced_from_a_covering_build(monkeypatch):
     cache = SweepCache()
     requests = [(0, 1, 300), (0, 3, 310), (0, 0, 301), (0, 2, 200), (0, 1, 900),
                 (0, 1, 310), (2, 1, 300), (0, 3, 900), (0, 2, 600), (0, 1, 300)]
-    for a, t_max, order in requests:
-        rows = cache.dp_utilde(a, t_max, order)
-        fresh = real(a, t_max, order)
-        assert [r.coeffs for r in rows] == [r.coeffs for r in fresh], (a, t_max, order)
-    assert calls == [(0, 1, 300), (0, 3, 310), (0, 1, 900), (2, 1, 300), (0, 3, 900)]
+    for a, t, order in requests:
+        row = cache.coeffs("powersum", order, (a, t))
+        assert row[:order] == real(a, t, order)[t].coeffs, (a, t, order)
+    assert calls == [(0, 1, 300), (0, 3, 310), (0, 0, 301), (0, 2, 200), (0, 1, 900),
+                     (2, 1, 300), (0, 3, 900), (0, 2, 600)]
+
+
+def test_plan_names_every_build(monkeypatch):
+    # every expansion a sweep builds, power-sum rows included, is one the
+    # plan names, built once at its planned length
+    builds, rows = [], []
+    real = congruences.powersum_utilde
+
+    def counted(kind, build):
+        def wrapper(order, param):
+            builds.append(((kind, param), order))
+            return build(order, param)
+        return wrapper
+
+    def counted_rows(a, t_max, order):
+        rows.append(((a, t_max), order))
+        return real(a, t_max, order)
+
+    monkeypatch.setattr(SweepCache, "_BUILDERS", {
+        kind: counted(kind, build) for kind, build in SweepCache._BUILDERS.items()})
+    monkeypatch.setattr(congruences, "powersum_utilde", counted_rows)
+    for fam in registry():
+        del builds[:], rows[:]
+        lengths = _sweep_plan(fam)[2]
+        assert verify_family(fam, cache=SweepCache()).passed, fam.id
+        assert sorted(builds, key=repr) == sorted(lengths.items(), key=repr), fam.id
+        # the power-sum route runs only for the rows the store builds
+        assert rows == [(at, n) for (kind, at), n in builds if kind == "powersum"], fam.id
 
 
 @pytest.mark.parametrize("family_id", ["m1-t1-6n5", "m0-t1-vanish"])
@@ -484,9 +516,9 @@ def test_power_sum_route_equals_closed_form(family_id):
     for f in (fam, everywhere):
         args, bound = _args_of(f, t, 3000)
         assert bound == 3000
-        values, _ = _values(f, t, args, bound, SweepCache(), 0)
+        values, _ = _values(f, t, args, SweepCache(), 0)
         assert list(values) == modd_explicit_batch(f.a, t, args), f
-    assert sum(1 for v in _values(everywhere, t, args, bound, SweepCache(), 0)[0] if v) > 400
+    assert sum(1 for v in _values(everywhere, t, args, SweepCache(), 0)[0] if v) > 400
 
 
 def test_repeated_j_is_rejected():
@@ -587,7 +619,7 @@ def planted(fam, j_values, n_budget, fails, seed):
                     cross += rnd.choice((1, 2))
             row[x] = (v, cross, rnd.randint(-2, 2))
 
-    def values(fam, t, args, bound, cache, mod):
+    def values(fam, t, args, cache, mod):
         got = [table[t][x] for x in args]
         partners = [c + mod * k for _, c, k in got] if fam.easy3_cross else repeat(None, len(args))
         return [v + mod * k for v, _, k in got], partners
@@ -606,14 +638,14 @@ def scan_reference(fam, j_values, n_budget, values_of):
         t = None if j is None else fam.t_of(j)
         args, bound = _args_of(fam, t, n_budget)
         top = max(top, bound)
-        residues, _ = values_of(fam, t, args, bound, None, mod)
+        residues, _ = values_of(fam, t, args, None, mod)
         observed = mod
         nonzero = 0
         for v in residues:
             observed = gcd(observed, v)
             nonzero += (v % mod if mod else v) != 0
         rows.append({"J": j, "nonzero": nonzero, "observed_modulus": observed})
-        values, partners = values_of(fam, t, args, bound, None, 0)
+        values, partners = values_of(fam, t, args, None, 0)
         for x, v, cross in zip(args, values, partners):
             checked += 1
             cex = congruences._verdict(fam, j, x, v, cross)

@@ -228,3 +228,18 @@ def test_argument_classes_are_read_from_one_table():
     visit(tree, None)
     assert readers == {"classes", "arg_rule_str"}, sorted(readers, key=str)
     assert not named & CLASS_SPELLINGS, sorted(named & CLASS_SPELLINGS)
+
+
+def test_sweep_cache_is_one_store():
+    # every expansion a sweep reads, the power-sum rows included, lives in
+    # SweepCache's one dict under one rebuild rule; the per-a list of
+    # power-sum builds that the plan never saw stays gone
+    tree = ast.parse((SRC / "qlab" / "congruences.py").read_text(encoding="utf-8"))
+    cache, = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "SweepCache"]
+    methods = {node.name for node in cache.body if isinstance(node, ast.FunctionDef)}
+    assert methods == {"__init__", "coeffs", "reserve"}, sorted(methods)
+    found = [f"{path.name}:{n}" for path in sorted((SRC / "qlab").glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "dp_utilde" in line]
+    assert not found, found

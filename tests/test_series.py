@@ -505,8 +505,8 @@ def test_odd_slot_sizes_match_the_byte_format(size, n):
 # -- the packed convolution against the scalar sums ---------------------
 
 def naive_conv(u, terms, args, mod):
-    """sum((c mod M) * u[x - e] over e <= x) for each x, unreduced."""
-    return [sum(c % mod * u[x - e] for e, c in terms if e <= x) for x in args]
+    """sum((c mod M) * (u[x - e] mod M) over e <= x) for each x, unreduced."""
+    return [sum(c % mod * (u[x - e] % mod) for e, c in terms if e <= x) for x in args]
 
 
 CONV_MODS = [1, 2, 3, 8, 192, 2 ** 31 + 11, 2 ** 40]
@@ -551,7 +551,7 @@ def conv_cases(draw):
     u = [rnd.randrange(mod) for _ in range(top + 1 + draw(st.integers(0, 5)))]
     exps = draw(st.lists(st.integers(0, top + 5), unique=True, max_size=25))
     terms = [(e, draw(big_coeffs)) for e in sorted(exps)]
-    if draw(st.booleans()):         # one entry >= M, too wide for any slot
+    if draw(st.booleans()):         # one entry >= M: both routes read it mod M
         u[draw(st.integers(0, len(u) - 1))] = mod + 2 ** 64
     return u, terms, args, mod
 
@@ -575,6 +575,12 @@ def test_conv_terms_slot_widths(mod, weight, width):
     u = [(7 ** k) % mod for k in range(120)]
     args = list(range(5, 120, 3))
     assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
+    # every route reads u mod M: entries off [0, M), negative ones too, change nothing
+    off = [v + mod * (k % 3 - 1) for k, v in enumerate(u)]
+    assert _conv_terms(off, terms, args, mod) == _conv_terms(u, terms, args, mod)
+    # one entry short: no route may read the missing row as a zero
+    with pytest.raises(IndexError):
+        _conv_terms(u[:max(args)], terms, args, mod)
 
 
 @settings(max_examples=60, deadline=None)
