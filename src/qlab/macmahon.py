@@ -23,9 +23,12 @@ test suite:
 On top of these sit the coefficient families c_n(a, t), their Riordan-array
 representation, and the even Chebyshev polynomials te_n used to derive them.
 Batches of c_n(a, t) come from ``coeff_column`` in O(n) exact integer
-steps for any t: for a = 1 the Riordan array's Gegenbauer recurrence
-(``riordan_series``) yields the whole column, for a = -2 and 0 the one
-binomial of the closed form is carried from entry to entry by its ratio.
+steps for any t.  Every column is a difference of one Gegenbauer expansion
+g of (1 - a' z + z^2)^-(t+1), run by the recurrence ``riordan_series``
+uses (``_gegenbauer``): for a = 1 and a = -2 (a' = a) it is the Riordan
+array, c_n = g_(n-t) - g_(n-t-2); for a = 0 (a' = -2) it is
+c_n = g_(n-t-1) - g_(n-t-2), the expansion of
+(z^(t+1) - z^(t+2)) / (1 + z)^(2t+2).
 The slow exact routes stay as oracles: ``te_sum`` and ``series_of_rational``
 for the Riordan array, ``_binomial_c`` for the binomial forms.
 """
@@ -251,22 +254,29 @@ def coeff_column(a: int, t: int, n_top: int) -> list[int]:
     """[c_0, c_1, ..., c_(n_top)] of c_n(a, t); c_0 is not part of the
     family and reads 0.
 
-    a = 1 takes the whole column from the Riordan-array lemma,
-    c_n(1, t) = [z^n] (z^t - z^(t+2)) / (1 - z + z^2)^(t+1), expanded by
-    the recurrence in ``riordan_series``; the acceptance gate checks it
-    against ``te_sum``.  a = -2 and a = 0 evaluate their one-binomial
-    closed forms with the binomial carried by ratio updates
-    (``_binomial_column``); ``_binomial_c`` is their per-entry oracle.
-    Either way a column costs O(n_top) exact integer steps.
+    Each column is a difference of g = (1 - a' z + z^2)^-(t+1), expanded by
+    ``_gegenbauer`` in O(n_top) exact integer steps for any t:
+
+    * a = 1 and a = -2 (a' = a): c_n = g_(n-t) - g_(n-t-2), the Riordan
+      lemma c_n = [z^n] (z^t - z^(t+2)) / (1 - a z + z^2)^(t+1) that
+      ``riordan_series`` expands.  For a = -2, ``te_sum`` keeps only its
+      k = t term, as (a+2)^(k-t) = 0 for k > t: the binomial closed form.
+    * a = 0 (a' = -2): c_n = g_(n-t-1) - g_(n-t-2), so
+      sum c_n(0, t) z^n = (z^(t+1) - z^(t+2)) / (1 + z)^(2t+2).  As
+      g_j = (-1)^j C(j+2t+1, 2t+1) and
+      C(n+t-1, 2t+1) = C(n+t, 2t+1) (n-t-1)/(n+t), the two terms sum to
+      (-1)^(n-t-1) C(n+t, 2t+1) (2n-1)/(n+t), the closed form.
+
+    The tests hold the columns against ``te_sum`` and ``_binomial_c``.
     """
     _check_coeff_args(a, t)
     if n_top < 0:
         raise ValueError("n_top must be >= 0")
-    if a == 1:
-        column = list(riordan_series(1, t, n_top).coeffs)
-        column[0] = 0
-        return column
-    return _binomial_column(a, t, n_top)
+    a_g, lead, lag = (-2, t + 1, 1) if a == 0 else (a, t, 2)
+    g = _gegenbauer(a_g, t + 1, n_top - lead + 1)
+    column = [0] * min(lead, n_top + 1) + [x - y for x, y in zip(g, [0] * lag + g)]
+    column[0] = 0
+    return column
 
 
 def _check_coeff_args(a: int, t: int) -> None:
@@ -283,21 +293,6 @@ def _binomial_c(a: int, t: int, n: int) -> int:
         return q if (n + t) % 2 == 0 else -q
     q = exact_div((2 * n - 1) * comb(n + t, 2 * t + 1), n + t)
     return q if (n - t - 1) % 2 == 0 else -q
-
-
-def _binomial_column(a: int, t: int, n_top: int) -> list[int]:
-    """[0, c_1, ..., c_(n_top)] for a = -2 or 0: the closed forms of
-    ``_binomial_c`` with C(n+t, k), k = 2t (a = -2) or 2t+1 (a = 0),
-    carried from n to n+1 by the exact ratio (n+t+1)/(n+t+1-k)."""
-    k = 2 * t if a == -2 else 2 * t + 1
-    odd = k - 2 * t                   # the numerator is 2n, or 2n-1 for a = 0
-    column = [0] * (n_top + 1)
-    b = 1                             # C(n+t, k) at its first nonzero n
-    for n in range(max(k - t, 1), n_top + 1):
-        q = exact_div((2 * n - odd) * b, n + t)
-        column[n] = q if (n + t - k) % 2 == 0 else -q
-        b = b * (n + t + 1) // (n + t + 1 - k)
-    return column
 
 
 def te_sum(a: int, t: int, n: int) -> int:
@@ -336,12 +331,10 @@ def te_sum(a: int, t: int, n: int) -> int:
 def riordan_series(a: int, t: int, nmax: int) -> Series:
     """(z^t - z^(t+2)) / (1 - a z + z^2)^(t+1) expanded to order nmax+1.
 
-    With m = t+1, (1 - a z + z^2)^(-m) = sum g_n z^n is a Gegenbauer
-    generating function: g_0 = 1, g_1 = a*m and
-    n*g_n = a(n+m-1) g_(n-1) - (n+2m-2) g_(n-2), each division checked
-    exact.  The z^n coefficient is g_(n-t) - g_(n-t-2), so the expansion
-    takes O(nmax) steps for any t; ``series_of_rational`` on the same
-    quotient is the test oracle.
+    With g = (1 - a z + z^2)^-(t+1) from ``_gegenbauer``, the z^n
+    coefficient is g_(n-t) - g_(n-t-2), so the expansion takes O(nmax)
+    steps for any t; ``series_of_rational`` on the same quotient is the
+    test oracle.
 
     For n >= 1 the z^n coefficient is te_sum(a, t, n); at t = 0 that is
     2*T_n(a/2), since (1 - z^2)/(1 - a z + z^2) = (2 - a z)/(1 - a z + z^2) - 1.
@@ -350,13 +343,21 @@ def riordan_series(a: int, t: int, nmax: int) -> Series:
         raise ValueError("t must be >= 0")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    m = t + 1
-    size = nmax - t + 1               # g_0 .. g_(nmax-t) are read
+    g = _gegenbauer(a, t + 1, nmax - t + 1)
+    return Series([0] * min(t, nmax + 1) + [x - y for x, y in zip(g, [0, 0] + g)])
+
+
+def _gegenbauer(a: int, m: int, size: int) -> list[int]:
+    """g_0 .. g_(size-1) of (1 - a z + z^2)^(-m) = sum g_n z^n, m >= 1.
+
+    A Gegenbauer generating function: g_0 = 1, g_1 = a*m and
+    n*g_n = a(n+m-1) g_(n-1) - (n+2m-2) g_(n-2), each division checked
+    exact.  A size <= 0 gives no terms.
+    """
     g = [1, a * m][:max(size, 0)]
     for n in range(2, size):
         g.append(exact_div(a * (n + m - 1) * g[n - 1] - (n + 2 * m - 2) * g[n - 2], n))
-    coeffs = [0] * t + [x - y for x, y in zip(g, [0, 0] + g)]
-    return Series(coeffs[:nmax + 1])
+    return g
 
 
 def riordan_coeff(a: int, t: int, n: int) -> int:
@@ -401,11 +402,6 @@ def two_te_quarter_shift(n: int, shift: int) -> Poly:
         power = power * binom
     scale = 4 ** n
     return Poly([exact_div(c, scale) for c in acc.coeffs])
-
-
-def two_te_at_quarter(n: int, w: int) -> int:
-    """Integer value 2*te_n(w/4) for integer w."""
-    return te_sum(w - 2, 0, n)
 
 
 # ---------------------------------------------------------------------

@@ -80,10 +80,11 @@ def eta_quotient(factors: EtaFactors, order: int) -> Series:
 # A negative eta exponent larger than this in size is raised by repeated
 # squaring of 1/f_r; a positive one is always one product by f_r^e.
 # Division passes cost time linear in |e|; squaring takes about 2*log2|e|
-# dense products whose coefficients grow with |e|.  At order 1064 f1^-32
-# took 0.13 s in passes and 0.38 s by squaring, so the bound is there to
+# dense products whose coefficients grow with |e|.  Passes were faster at
+# every |e| up to 256 measured (order 1064, f1^-256: 0.8 s against 1.0 s;
+# order 4000, f1^-128: 4.0 s against 18 s), so the bound is there only to
 # keep a huge |e|, such as f1^-100000, from running |e| passes.
-_MAX_PASSES = 32
+_MAX_PASSES = 256
 
 
 def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:

@@ -274,6 +274,17 @@ def test_modd_huge_t_is_zero_at_once(capsys):
     assert code == 0 and out.strip() == "0 0 0 0" and err == ""
 
 
+def test_verify_huge_j_allocates_nothing(capped_python):
+    # c1-1 reads coeff_column(1, 2J-1, ...); at J = 10^9 the column used to
+    # build t leading zeros first, ending in a MemoryError traceback
+    start = time.perf_counter()
+    proc = capped_python("-m", "qlab.cli", "verify", "--family", "c1-1",
+                         "--j", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0 and proc.stderr == "1/1 families pass\n", proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
 @pytest.mark.parametrize("argv, route", [
     (["modd", "-a", "2", "-t", "3", "-n", "20000"], "direct"),
     (["modd", "-a", "2", "-t", "7", "-n", "150", "--method", "oracle"], "oracle"),

@@ -27,7 +27,6 @@ from qlab.macmahon import (
     te,
     te_sum,
     theta_weight_terms,
-    two_te_at_quarter,
     two_te_quarter_shift,
     w_series,
 )
@@ -266,13 +265,39 @@ def test_riordan_recurrence_matches_series_division():
 
 
 def test_binomial_columns_match_binomial_c():
-    # ratio-updated binomials against one math.comb per entry, short
-    # columns included (n_top below, at and just past the first nonzero n)
+    # the Gegenbauer-difference columns against one math.comb per entry,
+    # short columns included (n_top below, at and just past the first
+    # nonzero n)
     for a in (-2, 0):
         for t in (0, 1, 2, 3, 7, 31, 127):
             for n_top in sorted({0, 1, t, t + 1, 400}):
                 want = [0] + [_binomial_c(a, t, n) for n in range(1, n_top + 1)]
                 assert coeff_column(a, t, n_top) == want, (a, t, n_top)
+
+
+def test_coeff_columns_are_their_generating_functions():
+    # a = 0: (z^(t+1) - z^(t+2)) / (1 + z)^(2t+2); a = 1, -2: the Riordan
+    # array with c_0 set to 0; against the exact series division
+    for t in (0, 1, 2, 3, 31, 127):
+        den = Poly([1, 1]) ** (2 * t + 2)
+        for n_top in sorted({0, 1, t, t + 1, t + 2, 400}):
+            want = series_of_rational(Poly([0] * (t + 1) + [1, -1]), den, n_top + 1)
+            assert coeff_column(0, t, n_top) == list(want.coeffs), (t, n_top)
+            for a in (1, -2):
+                want = [0] + list(riordan_series(a, t, n_top).coeffs[1:])
+                assert coeff_column(a, t, n_top) == want, (a, t, n_top)
+
+
+def test_huge_t_columns_allocate_nothing(capped_python):
+    # riordan_series used to build t leading zeros before it cut the
+    # expansion to nmax+1 entries: a MemoryError at t = 10^9
+    code = ("from qlab.macmahon import coeff_column, riordan_series\n"
+            "for a in (-2, -1, 0, 1, 2):\n"
+            "    assert riordan_series(a, 10**9, 5).coeffs == (0,) * 6, a\n"
+            "for a in (-2, 0, 1):\n"
+            "    assert coeff_column(a, 10**9, 5) == [0] * 6, a\n")
+    proc = capped_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _per_entry_terms(a, t, order):
@@ -347,10 +372,6 @@ def test_two_te_quarter_shift_matches_k_sum():
             poly = two_te_quarter_shift(n, a + 2)
             for t in range(n + 1):
                 assert poly.coeff(t) == te_sum(a, t, n), (a, n, t)
-    # integer specialization 2*te_n(w/4)
-    for n in range(1, 10):
-        for w in (1, 2, 3, 4):
-            assert two_te_at_quarter(n, w) == te_sum(w - 2, 0, n)
 
 
 # -- generating identities ------------------------------------------------
