@@ -13,9 +13,6 @@ from .series import (
     Poly,
     Series,
     SeriesError,
-    coeff_at,
-    eq_mod,
-    poly_mul,
     poly_pow_mod,
     series_of_rational,
 )
@@ -41,7 +38,6 @@ from .macmahon import (
     modd_direct,
     modd_explicit,
     oracle_modd,
-    riordan_coeff,
     te,
     te_sum,
     w_series,

@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--budget", type=int,
                    help="every family's argument budget (default: the profile's); "
-                        "an m_odd sweep reaches at least t^2+2000, and the "
-                        "a=0 support-pattern families stop there; no sweep "
+                        f"an m_odd sweep reaches at least t^2+{congruences.DP_WINDOW}, "
+                        "and the a=0 support-pattern families stop there; no sweep "
                         f"may reach past {congruences.MAX_ORDER}")
     p.add_argument("--j", type=int, nargs="+",
                    help="explicit J values (default: the family's first two)")

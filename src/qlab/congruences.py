@@ -25,7 +25,8 @@ expansion a J reads, the power-sum rows included, for the plan and
 ``_values`` is the only place that knows the evaluation route:
 
 * m_odd congruence, parity and valuation claims go through the closed
-  forms (prefactor array + c_n values).
+  forms (prefactor array + c_n values); ``macmahon.closed_form`` names the
+  prefactor each reads and its stride.
 * exact m_odd claims (the vanishing families and the a=0 reinterpretation)
   read the power-sum route (``powersum_utilde``), which reads no closed
   form, so they are evidence independent of it; the a=0 support-pattern
@@ -51,8 +52,7 @@ from math import gcd, isqrt
 from operator import countOf, mod as remainder, sub
 from typing import Iterable
 
-from .macmahon import coeff_column, modd_explicit_batch, powersum_utilde
-from .special import overpartition_gf, prefactor_a
+from .macmahon import PREFACTORS, closed_form, coeff_column, modd_explicit_batch, powersum_utilde
 
 DEFAULT_BUDGET = 20000
 FULL_BUDGET = 150000
@@ -436,8 +436,7 @@ class SweepCache:
     # "powersum" for the exact m_odd claims' rows; each builder takes
     # (order, param), the modulus of a prefactor or (a, t) of a row
     _BUILDERS = {
-        "overpartition": overpartition_gf,
-        "prefactor_a": prefactor_a,
+        **PREFACTORS,
         "powersum": lambda order, at: powersum_utilde(*at, order)[at[1]],
     }
 
@@ -500,9 +499,11 @@ def _reads(fam: CongruenceFamily, t: int | None, top: int,
     """{(kind, param): length} of every ``SweepCache`` entry the values at
     arguments up to `top` read, for t = `t`.
 
-    Exact m_odd claims read the power-sum row (a, t).  The a=0 form, and the
-    reinterpretation's m_odd(-2) side at x//4, read the overpartition counts
-    at n//4 or below; an easy3_cross family's partners read them too.
+    Exact m_odd claims read the power-sum row (a, t).  A closed form reads
+    the prefactor ``closed_form`` names, up to top // stride (the a=0 forms
+    read x//4); so do an easy3_cross family's m_odd(-2, t) partners.  The
+    reinterpretation's m_odd(-2, t/2) side reads the overpartition counts
+    at x//4.
     """
     if fam.kind in (PREFACTOR_A, OVERPARTITION):
         return {(fam.kind.lower(), mod): top + 1}
@@ -513,10 +514,10 @@ def _reads(fam: CongruenceFamily, t: int | None, top: int,
         if fam.expected == EQUALS_MODD_M2:
             reads[("overpartition", mod)] = top // 4 + 1
         return reads
-    kind = "prefactor_a" if fam.a == 1 else "overpartition"
-    reads = {(kind, mod): top // 4 + 1 if fam.a == 0 else top + 1}
-    if fam.easy3_cross:
-        reads[("overpartition", mod)] = top + 1
+    reads = {}
+    for a in (fam.a, -2) if fam.easy3_cross else (fam.a,):     # -2: the partners
+        name, stride, *_ = closed_form(a, t)
+        reads[(name, mod)] = top // stride + 1
     return reads
 
 
@@ -559,10 +560,9 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int],
                                       exps["overpartition"], mod)
             values = list(map(sub, values, rhs))
         return values, partners
-    pref = exps["prefactor_a" if fam.a == 1 else "overpartition"]
-    values = modd_explicit_batch(fam.a, t, args, pref, mod)
+    values = modd_explicit_batch(fam.a, t, args, exps[closed_form(fam.a, t)[0]], mod)
     if fam.easy3_cross:
-        partners = modd_explicit_batch(-2, t, args, exps["overpartition"], mod)
+        partners = modd_explicit_batch(-2, t, args, exps[closed_form(-2, t)[0]], mod)
     return values, partners
 
 
@@ -774,7 +774,8 @@ def verify_all(profile: str = "quick", ids=None, j_values=None,
            1500 for the coefficient families);
     full:  additionally pushes the deep a=1 families to 150000.
     `j_values` and `n_budget` apply to every selected family; `None` takes
-    the profile's value.  Families share one cache, sized once up front
+    the profile's value.  A repeated id raises ValueError, as a repeated J
+    does.  Families share one cache, sized once up front
     at the largest order any of them reads.
     """
     if profile not in ("quick", "full"):
@@ -782,6 +783,8 @@ def verify_all(profile: str = "quick", ids=None, j_values=None,
     fams = registry() if ids is None else [lookup(i) for i in ids]
     if not fams:
         raise ValueError("no families selected")
+    if len({fam.id for fam in fams}) != len(fams):
+        raise ValueError(f"repeated families {[fam.id for fam in fams]}")
     plans = [(fam, *_sweep_plan(fam, j_values, n_budget, profile)) for fam in fams]
     cache = SweepCache()
     cache.reserve(*(lengths for *_, lengths in plans))

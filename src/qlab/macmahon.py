@@ -16,8 +16,11 @@ test suite:
 * ``powersum_utilde`` -- divisor sums for the power sums of the local
   factors, then Newton's identities (any |a| <= 2);
 * ``explicit_utilde`` -- closed form: an eta-quotient prefactor convolved
-  with a theta-supported coefficient family c_n(a, t) (a in {-2, 0, 1}),
-  read from ``modd_explicit_batch``, the convolution the sweeps use;
+  with a theta-supported coefficient family c_n(a', t') (a in {-2, 0, 1}),
+  read from ``modd_explicit_batch``, the convolution the sweeps use.
+  ``closed_form(a, t)`` is the one record of each form: the prefactor's
+  name in ``PREFACTORS``, the argument map, and (a', t'), which for a = 0
+  is the a = -2 form at t/2 on 4N (even t) or W_u on 4N+1 (t = 2u+1);
 * ``oracle_modd``    -- brute-force enumeration of the defining sum.
 
 On top of these sit the coefficient families c_n(a, t), their Riordan-array
@@ -281,7 +284,7 @@ def coeff_column(a: int, t: int, n_top: int) -> list[int]:
 
 def _check_coeff_args(a: int, t: int) -> None:
     if a not in _EXPLICIT_AS:
-        raise UnsupportedA(f"no closed-form coefficients for a={a}")
+        raise UnsupportedA(f"no closed form for a={a}")
     if t < 0:
         raise ValueError("t must be >= 0")
 
@@ -360,13 +363,6 @@ def _gegenbauer(a: int, m: int, size: int) -> list[int]:
     return g
 
 
-def riordan_coeff(a: int, t: int, n: int) -> int:
-    """[z^n] (z^t - z^(t+2)) / (1 - a z + z^2)^(t+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return riordan_series(a, t, n).coeff(n)
-
-
 def chebyshev_T(k: int) -> Poly:
     """Chebyshev polynomial of the first kind, T_k = 2y T_(k-1) - T_(k-2)."""
     if k < 0:
@@ -409,13 +405,43 @@ def two_te_quarter_shift(n: int, shift: int) -> Poly:
 # ---------------------------------------------------------------------
 
 
+# prefactor name -> its builder, called (order, mod) like every
+# ``congruences.SweepCache`` entry
+PREFACTORS = {"overpartition": overpartition_gf, "prefactor_a": prefactor_a}
+
+
+def closed_form(a: int, t: int) -> tuple[str, int, int, int, int]:
+    """(prefactor name, stride, offset, a', t') of U~_t(a; q) for t >= 1.
+
+    m_odd(a, t; x) is 0 unless x = stride*y + offset, and there it is
+    [q^y] of PREFACTORS[name] * sum_n c_n(a', t') q^(r(n)), with r(n) = n^2
+    for a' in {-2, 1} and n(n-1) for a' = 0 (``theta_weight_terms``):
+
+    * a = -2: the overpartition counts f2/f1^2, on every x;
+    * a =  1: f1 f6/(f2^2 f3), on every x;
+    * a =  0, even t = 2u: the a = -2 form at u, read on x = 4y;
+    * a =  0, odd t = 2u+1: W_u(q) on x = 4y+1, the family c_n(0, u).
+
+    U~_0(a; q) = 1, which no theta series gives.  Every closed-form reader
+    goes through it, so it is their one check of a (UnsupportedA) and of
+    t >= 0, shared with the c_n families.
+    """
+    _check_coeff_args(a, t)
+    if a == 1:
+        return "prefactor_a", 1, 0, 1, t
+    if a == -2:
+        return "overpartition", 1, 0, -2, t
+    if t % 2 == 0:
+        return "overpartition", 4, 0, -2, t // 2
+    return "overpartition", 4, 1, 0, t // 2
+
+
 def theta_weight_terms(a: int, t: int, order: int) -> list[tuple[int, int]]:
     """Nonzero terms of sum_n c_n(a,t) q^(r(n)) with r(n) = n^2 (a=-2,1)
     or n(n-1) (the a=0 odd-case family), truncated below `order`, in
     increasing exponent order.  One ``coeff_column`` call supplies every c_n.
     """
-    if a not in _EXPLICIT_AS:
-        raise UnsupportedA(f"no closed form for a={a}")
+    _check_coeff_args(a, t)
     if a == 0:
         first, r = t + 1, lambda n: n * (n - 1)
     else:
@@ -430,24 +456,14 @@ def theta_weight_terms(a: int, t: int, order: int) -> list[tuple[int, int]]:
 
 
 def w_series(t: int, order: int) -> Series:
-    """W_t(q): overpartition prefactor times sum_n c_n(0,t) q^(n(n-1))."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return Series(_theta_batch(0, t, range(order)))
+    """W_t(q): overpartition prefactor times sum_n c_n(0,t) q^(n(n-1)),
+    read as the odd case m_odd(0, 2t+1; 4y+1) of ``closed_form``."""
+    return Series(modd_explicit_batch(0, 2 * t + 1, [4 * y + 1 for y in range(order)]))
 
 
 def explicit_utilde(a: int, t: int, order: int) -> Series:
-    """U~_t(a; q) by the closed forms (a in {-2, 0, 1} only).
-
-    a = -2: (f2/f1^2) * sum c_n(-2,t) q^(n^2)
-    a =  0: even t=2u reduces to the a=-2 form in q^4; odd t=2u+1 equals
-            q * W_u(q^4)
-    a =  1: (f1 f6 / f2^2 f3) * sum c_n(1,t) q^(n^2)
-    """
-    if a not in _EXPLICIT_AS:
-        raise UnsupportedA(f"no closed form for a={a}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """U~_t(a; q) by the closed forms (a in {-2, 0, 1} only), as
+    ``closed_form`` states them."""
     if order < 1:
         raise ValueError("order must be >= 1")
     return Series(modd_explicit_batch(a, t, range(order)))
@@ -485,46 +501,30 @@ def modd_explicit(a: int, t: int, n: int) -> int:
 def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:
     """m_odd(a, t; n) for every n in `args` via the closed forms.
 
-    The coefficient family c_n(a, t) is computed once and shared across all
-    requested arguments, so sweeping them costs one prefactor expansion
-    plus one convolution (``_theta_batch``).  With `mod` > 0 the c_n are
-    reduced mod `mod` before they multiply the prefactor, so the values are
-    only congruent to m_odd mod `mod`, not reduced.  A `pref` passed with
-    it need not be reduced: the products read it mod `mod`, on packed
-    slots (see ``_theta_batch``).
+    ``closed_form`` names the prefactor, the argument map x = stride*y +
+    offset and the family c_n(a', t'); every other x reads 0.  The c_n are
+    computed once and shared across all requested arguments, so sweeping
+    them costs one prefactor expansion plus one ``series._conv_terms``.
+    Without `pref` the prefactor is built to the largest y, reduced mod
+    `mod`.  With `mod` > 0 the c_n are reduced mod `mod` before they
+    multiply the prefactor, so the values are only congruent to m_odd mod
+    `mod`, not reduced; a `pref` passed with it need not be reduced, as the
+    products read it mod `mod` on packed slots (else in a scalar loop of
+    O(sqrt(max)) multiplications per argument).
     """
-    if a not in _EXPLICIT_AS:
-        raise UnsupportedA(f"no closed form for a={a}")
+    name, stride, offset, a_c, t_c = closed_form(a, t)
     args = list(args)
     if min(args, default=0) < 0:
         raise ValueError("arguments must be >= 0")
-    if not args:
-        return []
     if t == 0:
-        return [1 if n == 0 else 0 for n in args]
-    if a == 0:
-        if t % 2 == 0:
-            inner = [n // 4 for n in args if n % 4 == 0]
-            vals = iter(modd_explicit_batch(-2, t // 2, inner, pref, mod))
-            return [next(vals) if n % 4 == 0 else 0 for n in args]
-        inner = [(n - 1) // 4 for n in args if n % 4 == 1]
-        vals = iter(_theta_batch(0, (t - 1) // 2, inner, pref, mod))
-        return [next(vals) if n % 4 == 1 else 0 for n in args]
-    return _theta_batch(a, t, args, pref, mod)
-
-
-def _theta_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[int]:
-    """[q^x] of prefactor * sum_n c_n(a,t) q^(r(n)) for each x in args.
-
-    The prefactor is the f1f6/(f2^2 f3) expansion for a = 1 and the
-    overpartition counts otherwise; a = 0 gives W_t.  Without `pref` it is
-    built to max(args), reduced mod `mod`; one passed in need not be, as
-    ``series._conv_terms`` reads it mod `mod` on packed slots for `mod` > 0,
-    else in a scalar loop of O(sqrt(max)) multiplications per argument.
-    """
-    if not args:
-        return []
-    top = max(args)
+        return [int(x == 0) for x in args]
+    inner = args if stride == 1 else [x // stride for x in args if x % stride == offset]
+    if not inner:
+        return [0] * len(args)
     if pref is None:
-        pref = (prefactor_a(top + 1, mod) if a == 1 else overpartition_gf(top + 1, mod)).coeffs
-    return _conv_terms(pref, theta_weight_terms(a, t, top + 1), args, mod)
+        pref = PREFACTORS[name](max(inner) + 1, mod).coeffs
+    values = _conv_terms(pref, theta_weight_terms(a_c, t_c, max(inner) + 1), inner, mod)
+    if stride == 1:
+        return values
+    values = iter(values)
+    return [next(values) if x % stride == offset else 0 for x in args]

@@ -550,14 +550,6 @@ class Series:
         return None
 
 
-def eq_mod(a: Series, b: Series, m: int) -> bool:
-    return a.eq_mod(b, m)
-
-
-def coeff_at(a: Series, n: int) -> int:
-    return a.coeff(n)
-
-
 # ---------------------------------------------------------------------
 # Exact polynomials (no truncation)
 # ---------------------------------------------------------------------
@@ -627,10 +619,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
 
 
 def poly_pow_mod(p: Poly, e: int, m: int) -> Poly:

@@ -225,6 +225,13 @@ def test_verify_repeated_j_is_rejected(capsys):
     assert "ValueError" in err and "repeated J" in err
 
 
+def test_verify_repeated_family_is_rejected(capsys):
+    # a repeated --family used to sweep the family twice: "2/2 families pass"
+    code, out, err = run(capsys, "verify", "--family", "vm2A-3", "--family", "vm2A-3")
+    assert code == 2 and out == ""
+    assert "ValueError" in err and "repeated famil" in err
+
+
 def test_verify_negative_budget_is_rejected(capsys):
     code, out, err = run(capsys, "verify", "--family", "v1-1", "--budget", "-5")
     assert code == 2 and out == ""
@@ -327,6 +334,16 @@ def test_modd_rejects_negative_arguments(capsys):
             code, out, err = run(capsys, "modd", "-a", "1", "-t", t, "-n", n,
                                  "--method", method)
             assert code == 2 and out == "" and ">= 0" in err
+    # a negative t used to fail only once an argument reached a c_n column:
+    # a=0, t=-2 printed 0 at n=5 and four zero rows from `table`
+    for a in ("-2", "0", "1"):
+        for n in ("0", "5", "8"):
+            for flags in (["--method", "explicit"], []):
+                code, out, err = run(capsys, "modd", "-a", a, "-t", "-2", "-n", n, *flags)
+                assert code == 2 and out == "" and ">= 0" in err, (a, n, flags)
+        code, out, err = run(capsys, "table", "--seq", "modd", "-a", a, "-t", "-2",
+                             "--n", "0..3")
+        assert code == 2 and out == "" and ">= 0" in err, a
 
 
 def test_verify_j_needs_a_t_rule(capsys):

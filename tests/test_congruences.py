@@ -396,6 +396,8 @@ def test_verify_all_selection():
         verify_all("quick", ids=[])
     with pytest.raises(UnknownFamily):
         verify_all("quick", ids=["nope"])
+    with pytest.raises(ValueError, match="repeated famil"):     # swept twice before
+        verify_all("quick", ids=["vm2A-3", "ovc8", "vm2A-3"])
     with pytest.raises(ValueError):
         verify_all("nightly")
 

@@ -50,7 +50,8 @@ def test_exact_div():
 
 
 CLOSED_FORMS = {"coeff_column", "theta_weight_terms", "modd_explicit_batch",
-                "explicit_utilde", "prefactor_a", "overpartition_gf"}
+                "explicit_utilde", "prefactor_a", "overpartition_gf",
+                "closed_form", "PREFACTORS"}
 
 
 def _reach(root: str) -> tuple[set, set]:
@@ -108,6 +109,46 @@ def test_column_kernels_name_no_oracle(root):
     assert "_binomial_column" not in {node.name for node in tree.body
                                       if isinstance(node, ast.FunctionDef)}
     assert not named & ORACLES, sorted(named & ORACLES)
+
+
+def _names_a_value(node) -> bool:
+    """Whether `node` is an integer literal, or a literal collection of them."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    values = value if isinstance(value, (tuple, list, set, frozenset)) else [value]
+    return all(isinstance(v, int) for v in values)
+
+
+PREFACTOR_BUILDERS = {"prefactor_a", "overpartition_gf"}
+
+
+def test_closed_forms_are_stated_once():
+    # macmahon.closed_form is the one record of the m_odd closed forms:
+    # the sweep compares no a with a number (``self.a is None`` only tells
+    # the m_odd and c_n records from the rest), only PREFACTORS names a
+    # builder, and the per-a batch and its a=0 self-recursion stay gone
+    tree = ast.parse((SRC / "qlab" / "congruences.py").read_text(encoding="utf-8"))
+    by_value = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(o, ast.Attribute) and o.attr == "a"
+                        for o in (node.left, *node.comparators))
+                and any(map(_names_a_value, (node.left, *node.comparators)))]
+    assert not by_value, by_value
+    tree = ast.parse((SRC / "qlab" / "macmahon.py").read_text(encoding="utf-8"))
+    table, = [node for node in tree.body if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["PREFACTORS"]]
+    named = {node.id for node in ast.walk(table) if isinstance(node, ast.Name)}
+    assert PREFACTOR_BUILDERS <= named
+    elsewhere = [node.lineno for stmt in tree.body if stmt is not table
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and node.id in PREFACTOR_BUILDERS]
+    assert not elsewhere, elsewhere
+    functions = _functions(SRC / "qlab" / "macmahon.py")
+    assert "_theta_batch" not in functions
+    called = {ast.unparse(node.func) for node in ast.walk(functions["modd_explicit_batch"])
+              if isinstance(node, ast.Call)}
+    assert "closed_form" in called and "modd_explicit_batch" not in called, sorted(called)
 
 
 SLOT_FORMAT = {"array", "to_bytes", "from_bytes", "byteswap"}

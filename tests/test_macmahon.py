@@ -7,11 +7,12 @@ from qlab.series import Poly, Series, series_of_rational
 from qlab.special import eta, eta_quotient
 from qlab.special import overpartition_gf, prefactor_a
 from qlab.macmahon import (
+    PREFACTORS,
     UnsupportedA,
     _binomial_c,
     _dp_slot_bits,
-    _theta_batch,
     chebyshev_T,
+    closed_form,
     coeff_c,
     coeff_column,
     direct_utilde,
@@ -22,7 +23,6 @@ from qlab.macmahon import (
     modd_explicit_batch,
     oracle_modd,
     powersum_utilde,
-    riordan_coeff,
     riordan_series,
     te,
     te_sum,
@@ -329,14 +329,45 @@ def test_theta_routes_match_per_entry():
         pref = pref_1 if a == 1 else pref_m2
         want = _per_entry_convolution(a, t, args, pref)
         assert modd_explicit_batch(a, t, args) == want, (a, t)
-        assert _theta_batch(a, t, args) == want, (a, t)
     # the a=0 odd case: W_t read on 4n+1
     for t in (0, 1, 3):
         want = _per_entry_convolution(0, t, args, pref_m2)
-        assert _theta_batch(0, t, args) == want, t
         assert want == [w_series(t, 400).coeff(x) for x in args], t
         odd = [4 * x + 1 for x in args]
         assert modd_explicit_batch(0, 2 * t + 1, odd) == want, t
+
+
+def test_closed_form_record_reads_the_dp():
+    # each field read by hand: the prefactor the record names times the
+    # per-entry c_n(a', t') theta series, on x = stride*y + offset, is the
+    # DP's U~_t(a; q), and every other x reads 0
+    order = 300
+    for a in (-2, 0, 1):
+        rows = direct_utilde(a, 8, order)
+        for t in range(1, 9):
+            name, stride, offset, a_c, t_c = closed_form(a, t)
+            ys = list(range((order - 1 - offset) // stride + 1))
+            got = _per_entry_convolution(a_c, t_c, ys, PREFACTORS[name](order).coeffs)
+            assert got == [rows[t].coeff(stride * y + offset) for y in ys], (a, t)
+            assert not any(rows[t].coeff(x) for x in range(order) if x % stride != offset)
+    assert closed_form(0, 6) == ("overpartition", 4, 0, -2, 3)
+    assert closed_form(0, 7) == ("overpartition", 4, 1, 0, 3)
+
+
+def test_negative_t_is_rejected_for_every_argument():
+    # one gate: a negative t used to pass wherever no argument reached a
+    # c_n column, e.g. a=0, t=-2 read 0 at every x not divisible by 4
+    for a in (-2, 0, 1):
+        for args in ([], [0], [5], [8], range(20)):
+            with pytest.raises(ValueError, match=">= 0"):
+                modd_explicit_batch(a, -2, args)
+        with pytest.raises(ValueError, match=">= 0"):
+            closed_form(a, -1)
+    for a in (-1, 2, 3):
+        with pytest.raises(UnsupportedA):
+            closed_form(a, 1)
+        with pytest.raises(UnsupportedA):
+            modd_explicit_batch(a, -1, [])
 
 
 def test_te_sum_matches_riordan():
@@ -348,11 +379,11 @@ def test_te_sum_matches_riordan():
 
 
 def test_riordan_examples():
-    assert riordan_coeff(-2, 1, 2) == -4
-    assert riordan_coeff(1, 1, 2) == 2
+    assert riordan_series(-2, 1, 2).coeff(2) == -4
+    assert riordan_series(1, 1, 2).coeff(2) == 2
     for a in (-2, 0, 1):
         for t in (1, 2, 3):
-            assert riordan_coeff(a, t, t) == 1
+            assert riordan_series(a, t, t).coeff(t) == 1
 
 
 def test_chebyshev_and_te():
