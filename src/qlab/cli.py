@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("modd", help="one coefficient of the odd divisor-sum family")
-    p.add_argument("-a", type=int, required=True, choices=(-2, -1, 0, 1, 2))
+    p.add_argument("-a", type=int, required=True, choices=macmahon.DP_AS)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--method", choices=(*_ROUTES, "all"),
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="CSV table of a coefficient sequence")
     p.add_argument("--seq", choices=(*_SEQUENCES, "modd"), required=True)
-    p.add_argument("-a", type=int, choices=(-2, 0, 1))
+    p.add_argument("-a", type=int, choices=macmahon.EXPLICIT_AS)
     p.add_argument("-t", type=int)
     p.add_argument("--n", type=_parse_range, required=True, help="range LO..HI")
     p.add_argument("--mod", type=int, default=0)
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     if args.command == "modd":
-        args.method = args.method or ("explicit" if args.a in (-2, 0, 1) else "direct")
+        args.method = args.method or ("explicit" if args.a in macmahon.EXPLICIT_AS else "direct")
         for route, limit in _ROUTE_LIMITS.items():
             if args.method in (route, "all") and args.n > limit:
                 print(f"error: -n {args.n} is past the {route} route's limit of {limit}; "

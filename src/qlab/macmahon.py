@@ -50,8 +50,8 @@ class UnsupportedA(ValueError):
     """The closed forms exist only for a in {-2, 0, 1}."""
 
 
-_DP_AS = (-2, -1, 0, 1, 2)
-_EXPLICIT_AS = (-2, 0, 1)
+DP_AS = (-2, -1, 0, 1, 2)
+EXPLICIT_AS = (-2, 0, 1)
 
 
 def local_factor_coeffs(a: int, mmax: int) -> list[int]:
@@ -61,8 +61,8 @@ def local_factor_coeffs(a: int, mmax: int) -> list[int]:
     the roots of 1+a*x+x^2 lie on the unit circle and the d_m stay bounded
     (a = +-2 gives d_m = +-m up to sign; a = 0 and a = +-1 cycle).
     """
-    if a not in _DP_AS:
-        raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if a not in DP_AS:
+        raise ValueError(f"need a in {DP_AS}, got {a}")
     d = [0] * (mmax + 1)
     if mmax >= 1:
         d[1] = 1
@@ -90,8 +90,8 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     from the majorant |[q^n] U~_t| <= [q^n] h^t / t!, with h the sum of
     |d_m| q^(m*k) over odd k and m >= 1, computed without the DP.
     """
-    if a not in _DP_AS:
-        raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if a not in DP_AS:
+        raise ValueError(f"need a in {DP_AS}, got {a}")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if order < 1:
@@ -157,8 +157,8 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
     Rows with t^2 >= order are zero at this truncation, as in
     ``direct_utilde``.
     """
-    if a not in _DP_AS:
-        raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if a not in DP_AS:
+        raise ValueError(f"need a in {DP_AS}, got {a}")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if order < 1:
@@ -196,8 +196,8 @@ def oracle_modd(a: int, t: int, n: int) -> int:
     m_k >= 1 with sum m_k n_k = n.  Independent of the DP and closed-form
     code paths; only usable for small n.
     """
-    if a not in _DP_AS:
-        raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if a not in DP_AS:
+        raise ValueError(f"need a in {DP_AS}, got {a}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if t < 0:
@@ -283,7 +283,7 @@ def coeff_column(a: int, t: int, n_top: int) -> list[int]:
 
 
 def _check_coeff_args(a: int, t: int) -> None:
-    if a not in _EXPLICIT_AS:
+    if a not in EXPLICIT_AS:
         raise UnsupportedA(f"no closed form for a={a}")
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -458,6 +458,8 @@ def theta_weight_terms(a: int, t: int, order: int) -> list[tuple[int, int]]:
 def w_series(t: int, order: int) -> Series:
     """W_t(q): overpartition prefactor times sum_n c_n(0,t) q^(n(n-1)),
     read as the odd case m_odd(0, 2t+1; 4y+1) of ``closed_form``."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     return Series(modd_explicit_batch(0, 2 * t + 1, [4 * y + 1 for y in range(order)]))
 
 
@@ -482,8 +484,8 @@ def modd_powersum(a: int, t: int, n: int) -> int:
 def _modd_row(route, a: int, t: int, n: int) -> int:
     """[q^n] of row t from `route`; 0 when t^2 > n, as t distinct odd parts
     sum to at least t^2, so no row past isqrt(n) is built."""
-    if a not in _DP_AS:
-        raise ValueError(f"need a in {_DP_AS}, got {a}")
+    if a not in DP_AS:
+        raise ValueError(f"need a in {DP_AS}, got {a}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if t < 0:

@@ -16,10 +16,11 @@ order.  Quotients are handled by factoring the q-valuation out of the
 denominator and requiring the remaining constant term to be +1 or -1, so
 all arithmetic stays over the integers.
 
-Each term first flattens its eta-quotient part into one exponent map
-{scale: e}: the eta and q factors, and the groups holding one positive
-term made only of such factors (nested, raised to any power), with equal
-scales cancelling.  The other factors (integers, theta atoms, groups
+Each term reads its eta-quotient part in the one walk over its factors:
+``_eta_form`` gives every eta or q factor, and every group holding one
+positive term made only of such factors (nested, raised to any power), as
+a q-valuation and an exponent map {scale: e}, and the term adds these up
+into one map, equal scales cancelling.  The other factors (integers, theta atoms, groups
 holding a sum) are multiplied and divided left to right as before, and
 ``special.eta_product`` then applies each f_r^e: one product by f_r^e
 for e > 0, |e| sparse division passes (``series._div_terms``) for e < 0.
@@ -33,7 +34,9 @@ coefficientwise equality.
 
 from __future__ import annotations
 
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -69,7 +72,8 @@ class NegativeValuation(ExprError):
 # AST
 # ---------------------------------------------------------------------
 
-_THETA_NAMES = ("phi", "psi", "P", "b", "aB")
+# the theta atom names, each with its series builder
+_THETA_BASE = {"phi": phi, "psi": psi, "P": pgen, "b": borwein_b, "aB": borwein_a}
 
 
 @dataclass(frozen=True)
@@ -118,163 +122,135 @@ class SumExpr:
 
 
 # ---------------------------------------------------------------------
-# Lexer / parser
+# Parser
 # ---------------------------------------------------------------------
 
-_PUNCT = set("+-*/^()")
-_DIGITS = set("0123456789")
+_DIGITS = frozenset("0123456789")
+_BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
 
 
-class _Lexer:
+class _Parser:
+    """Recursive descent that reads one token at a time, only when asked
+    for it: blanks and '#' comments are skipped, an INT is ASCII digits only
+    (so int() reads every INT), a word is a letter followed by letters or
+    ASCII digits, and a punctuation token is one of '+-*/^()'."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = self.end = 0
 
-    def _skip(self):
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
-
     def peek(self):
         """(kind, value, position) without consuming; the token ends at
-        ``self.end``.  Digits are ASCII 0-9 only, so int() reads every INT."""
-        self._skip()
+        ``self.end``."""
         text, n = self.text, len(self.text)
-        start = self.end = self.pos
-        if start >= n:
-            return ("eof", None, start)
-        ch = text[start]
-        if ch in _PUNCT:
-            self.end = start + 1
-            return ("punct", ch, start)
-        if ch in _DIGITS:
-            j = start
+        self.pos = start = j = _BLANKS.match(text, self.pos).end()
+        ch = text[start:start + 1]
+        if not ch:
+            kind, value = "eof", None
+        elif ch in "+-*/^()":
+            kind, value, j = "punct", ch, start + 1
+        elif ch in _DIGITS:
             while j < n and text[j] in _DIGITS:
                 j += 1
-            self.end = j
-            return ("int", int(text[start:j]), start)
-        if ch.isalpha():
-            j = start
+            kind, value = "int", int(text[start:j])
+        elif ch.isalpha():
+            j += 1
             while j < n and (text[j].isalpha() or text[j] in _DIGITS):
                 j += 1
-            self.end = j
-            return ("word", text[start:j], start)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", start)
+            kind, value = "word", text[start:j]
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", start)
+        self.end = j
+        return kind, value, start
 
     def next(self):
         token = self.peek()
         self.pos = self.end
         return token
 
+    def accept(self, chars: str):
+        """Consume the next token and return its character if it is
+        punctuation in `chars`, else None."""
+        kind, value, _ = self.peek()
+        if kind == "punct" and value in chars:
+            return self.next()[1]
+        return None
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lx = _Lexer(text)
+    def expect(self, char: str, message: str):
+        """Consume the punctuation token `char`, else raise
+        ExprSyntaxError(message) at the next token's offset."""
+        kind, value, pos = self.next()
+        if not (kind == "punct" and value == char):
+            raise ExprSyntaxError(message, pos)
+
+    def integer(self, message: str, least: int = 0) -> int:
+        """Consume an INT of at least `least`, else raise
+        ExprSyntaxError(message) at the next token's offset."""
+        kind, value, pos = self.next()
+        if kind != "int" or value < least:
+            raise ExprSyntaxError(message, pos)
+        return value
 
     def parse(self) -> SumExpr:
         expr = self._expr()
-        kind, value, pos = self.lx.peek()
+        kind, value, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected {value!r}", pos)
         return expr
 
     def _expr(self) -> SumExpr:
-        terms = []
-        sign = 1
-        kind, value, _ = self.lx.peek()
-        if kind == "punct" and value in "+-":
-            self.lx.next()
-            sign = 1 if value == "+" else -1
-        terms.append((sign, self._term()))
+        terms, sign = [], self.accept("+-")
         while True:
-            kind, value, _ = self.lx.peek()
-            if kind == "punct" and value in "+-":
-                self.lx.next()
-                terms.append((1 if value == "+" else -1, self._term()))
-            else:
+            terms.append((-1 if sign == "-" else 1, self._term()))
+            sign = self.accept("+-")
+            if not sign:
                 return SumExpr(tuple(terms))
 
     def _term(self) -> TermExpr:
         factors = [("*", self._factor())]
-        while True:
-            kind, value, _ = self.lx.peek()
-            if kind == "punct" and value in "*/":
-                self.lx.next()
-                factors.append((value, self._factor()))
-            else:
-                return TermExpr(tuple(factors))
+        while op := self.accept("*/"):
+            factors.append((op, self._factor()))
+        return TermExpr(tuple(factors))
 
     def _factor(self) -> FactorExpr:
         atom = self._atom()
-        kind, value, _ = self.lx.peek()
-        if kind == "punct" and value == "^":
-            self.lx.next()
-            neg = False
-            kind, value, pos = self.lx.peek()
-            if kind == "punct" and value == "-":
-                self.lx.next()
-                neg = True
-                kind, value, pos = self.lx.peek()
-            if kind != "int":
-                raise ExprSyntaxError("expected integer exponent", pos)
-            self.lx.next()
-            return FactorExpr(atom, -value if neg else value)
-        return FactorExpr(atom, 1)
+        if not self.accept("^"):
+            return FactorExpr(atom, 1)
+        sign = -1 if self.accept("-") else 1
+        return FactorExpr(atom, sign * self.integer("expected integer exponent"))
 
     def _atom(self):
-        kind, value, pos = self.lx.next()
+        if self.accept("("):
+            inner = self._expr()
+            self.expect(")", "expected ')'")
+            return GroupAtom(inner)
+        kind, value, pos = self.next()
         if kind == "int":
             return IntAtom(value)
-        if kind == "punct" and value == "(":
-            inner = self._expr()
-            kind, value, pos = self.lx.next()
-            if not (kind == "punct" and value == ")"):
-                raise ExprSyntaxError("expected ')'", pos)
-            return GroupAtom(inner)
-        if kind == "word":
-            if value == "q":
-                return QAtom()
-            if value[0] == "f" and value[1:].isdigit():
-                scale = int(value[1:])
-                if scale < 1:
-                    raise ExprSyntaxError("eta scale must be >= 1", pos)
-                return EtaAtom(scale)
-            if value in _THETA_NAMES:
-                return self._theta(value)
-            raise UnknownSymbol(value, pos)
-        raise ExprSyntaxError("expected an atom", pos)
+        if kind != "word":
+            raise ExprSyntaxError("expected an atom", pos)
+        if value == "q":
+            return QAtom()
+        if value[0] == "f" and value[1:].isdigit():
+            scale = int(value[1:])
+            if scale < 1:
+                raise ExprSyntaxError("eta scale must be >= 1", pos)
+            return EtaAtom(scale)
+        if value in _THETA_BASE:
+            return self._theta(value)
+        raise UnknownSymbol(value, pos)
 
     def _theta(self, name: str) -> ThetaAtom:
-        kind, value, pos = self.lx.next()
-        if not (kind == "punct" and value == "("):
-            raise ExprSyntaxError(f"expected '(' after {name}", pos)
-        negated = False
-        kind, value, pos = self.lx.peek()
-        if kind == "punct" and value == "-":
-            self.lx.next()
-            negated = True
-        kind, value, pos = self.lx.next()
-        if not (kind == "word" and value == "q"):
+        self.expect("(", f"expected '(' after {name}")
+        negated = bool(self.accept("-"))
+        kind, value, pos = self.next()
+        if (kind, value) != ("word", "q"):
             raise ExprSyntaxError("theta argument must be q or -q", pos)
-        arg_power = 1
-        kind, value, pos = self.lx.peek()
-        if kind == "punct" and value == "^":
-            self.lx.next()
-            kind, value, pos = self.lx.next()
-            if kind != "int" or value < 1:
-                raise ExprSyntaxError("theta argument power must be a positive integer", pos)
-            arg_power = value
-        kind, value, pos = self.lx.next()
-        if not (kind == "punct" and value == ")"):
-            raise ExprSyntaxError("expected ')'", pos)
-        return ThetaAtom(name, negated, arg_power)
+        power = 1
+        if self.accept("^"):
+            power = self.integer("theta argument power must be a positive integer", 1)
+        self.expect(")", "expected ')'")
+        return ThetaAtom(name, negated, power)
 
 
 def parse(text: str) -> SumExpr:
@@ -333,15 +309,6 @@ class _Val:
         self.unit = unit
 
 
-_THETA_BASE = {
-    "phi": lambda order: phi(order),
-    "psi": psi,
-    "P": pgen,
-    "b": borwein_b,
-    "aB": borwein_a,
-}
-
-
 class _Evaluator:
     def __init__(self, order: int):
         self.order = order
@@ -375,12 +342,15 @@ class _Evaluator:
         return _Val(0, None)
 
     def term(self, node: TermExpr) -> _Val:
-        """The term's other factors left to right, then its eta map."""
-        etas: dict[int, int] = {}
-        val = _eta_map(node.factors, 1, etas)
+        """The term's other factors left to right, then its eta quotient."""
+        val, etas = 0, Counter()
         acc = _Val(0, Series.one(self.order))
         for op, factor in node.factors:
-            if _is_eta_factor(factor):
+            form = _eta_form(factor)
+            if form is not None:
+                e = 1 if op == "*" else -1
+                val += e * form[0]
+                etas.update({r: e * x for r, x in form[1].items()})
                 continue
             v = self.factor(factor)
             if op == "*":
@@ -445,34 +415,27 @@ class _Evaluator:
         raise TypeError(f"not an atom: {node!r}")
 
 
-def _is_eta_factor(factor: FactorExpr) -> bool:
-    """Whether the factor is an eta or q atom, or a group holding one
-    positive term made only of such factors."""
-    atom = factor.atom
-    if isinstance(atom, (EtaAtom, QAtom)):
-        return True
-    if not isinstance(atom, GroupAtom) or len(atom.expr.terms) != 1:
-        return False
-    sign, term = atom.expr.terms[0]
-    return sign > 0 and all(_is_eta_factor(f) for _, f in term.factors)
-
-
-def _eta_map(factors, power: int, etas: dict[int, int]) -> int:
-    """Add the exponents of the eta factors among `factors`, each times
-    `power`, into `etas` (scale -> exponent); return their q-valuation."""
-    val = 0
-    for op, factor in factors:
-        if not _is_eta_factor(factor):
-            continue
-        e = power * factor.power if op == "*" else -power * factor.power
-        atom = factor.atom
-        if isinstance(atom, EtaAtom):
-            etas[atom.scale] = etas.get(atom.scale, 0) + e
-        elif isinstance(atom, QAtom):
-            val += e
-        else:
-            val += _eta_map(atom.expr.terms[0][1].factors, e, etas)
-    return val
+def _eta_form(factor: FactorExpr):
+    """(q-valuation, {scale: exponent}) of an eta or q factor, or of a group
+    holding one positive term made only of such factors (nested, raised to
+    any power); None for any other factor."""
+    atom, power = factor.atom, factor.power
+    if isinstance(atom, EtaAtom):
+        return 0, {atom.scale: power}
+    if isinstance(atom, QAtom):
+        return power, {}
+    terms = atom.expr.terms if isinstance(atom, GroupAtom) else ()
+    if len(terms) != 1 or terms[0][0] < 0:
+        return None
+    val, etas = 0, Counter()
+    for op, inner in terms[0][1].factors:
+        form = _eta_form(inner)
+        if form is None:
+            return None
+        e = power if op == "*" else -power
+        val += e * form[0]
+        etas.update({r: e * x for r, x in form[1].items()})
+    return val, etas
 
 
 def evaluate(ast: SumExpr, order: int) -> Series:
@@ -548,40 +511,46 @@ class FixtureReport:
 
 
 def parse_fixture_file(text: str) -> list[LemmaFixture]:
-    """Parse the fixture format: blank-line separated blocks of
-    `name:` / `lhs =` / `rhs =` / `check_to =` lines; '#' comments."""
-    fixtures = []
+    """Parse the fixture format: blocks separated by blank lines, each
+    giving a non-empty `name:` and `lhs =`, `rhs =`, `check_to =` once;
+    '#' starts a comment."""
+    fixtures: dict[str, LemmaFixture] = {}
     block: dict[str, str] = {}
 
     def flush():
         if not block:
             return
+        name = block.get("name", "unnamed fixture")
         missing = {"name", "lhs", "rhs", "check_to"} - set(block)
         if missing:
-            raise ValueError(f"fixture block missing fields: {sorted(missing)}")
-        fixtures.append(
-            LemmaFixture(block["name"], block["lhs"], block["rhs"], int(block["check_to"]))
-        )
+            raise ValueError(f"{name}: fixture block missing fields: {sorted(missing)}")
+        if name in fixtures:
+            raise ValueError(f"duplicate fixture names: {name!r}")
+        if not (block["check_to"].isascii() and block["check_to"].isdigit()):
+            raise ValueError(f"{name}: check_to must be ASCII digits, got {block['check_to']!r}")
+        fixtures[name] = LemmaFixture(name, block["lhs"], block["rhs"], int(block["check_to"]))
         block.clear()
 
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             flush()
             continue
         if line.startswith("name:"):
-            block["name"] = line[len("name:"):].strip()
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in ("lhs", "rhs", "check_to"):
-            raise ValueError(f"unrecognized fixture line: {raw!r}")
-        block[key] = value.strip()
+            key, value = "name", line[len("name:"):].strip()
+            if not value:
+                raise ValueError(f"empty fixture name: {raw!r}")
+        else:
+            key, sep, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not sep or key not in ("lhs", "rhs", "check_to"):
+                raise ValueError(f"unrecognized fixture line: {raw!r}")
+        if key in block:
+            raise ValueError(f"{block.get('name', 'unnamed fixture')}: {key} given twice "
+                             "(a blank line must separate two fixtures)")
+        block[key] = value
     flush()
-    names = [fx.name for fx in fixtures]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate fixture names")
-    return fixtures
+    return list(fixtures.values())
 
 
 def load_fixtures(path=None) -> list[LemmaFixture]:

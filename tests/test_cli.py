@@ -390,6 +390,26 @@ def test_lemmas_bad_expression(capsys, tmp_path):
         assert code == 2 and out == "" and err.strip() == f"error: {path}: holds no fixtures"
 
 
+def test_lemmas_malformed_fixture_file_is_refused(capsys, tmp_path):
+    # two fixtures without a blank line between them used to merge: the
+    # second name renamed the first block and the false identity f1 = f2
+    # was never checked ("PASS b ... 1/1 pass", exit 0)
+    path = tmp_path / "bad.qx"
+    for text, message in (
+        ("name: a\nlhs = f1\nrhs = f2\ncheck_to = 60\n"
+         "name: b\nlhs = f1\nrhs = f1\ncheck_to = 60\n", "a: name given twice"),
+        ("name: a\nlhs = f1\nlhs = f2\nrhs = f1\ncheck_to = 60\n", "a: lhs given twice"),
+        ("name:   # no name\nlhs = f1\nrhs = f1\ncheck_to = 60\n", "empty fixture name"),
+        ("name: a\nlhs = f1\nrhs = f1\ncheck_to = 6x0\n", "a: check_to must be"),
+        ("name: a\nlhs = f1\nrhs = f1\ncheck_to = 60\n\n"
+         "name: a\nlhs = f2\nrhs = f2\ncheck_to = 60\n", "duplicate fixture names: 'a'"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "lemmas", str(path))
+        assert code == 2 and out == "", text
+        assert err.startswith(f"error: {message}"), err
+
+
 def test_lemmas_check_to_past_max_order_is_refused(capsys, tmp_path):
     # a fixture's own check_to is a size too: past MAX_ORDER it used to end
     # in a MemoryError traceback; an --order within MAX_ORDER still runs it

@@ -288,3 +288,36 @@ def test_sweep_cache_is_one_store():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "dp_utilde" in line]
     assert not found, found
+
+
+def test_cli_reads_the_a_sets_from_macmahon():
+    # macmahon.DP_AS and EXPLICIT_AS are the one statement of which a each
+    # route takes; the CLI's choices and default route read them
+    tree = ast.parse((SRC / "qlab" / "cli.py").read_text(encoding="utf-8"))
+    literal = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts
+               and _names_a_value(node)]
+    assert not literal, literal
+
+
+GONE_READERS = {"_Lexer", "_PUNCT", "_THETA_NAMES", "_is_eta_factor", "_eta_map"}
+
+
+def test_dsl_is_read_by_one_parser():
+    # the lexer lives in the parser, only accept/expect test for a
+    # punctuation token, and one _eta_form walk reads a term's eta quotient
+    tree = ast.parse((SRC / "qlab" / "qexpr.py").read_text(encoding="utf-8"))
+    bound = {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not bound & GONE_READERS, sorted(bound & GONE_READERS)
+    assert "_eta_form" in bound
+    functions = _functions(SRC / "qlab" / "qexpr.py")
+    punct = {name for name, fn in functions.items() for node in ast.walk(fn)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(o, ast.Constant) and o.value == "punct"
+                     for o in (node.left, *node.comparators))}
+    assert punct == {"accept", "expect"}, sorted(punct)
+    opens = [ast.unparse(node) for node in ast.walk(functions["_atom"])
+             if isinstance(node, ast.Call)]
+    assert "self.accept('(')" in opens, opens

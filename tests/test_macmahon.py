@@ -472,6 +472,10 @@ def test_explicit_examples():
             explicit_utilde(*bad)
     with pytest.raises(ValueError):
         w_series(-1, 10)
+    # an order below 1 is refused as explicit_utilde refuses it
+    for order in (0, -5):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            w_series(0, order)
 
 
 def test_modd_single_and_batch():

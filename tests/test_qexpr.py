@@ -297,6 +297,26 @@ check_to = 64
         parse_fixture_file("junk line without equals")
     with pytest.raises(ValueError):
         LemmaFixture("tiny", "f1", "f1", 10)
+    # a blank line separates fixtures, each field comes once, a name is
+    # non-empty and check_to is ASCII digits; each error names the fixture
+    two = "name: a\nlhs = f1\nrhs = f1\ncheck_to = 60\n\nname: b\nlhs = f2\nrhs = f2\ncheck_to = 70"
+    assert [(fx.name, fx.lhs, fx.check_to) for fx in parse_fixture_file(two)] == [
+        ("a", "f1", 60), ("b", "f2", 70)]
+    # leading blanks are insignificant on every line, the name line too
+    assert parse_fixture_file("  name: c\n  lhs = f1\n\trhs = f1\ncheck_to = 60")[0].name == "c"
+    for text, message in (
+        (two.replace("\n\n", "\n"), "a: name given twice"),
+        ("lhs = f1\nlhs = f2", "unnamed fixture: lhs given twice"),
+        ("name: a\nrhs = f1\nlhs = f1\nrhs = f2\ncheck_to = 60", "a: rhs given twice"),
+        ("name: a\ncheck_to = 60\ncheck_to = 70\nlhs = f1\nrhs = f1", "a: check_to given twice"),
+        ("name:\nlhs = f1\nrhs = f1\ncheck_to = 60", "empty fixture name"),
+        ("name: a\nlhs = f1\nrhs = f1\ncheck_to = sixty", "a: check_to must be ASCII digits"),
+        ("name: a\nlhs = f1\nrhs = f1\ncheck_to = \u0666\u0660", "a: check_to must be"),
+        (two.replace("name: b", "name: a"), "duplicate fixture names: 'a'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_fixture_file(text)
+        assert str(err.value).startswith(message), (text, str(err.value))
 
 
 def test_prefactor_halves_match_dissections():
