@@ -20,11 +20,11 @@ from .special import overpartition_gf, prefactor_a
 _SEQUENCES = {"prefA": prefactor_a, "overp": overpartition_gf}
 
 # The largest `modd -n` each slow route is run at; `--method all` runs both.
-# The DP costs about n^2 log n bit operations: a=2, t=3 took 2.0 s at
-# n = 5000 and 10.8 s at n = 10000.  The oracle's enumeration grows faster
-# still: for a=2 at most 0.6 s over t <= 10 at n = 100, 28 s at n = 150,
-# t = 6.  --method powersum took 0.4 s at n = 10000, a=2, t=3 (one
-# process, 2-vCPU VM, Python 3.11).
+# The DP takes O(n) shift-adds per row, each on an n-slot int, so about n^2
+# bit operations: a=2, t=3 took 0.6 s at n = 5000 and 2.6-3.4 s at n = 10000.
+# The oracle's enumeration grows faster still: for a=2 at most 0.25 s over
+# t <= 10 at n = 100, 8-11 s at n = 150, t = 6.  --method powersum took
+# 0.3 s at n = 10000, a=2, t=3 (one process, 2-vCPU VM, Python 3.11).
 _ROUTE_LIMITS = {"direct": 5000, "oracle": 100}
 
 

@@ -12,7 +12,9 @@ Chebyshev-type recurrence.
 Four independent evaluation routes are provided and cross-checked by the
 test suite:
 
-* ``direct_utilde``  -- dynamic program over the odd parts (any |a| <= 2);
+* ``direct_utilde``  -- dynamic program over the odd parts (any |a| <= 2),
+  each part taken term by term or, where that is cheaper, through the
+  recurrence of its local factor (``_FOLD``);
 * ``powersum_utilde`` -- divisor sums for the power sums of the local
   factors, then Newton's identities (any |a| <= 2);
 * ``explicit_utilde`` -- closed form: an eta-quotient prefactor convolved
@@ -21,7 +23,8 @@ test suite:
   ``closed_form(a, t)`` is the one record of each form: the prefactor's
   name in ``PREFACTORS``, the argument map, and (a', t'), which for a = 0
   is the a = -2 form at t/2 on 4N (even t) or W_u on 4N+1 (t = 2u+1);
-* ``oracle_modd``    -- brute-force enumeration of the defining sum.
+* ``oracle_modd``    -- brute-force enumeration of the defining sum, the
+  last part's multiplicity forced by what is left.
 
 On top of these sit the coefficient families c_n(a, t), their Riordan-array
 representation, and the even Chebyshev polynomials te_n used to derive them.
@@ -32,8 +35,9 @@ uses (``_gegenbauer``): for a = 1 and a = -2 (a' = a) it is the Riordan
 array, c_n = g_(n-t) - g_(n-t-2); for a = 0 (a' = -2) it is
 c_n = g_(n-t-1) - g_(n-t-2), the expansion of
 (z^(t+1) - z^(t+2)) / (1 + z)^(2t+2).
-The slow exact routes stay as oracles: ``te_sum`` and ``series_of_rational``
-for the Riordan array, ``_binomial_c`` for the binomial forms.
+The slow exact routes stay as oracles: ``te_sum`` (its summand carried
+term to term by an exact ratio) and ``series_of_rational`` for the Riordan
+array, ``_binomial_c`` for the binomial forms.
 """
 
 from __future__ import annotations
@@ -71,6 +75,12 @@ def local_factor_coeffs(a: int, mmax: int) -> list[int]:
     return d
 
 
+# a -> (c1, s, p, r) with X/(1 + a*X + X^2) = X*(1 + c1*X) / (1 - s*X^p)^r,
+# s = +-1: each local factor as a short recurrence at X = q^n
+_FOLD = {0: (0, -1, 2, 1), 1: (-1, 1, 3, 1), -1: (1, -1, 3, 1),
+         2: (0, -1, 1, 2), -2: (0, 1, 1, 2)}
+
+
 def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     """U~_t(a; q) for t = 0..t_max by dynamic programming, exact to `order`.
 
@@ -82,13 +92,25 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
 
     Each row S_t is one int for the whole run.  Evaluating at q = 2^W maps
     Z[q]/q^order into Z/2^(W*order) as a ring homomorphism, since q^order
-    goes to 0, so the update of S_t by g_n is one shift-add per nonzero
-    term, S_t += d_m * (S_(t-1) << W*m*n), reduced mod 2^(W*order) once per
-    (part, t); intermediate values need no bound.  At the end each row is
-    decoded once by ``series._unpack_signed``, which is exact when every
-    coefficient c of the row has |c| < 2^(W-1).  ``_dp_slot_bits`` takes W
-    from the majorant |[q^n] U~_t| <= [q^n] h^t / t!, with h the sum of
-    |d_m| q^(m*k) over odd k and m >= 1, computed without the DP.
+    goes to 0, so a product by g_n is a few shifts and adds of whole rows.
+    Each part takes whichever of two ways needs fewer of them:
+
+    * term by term, one shift-add per nonzero d_m (and a multiply when
+      |d_m| > 1), S_t += d_m * (S_(t-1) << W*m*n), reduced mod 2^(W*order)
+      once per (part, t);
+    * by its recurrence: g_n = X(1 + c1 X)/(1 - s X^p)^r at X = q^n, with
+      (c1, s, p, r) from ``_FOLD``.  As s^2 = 1, 1/(1 - s Y) =
+      (1 + s Y)(1 + Y^2)(1 + Y^4)..., each factor one masked shift-add,
+      and the chain stops where a shift passes the truncation, so the part
+      costs O(log(order/n)) steps where the term list has O(order/n).
+
+    Summed over the parts that is O(order) steps per row, each on an int of
+    W*order bits, where the term lists alone take O(order log order).
+    At the end each row is decoded once by ``series._unpack_signed``, which
+    is exact when every coefficient c of the row has |c| < 2^(W-1).
+    ``_dp_slot_bits`` takes W from the majorant |[q^n] U~_t| <= [q^n] h^t / t!,
+    with h the sum of |d_m| q^(m*k) over odd k and m >= 1, computed without
+    the DP.
     """
     if a not in DP_AS:
         raise ValueError(f"need a in {DP_AS}, got {a}")
@@ -97,6 +119,7 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     if order < 1:
         raise ValueError("order must be >= 1")
     d = local_factor_coeffs(a, order - 1)
+    c1, s, p, r = _FOLD[a]
     eff = min(t_max, isqrt(order - 1))
     width = _dp_slot_bits(a, eff, order)
     ring = (1 << width * order) - 1
@@ -106,9 +129,28 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
         g = [(width * m * part, d[m]) for m in range(1, (order - 1) // part + 1) if d[m]]
         if not g:
             continue
+        # (shift, sign) steps, each a product by 1 + sign * 2^shift, that
+        # take S_(t-1) * X to S_(t-1) * g_n; a shift past order - 1 - part
+        # lands wholly beyond the truncation
+        room = order - 1 - part
+        chain = [(width * part, c1)] if c1 and part <= room else []
+        for _ in range(r):
+            e, sign = p * part, s
+            while e <= room:
+                chain.append((width * e, sign))
+                e, sign = 2 * e, 1
+        # big-int operations: the chain's steps and its shift by X, against
+        # the terms' shift-adds and a multiply for each |d_m| > 1
+        fold = len(chain) + 1 < len(g) + sum(abs(c) > 1 for _, c in g)
         reachable = min(eff, reachable + 1)
         for t in range(reachable, 0, -1):
             src, acc = rows[t - 1], rows[t]
+            if fold:
+                v = src << width * part
+                for shift, sign in chain:
+                    v = (v + (v << shift) if sign > 0 else v - (v << shift)) & ring
+                rows[t] = (acc + v) & ring
+                continue
             for shift, c in g:
                 if c == 1:
                     acc += src << shift
@@ -117,7 +159,7 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
                 else:
                     acc += c * (src << shift)
             rows[t] = acc & ring
-    out = [Series(_unpack_signed(r, width // 8, order)) for r in rows]
+    out = [Series(_unpack_signed(row, width // 8, order)) for row in rows]
     return out + [Series([0] * order) for _ in range(t_max - eff)]
 
 
@@ -193,8 +235,11 @@ def oracle_modd(a: int, t: int, n: int) -> int:
     """m_odd(a, t; n) by brute-force enumeration.
 
     Sums prod_k d_(m_k) over all 1 <= n_1 < ... < n_t odd and multiplicities
-    m_k >= 1 with sum m_k n_k = n.  Independent of the DP and closed-form
-    code paths; only usable for small n.
+    m_k >= 1 with sum m_k n_k = n.  The first t - 1 parts and their
+    multiplicities are enumerated; the last part's multiplicity is then
+    forced, rem / n_t, so that part contributes only where it divides what
+    is left.  Independent of the DP and closed-form code paths; only usable
+    for small n.
     """
     if a not in DP_AS:
         raise ValueError(f"need a in {DP_AS}, got {a}")
@@ -212,9 +257,10 @@ def oracle_modd(a: int, t: int, n: int) -> int:
 
     def descend(parts_left: int, part: int, rem: int, weight: int):
         nonlocal total
-        if parts_left == 0:
-            if rem == 0:
-                total += weight
+        if parts_left == 1:
+            for last in range(part, rem + 1, 2):
+                if rem % last == 0:
+                    total += weight * d[rem // last]
             return
         # smallest possible completion: part, part+2, ... (distinct odds)
         while part * parts_left + parts_left * (parts_left - 1) <= rem:
@@ -303,31 +349,24 @@ def te_sum(a: int, t: int, n: int) -> int:
 
     This is the coefficient of x^t in 2*te_n((x+a+2)/4); each summand is an
     exact integer.  Works for any integer a (0^0 = 1 covers a = -2).  The
-    binomials are carried along by exact ratio updates so a whole column of
-    values stays cheap.
+    summand T(k) itself is carried by its ratio,
+    T(k+1) = -T(k) (n+k)(n-k)(a+2) / (2(2k+1)(k+1-t)),
+    one checked exact division per step, so a whole column of values stays
+    cheap.
     """
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     if n < t:
         return 0
-    shift = a + 2
-    u = comb(n + t, 2 * t)            # C(n+k, 2k) at k = t
-    b = 1                             # C(k, t)
-    p = 1                             # shift^(k-t)
-    sign = -1 if (n - t) % 2 else 1
-    total = 0
-    for k in range(t, n + 1):
-        g = exact_div(2 * n * u, n + k)
-        if sign > 0:
-            total += g * b * p
-        else:
-            total -= g * b * p
-        sign = -sign
-        if k == n or shift == 0:
+    term = exact_div(2 * n * comb(n + t, 2 * t), n + t)
+    if (n - t) % 2:
+        term = -term
+    total = term
+    for k in range(t, n):
+        term = exact_div(term * ((n + k) * (k - n) * (a + 2)), 2 * (2 * k + 1) * (k + 1 - t))
+        if not term:
             break
-        u = u * ((n + k + 1) * (n - k)) // ((2 * k + 2) * (2 * k + 1))
-        b = b * (k + 1) // (k + 1 - t)
-        p *= shift
+        total += term
     return total
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .series import Series
@@ -482,13 +482,16 @@ class LemmaFixture:
     lhs: str
     rhs: str
     check_to: int
+    # both sides parsed once, here, and evaluated by ``check_fixture``
+    lhs_ast: SumExpr = field(init=False, compare=False, repr=False)
+    rhs_ast: SumExpr = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.check_to < 50:
             raise ValueError(f"{self.name}: check_to must be >= 50")
         for side in ("lhs", "rhs"):
             try:
-                parse(getattr(self, side))
+                object.__setattr__(self, side + "_ast", parse(getattr(self, side)))
             except ExprError as exc:
                 raise ExprError(f"{self.name}: {side}: {exc}") from exc
 
@@ -572,8 +575,8 @@ def check_fixture(fx: LemmaFixture, order: int | None = None) -> FixtureReport:
     check_to = order if order is not None else fx.check_to
     start = time.perf_counter()
     try:
-        lhs = evaluate_text(fx.lhs, check_to)
-        rhs = evaluate_text(fx.rhs, check_to)
+        lhs = evaluate(fx.lhs_ast, check_to)
+        rhs = evaluate(fx.rhs_ast, check_to)
     except ExprError as exc:
         ms = 1000 * (time.perf_counter() - start)
         return FixtureReport(fx.name, False, check_to, error=str(exc), millis=ms)

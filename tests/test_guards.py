@@ -95,6 +95,16 @@ def test_direct_route_names_no_other_route():
     assert not named & others, sorted(named & others)
 
 
+def test_oracle_names_no_other_route():
+    # the enumeration is the third route of the m_odd triangulation, so
+    # nothing it calls may read the DP, the power sums or the closed forms
+    seen, named = _reach("oracle_modd")
+    assert "local_factor_coeffs" in seen
+    others = CLOSED_FORMS | {"direct_utilde", "_dp_slot_bits", "_FOLD",
+                             "powersum_utilde", "_odd_power_sum"}
+    assert not named & others, sorted(named & others)
+
+
 ORACLES = {"te_sum", "_binomial_c", "series_of_rational"}
 
 

@@ -131,12 +131,15 @@ def test_dp_slot_bits_hold_every_coefficient(a):
 
 
 def test_powersum_matches_direct():
+    # at order 1001 every a folds its small parts through chains of three or
+    # more steps and takes its large ones term by term
     for a in (-2, -1, 0, 1, 2):
-        want = direct_utilde(a, 5, 400)
-        got = powersum_utilde(a, 5, 400)
-        assert len(got) == 6
-        for t in range(6):
-            assert got[t].coeffs == want[t].coeffs, (a, t)
+        for t_max, order in ((5, 400), (6, 1001)):
+            want = direct_utilde(a, t_max, order)
+            got = powersum_utilde(a, t_max, order)
+            assert len(got) == t_max + 1
+            for t in range(t_max + 1):
+                assert got[t].coeffs == want[t].coeffs, (a, t, order)
 
 
 def test_powersum_small_orders_and_zero_rows():
@@ -398,7 +401,9 @@ def test_chebyshev_and_te():
 
 
 def test_two_te_quarter_shift_matches_k_sum():
-    for a in (-2, 0, 1):
+    # te_sum takes any integer a; its ratio carries a factor a + 2, which
+    # is negative below a = -2
+    for a in range(-4, 4):
         for n in range(1, 13):
             poly = two_te_quarter_shift(n, a + 2)
             for t in range(n + 1):

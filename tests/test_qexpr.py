@@ -263,6 +263,17 @@ def test_fixture_corpus_passes():
     assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
 
 
+def test_fixture_sides_are_parsed_once(monkeypatch):
+    # a fixture keeps the ASTs it validated, and checking evaluates them
+    texts = []
+    real = qexpr.parse
+    monkeypatch.setattr(qexpr, "parse", lambda text: texts.append(text) or real(text))
+    fixtures = load_fixtures()
+    assert len(texts) == 2 * len(fixtures) == 32
+    reports = check_fixtures(fixtures, order=100)
+    assert all(r.passed for r in reports) and len(texts) == 32
+
+
 def test_perturbed_fixture_fails_with_mismatch_exponent():
     fx = LemmaFixture("broken", "f1/f3",
                       "f2*f16*f24^2/(f6^2*f8*f48) - q*f2*f8^2*f12*f48/(f4*f6^2*f16*f24) + q",
