@@ -35,11 +35,12 @@ when no slot width fits.  ``Series.__pow__``, ``Poly.__pow__`` and
 ``poly_pow_mod`` share one square-and-multiply, ``_power``.
 
 ``_conv_terms`` reads a product u * sum(c*q^e) at chosen exponents only, as
-the closed forms need it.  On residues it reads u mod M, with no scan of
-u: it reduces and packs one column u[s::A] per residue class s mod A that
-it reads, A the gcd of the differences of the exponents asked for, in
-slots of the same widths under the same bound over the weights c mod M.
-Exact products run a scalar loop.
+the closed forms need it.  On residues it reads u mod M: it packs one
+column u[s::A] per residue class s mod A that it reads, A the gcd of the
+differences of the exponents asked for, in slots of the same widths under
+the same bound over the weights c mod M.  A column that one min and one
+max show to lie in [0, M) is packed as it is; any other is reduced entry
+by entry first.  Exact products run a scalar loop.
 """
 
 from __future__ import annotations
@@ -175,9 +176,10 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
 
 
 # Quotient coefficients per block on the residue route.  On
-# prefactor_a(150001, 192), 256, 512 and 1024 took 0.63, 0.65 and 0.67 s of
-# CPU (medians of 7 alternated runs, 2-vCPU VM, Python 3.11), within the
-# noise of each other; overpartition_gf(50001, 192) 0.077, 0.086, 0.091 s.
+# prefactor_a(150001, 192) (one division at order 50001, one at 150001),
+# 256, 512 and 1024 took 0.226, 0.224 and 0.225 s of CPU (medians of 7
+# alternated runs, 2-vCPU VM, Python 3.11), within the noise of each other;
+# overpartition_gf(50001, 192) 0.040, 0.042, 0.046 s.
 _BLOCK = 512
 
 # The residue division's carry slots are the narrowest that hold a chunk of
@@ -335,16 +337,19 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
     The arguments lie in one class B mod A, A the gcd of their differences
     (max(args) + 1 for one argument), so x = B + A*i reads u only on the
     columns u[s::A]: term q^e reads row i - j of column s = (B - e) mod A,
-    with j = (e - B + s) / A.  Each column a term reads is reduced and
-    packed once by ``_pack``, rows reversed, one row per slot of `width`
-    bits, so pack_s >> (j * width) holds row i - j in slot i (slots counted
-    from the top) and drops the rows no argument reads.  The terms are
-    summed by weight w = c mod `mod`, each group's shifted packs once times
-    w, and ``_unpack`` reads the one sum.  A slot then holds exactly the
-    scalar sum, at most (mod-1) * sum(w), so it cannot carry while
-    (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width`` picks the width.
-    When no width fits, and for `mod` == 0, every argument runs in the
-    scalar loop.  No route scans u first.
+    with j = (e - B + s) / A.  Each column a term reads is packed once by
+    ``_pack``, rows reversed, one row per slot of `width` bits, so
+    pack_s >> (j * width) holds row i - j in slot i (slots counted from the
+    top) and drops the rows no argument reads.  One ``min`` and one ``max``
+    over the column decide whether it is reduced first: a column already in
+    [0, `mod`), such as a residue expansion, is packed as it is, and only a
+    column with an entry outside that range is reduced entry by entry.
+    The terms are summed by weight w = c mod `mod`, each group's shifted
+    packs once times w, and ``_unpack`` reads the one sum.  A slot then
+    holds exactly the scalar sum, at most (mod-1) * sum(w), so it cannot
+    carry while (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width`` picks
+    the width.  When no width fits, and for `mod` == 0, every argument runs
+    in the scalar loop.
     """
     if not args:
         return []
@@ -375,8 +380,10 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
             break
         s = (base - e) % step
         if s not in packs:
-            col = u[s:top + 1:step]
-            packs[s] = _pack(map(mod.__rmod__, col[::-1]), width // 8) << (rows - len(col)) * width
+            col = u[s:top + 1:step][::-1]
+            if min(col) < 0 or max(col) >= mod:
+                col = list(map(mod.__rmod__, col))
+            packs[s] = _pack(col, width // 8) << (rows - len(col)) * width
         groups.setdefault(w, []).append((s, (e - base + s) // step * width))
     total = sum(w * sum(packs[s] >> shift for s, shift in group)
                 for w, group in groups.items())

@@ -8,10 +8,12 @@ cheap at large truncation orders.  The two prefactors of the closed forms
 are built as theta quotients, phi(-q) = f1^2/f2 and psi(q) = f2^2/f1, which
 take fewer and sparser divisions than their eta forms; with `mod` > 0 the
 division kernel reduces every coefficient as it goes, so the integers stay
-small.  `eta_quotient` stays as the general constructor and the test oracle;
-`eta_product` applies eta factors to a given series, for it and for the
-expression evaluator: a positive power is one product, a negative one
-sparse division passes.
+small.  The a=1 prefactor psi(q^3)/(psi(q)*f6) takes its q^3 half through
+psi(q^3)/f6 = (psi(q)/f2)(q^3): one division by f2 at a third of the order,
+then one by psi(q) at the full order.  `eta_quotient` stays as the general
+constructor and the test oracle; `eta_product` applies eta factors to a
+given series, for it and for the expression evaluator: a positive power is
+one product, a negative one sparse division passes.
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ def eta_product(u: Sequence[int], factors: EtaFactors, order: int) -> list[int]:
 def overpartition_gf(order: int, mod: int = 0) -> Series:
     """f2/f1^2 = 1/phi(-q), the overpartition counting function.
 
-    With `mod` > 0 the coefficients are reduced into [0, mod).
+    With `mod` > 0 the coefficients are reduced into [0, mod).  Order 0
+    gives the empty series; a negative order raises ValueError.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     return Series(_div_terms([1], phi_terms(order, -1), order, mod))
 
 
@@ -137,11 +142,21 @@ def prefactor_a(order: int, mod: int = 0) -> Series:
     """f1*f6/(f2^2*f3) = psi(q^3)/(psi(q)*f6), the multiplier attached to
     the a=1 closed form.
 
-    With `mod` > 0 the coefficients are reduced into [0, mod).
+    Its q^3 half is psi(q^3)/f6 = f6/f3 = (psi(q)/f2)(q^3), so psi(q) is
+    divided by f2 at order ceil(order/3), the quotient is spread onto every
+    third coefficient, and one division by psi(q) at `order` finishes the
+    build.  With `mod` > 0 the coefficients are reduced into [0, mod).
+    Order 0 gives the empty series; a negative order raises ValueError.
     """
-    num = Series.from_terms(psi_terms(3, order), order).coeffs
-    quot = _div_terms(num, psi_terms(1, order), order, mod)
-    return Series(_div_terms(quot, pentagonal_terms(6, order), order, mod))
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not order:
+        return Series([])
+    third = (order - 1) // 3 + 1
+    num = Series.from_terms(psi_terms(1, third), third).coeffs
+    spread = [0] * order
+    spread[::3] = _div_terms(num, pentagonal_terms(2, third), third, mod)
+    return Series(_div_terms(spread, psi_terms(1, order), order, mod))
 
 
 def phi_terms(order: int, sign: int = 1) -> list[tuple[int, int]]:

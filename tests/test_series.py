@@ -445,8 +445,8 @@ def test_residue_division_splits_chunks():
 
 
 def test_prefactor_takes_the_packed_route():
-    # psi(q) and f6 have weights +-1: 16-bit carry chunks, and 1/psi mod 192
-    # needs 32-bit G slots
+    # psi(q) has weights +-1: 16-bit carry chunks, and 1/psi mod 192 needs
+    # 32-bit G slots; the division by f2 at order 342 runs the scalar loop
     order = 2 * B + 1
     got, seen = packed_widths(prefactor_a, order, 192)
     assert seen == {16, 32}
@@ -578,6 +578,21 @@ def test_conv_terms_slot_widths(mod, weight, width):
     # one entry short: no route may read the missing row as a zero
     with pytest.raises(IndexError):
         _conv_terms(u[:max(args)], terms, args, mod)
+
+
+def test_conv_terms_packs_reduced_columns_as_they_are():
+    # args 1 mod 4 read four columns u[s::4] in one call: column 0 is
+    # already in [0, M), column 1 holds M and a negative entry, column 2 an
+    # entry >= 2**64, which no array slot holds unreduced, and column 3 a
+    # negative entry alone
+    mod = 192
+    u = [(5 * k) % mod for k in range(90)]
+    u[5], u[9] = mod, -5
+    u[14] = 2 ** 64 + 3
+    u[19] = -1
+    terms = [(0, 1), (1, 7), (2, -3), (3, 2)]
+    args = list(range(5, 90, 4))
+    assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
 
 
 @settings(max_examples=60, deadline=None)

@@ -207,14 +207,43 @@ def test_theta_forms_match_eta_quotients():
 
 @pytest.mark.parametrize("build", [prefactor_a, overpartition_gf])
 def test_residue_builders_at_block_edges(build):
-    # orders around the residue division's blocks, and moduli from 1 up to
-    # 1728 = 2^6 * 3^3, against the exact series reduced
+    # orders around the residue division's blocks (3B - 1 .. 3B + 2 put
+    # prefactor_a's division at a third of the order right on one), and
+    # moduli from 1 up to 1728 = 2^6 * 3^3, against the exact series reduced
     B = _BLOCK
-    orders = [1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 77]
+    orders = [1, B - 1, B, B + 1, 2 * B, 2 * B + 1,
+              3 * B - 1, 3 * B, 3 * B + 1, 3 * B + 2, 3 * B + 77]
     exact = build(max(orders)).coeffs
     for order in orders:
         for mod in (1, 2, 3, 8, 192, 1728):
             assert build(order, mod).coeffs == tuple(c % mod for c in exact[:order]), (order, mod)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 1000, 3 * _BLOCK + 2])
+def test_prefactor_divides_f2_at_a_third_of_the_order(order):
+    # psi(q^3)/f6 = (psi(q)/f2)(q^3): one division by f2 at ceil(order/3),
+    # one by psi(q) at the full order, and no division by f6
+    calls = []
+
+    def spy(u, dterms, n, mod=0):
+        calls.append((list(dterms), n))
+        return _div_terms(u, dterms, n, mod)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_div_terms", spy)
+        got = prefactor_a(order, 192)
+    third = -(-order // 3)
+    assert calls == [(pentagonal_terms(2, third), third), (psi_terms(1, order), order)]
+    assert got.coeffs == tuple(c % 192 for c in prefactor_a(order).coeffs)
+
+
+@pytest.mark.parametrize("build", [prefactor_a, overpartition_gf])
+def test_residue_builders_at_order_zero_and_below(build):
+    for mod in (0, 192):
+        empty = build(0, mod)
+        assert (empty.order, empty.coeffs) == (0, ())
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            build(-3, mod)
 
 
 def test_overpartition_positive_even():
