@@ -94,6 +94,16 @@ def cmd_modd(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        if args.j is not None:
+            fams = (congruences.registry() if args.family is None
+                    else [congruences.lookup(i) for i in args.family])
+            bare = [fam.id for fam in fams if fam.t_rule is None]
+            if bare:
+                named = ", ".join(bare[:3]) + (", ..." if len(bare) > 3 else "")
+                print(f"error: --j needs families with a t rule, and {len(bare)} of the "
+                      f"{len(fams)} selected families have no t rule ({named}); "
+                      f"choose families with one by --family", file=sys.stderr)
+                return 2
         reports = congruences.verify_all(args.profile, ids=args.family,
                                          j_values=args.j, n_budget=args.budget)
     except (congruences.UnknownFamily, ValueError) as exc:

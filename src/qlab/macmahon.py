@@ -550,8 +550,7 @@ def modd_explicit_batch(a: int, t: int, args, pref=None, mod: int = 0) -> list[i
     `mod`.  With `mod` > 0 the c_n are reduced mod `mod` before they
     multiply the prefactor, so the values are only congruent to m_odd mod
     `mod`, not reduced; a `pref` passed with it need not be reduced, as the
-    products read it mod `mod` on packed slots (else in a scalar loop of
-    O(sqrt(max)) multiplications per argument).
+    products read it mod `mod` on packed slots, which every modulus has.
     """
     name, stride, offset, a_c, t_c = closed_form(a, t)
     args = list(args)

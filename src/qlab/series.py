@@ -19,28 +19,35 @@ Every packed int is made by ``_pack(values, size)`` and read by
 ``_unpack(x, size, n)``, value i in slot i of `size` bytes: one ``array``
 of 1, 2, 4 or 8 bytes (byte-swapped on a big-endian host), for 3, 5, 6 and
 7 bytes the next wider one with its slots narrowed or widened by strided
-byte copies, and entry by entry above 8 bytes.  ``_unpack_signed`` reads
-slots that hold signed values, by a half-slot bias: the Kronecker product
-and the packed rows of ``macmahon.direct_utilde`` decode through it.
+byte copies, and entry by entry above 8 bytes.  Signed values go through
+one pair on top of those, ``_pack_signed`` and ``_unpack_signed``, by a
+half-slot bias: the Kronecker product packs and reads through it, and the
+packed rows of ``macmahon.direct_utilde`` decode through it.
+
+Every slot is a whole number of bytes.  A product takes the narrowest that
+holds its largest coefficient with the sign; a residue kernel takes
+``_slot_width``, the narrowest, at least one byte, that holds its bound
+without a carry, so every modulus has a width and the residue routes run
+on packed slots alone.
 
 Division can also reduce every quotient coefficient mod M.  Past one block
 that residue route runs a block of coefficients at a time: every divisor
 term adds its share from the finished blocks as shifts and sums of ints
-that pack the finished residues in 16-bit slots (32 or 64 bits when M or
-the weights are too large), the terms grouped by the sign of their signed
-residue; then one packed multiply by G, the inverse of the divisor mod
-(q^block, M), solves the block.  The exact route runs the scalar
-recurrence, one loop over the quotient index, and so does the residue route
-when no slot width fits.  ``Series.__pow__``, ``Poly.__pow__`` and
-``poly_pow_mod`` share one square-and-multiply, ``_power``.
+that pack the finished residues (16-bit slots for M = 192 and weights of
+size 1), the terms grouped by the sign of their signed residue; then one
+packed multiply by G, the inverse of the divisor mod (q^block, M), solves
+the block.  The exact route runs the scalar recurrence, one loop over the
+quotient index, and so does a residue division of at most one block.
+``Series.__pow__``, ``Poly.__pow__`` and ``poly_pow_mod`` share one
+square-and-multiply, ``_power``.
 
 ``_conv_terms`` reads a product u * sum(c*q^e) at chosen exponents only, as
 the closed forms need it.  On residues it reads u mod M: it packs one
 column u[s::A] per residue class s mod A that it reads, A the gcd of the
-differences of the exponents asked for, in slots of the same widths under
-the same bound over the weights c mod M.  A column that one min and one
-max show to lie in [0, M) is packed as it is; any other is reduced entry
-by entry first.  Exact products run a scalar loop.
+differences of the exponents asked for, in slots of ``_slot_width`` under
+the bound over the weights c mod M.  A column that one min and one max
+show to lie in [0, M) is packed as it is; any other is reduced entry by
+entry first.  Exact products run a scalar loop.
 """
 
 from __future__ import annotations
@@ -133,6 +140,23 @@ def _unpack(x: int, size: int, n: int) -> Sequence[int]:
     return slots
 
 
+def _bias(size: int, n: int) -> int:
+    """Half a slot, 2**(8*size - 1), in each of n slots of `size` bytes."""
+    # half * (B**n - 1) / (B - 1), B = 256**size
+    return (1 << 8 * size - 1) * ((1 << 8 * size * n) - 1) // ((1 << 8 * size) - 1)
+
+
+def _pack_signed(values: Sequence[int], size: int) -> int:
+    """sum(c_i * 256**(size*i)) for signed c_i, every |c_i| < 2**(8*size - 1).
+
+    The mirror of ``_unpack_signed``: each value goes into its slot plus
+    half a slot, so ``_pack`` sees only nonnegative values, and the bias
+    comes off the whole int at once.
+    """
+    half = 1 << (8 * size - 1)
+    return _pack([c + half for c in values], size) - _bias(size, len(values))
+
+
 def _unpack_signed(x: int, size: int, n: int) -> list[int]:
     """The low n slots of x read as signed values c_i, slot 0 first.
 
@@ -142,9 +166,7 @@ def _unpack_signed(x: int, size: int, n: int) -> list[int]:
     each its value plus that bias.
     """
     half = 1 << (8 * size - 1)
-    # half in each of the n slots: half * (B**n - 1) / (B - 1), B = 256**size
-    x += half * ((1 << 8 * size * n) - 1) // ((1 << 8 * size) - 1)
-    return [v - half for v in _unpack(x, size, n)]
+    return [v - half for v in _unpack(x + _bias(size, n), size, n)]
 
 
 def _max_bits(values: Sequence[int]) -> int:
@@ -156,13 +178,12 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     """a * b truncated to `order`, by one big-int multiply; the product of
     any two coefficient lists, however sparse.
 
-    Each operand becomes one int with coefficient i in slot i: its positive
-    and its negative parts are packed apart and subtracted.  A product
-    coefficient is a sum of at most min(len) terms, each below
-    2**(bits(a) + bits(b)) in size, so a slot of `width` bits, one more for
-    the sign, rounded up to whole bytes, holds it, and ``_unpack_signed``
-    reads the product's slots.  Missing entries of a short operand are
-    zeros.
+    Each operand becomes one int with coefficient i in slot i, packed once
+    by ``_pack_signed``.  A product coefficient is a sum of at most min(len)
+    terms, each below 2**(bits(a) + bits(b)) in size, so a slot of `width`
+    bits, one more for the sign, rounded up to whole bytes, holds it, and
+    ``_unpack_signed`` reads the product's slots.  Missing entries of a
+    short operand are zeros.
     """
     a, b = a[:order], b[:order]
     bits_a, bits_b = _max_bits(a), _max_bits(b)
@@ -170,31 +191,29 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
         return [0] * order
     width = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
     size = (width + 7) // 8
-    x = _pack([c if c > 0 else 0 for c in a], size) - _pack([-c if c < 0 else 0 for c in a], size)
-    y = _pack([c if c > 0 else 0 for c in b], size) - _pack([-c if c < 0 else 0 for c in b], size)
-    return _unpack_signed(x * y, size, order)
+    return _unpack_signed(_pack_signed(a, size) * _pack_signed(b, size), size, order)
 
 
 # Quotient coefficients per block on the residue route.  On
-# prefactor_a(150001, 192) (one division at order 50001, one at 150001),
-# 256, 512 and 1024 took 0.226, 0.224 and 0.225 s of CPU (medians of 7
-# alternated runs, 2-vCPU VM, Python 3.11), within the noise of each other;
-# overpartition_gf(50001, 192) 0.040, 0.042, 0.046 s.
+# prefactor_a(150001, 192) (one division at order 50001, one at 150001,
+# 16-bit carry slots and 24-bit G slots), 256, 512 and 1024 took 0.211,
+# 0.195 and 0.216 s of CPU (medians of 7 alternated runs, 2-vCPU VM,
+# Python 3.11); overpartition_gf(50001, 192) 0.035, 0.035, 0.036 s.
 _BLOCK = 512
 
 # The residue division's carry slots are the narrowest that hold a chunk of
 # this many terms of the heaviest weight (or all terms of one sign).  One
 # chunk's unpack per block costs about as much as 50 shifts of a 16-bit
-# window: on prefactor_a(150001, M), 16-bit chunks of 36 psi terms ran
-# within noise of 32-bit slots at M = 1728, and chunks of 15 ran 30% slower
-# at M = 4096.
+# window: on prefactor_a(150001, M), with G on 32-bit slots, 16-bit chunks
+# of 36 psi terms ran within noise of 32-bit slots at M = 1728, and chunks
+# of 15 ran 30% slower at M = 4096.
 _CHUNK_TERMS = 64
 
 def _slot_width(mod: int, weights) -> int:
-    """Bits per packed slot, 16, 32 or 64, that hold (mod-1) * (1 + sum(weights))
-    without a carry; 0 when none does."""
+    """Bits per packed slot, the narrowest whole number of bytes, at least
+    one, that holds (mod-1) * (1 + sum(weights)) without a carry."""
     bound = (mod - 1) * (1 + sum(weights))
-    return next((b for b in (16, 32, 64) if bound < 1 << b), 0)
+    return 8 * ((bound.bit_length() + 7) // 8 or 1)
 
 
 def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
@@ -210,7 +229,7 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     divisor and G = 1/D mod (q^B, mod), found once by the scalar loop at
     order B, block k of the quotient is ((u_k - carry_k) mod `mod`) * G mod
     q^B, each coefficient reduced: one multiply of two ints that pack B
-    residues in slots of a `_slot_width` fitted to the weights G, since a
+    residues in slots of the `_slot_width` fitted to the weights G, since a
     product slot is at most (mod-1) * sum(G).  carry_k is the share of every
     divisor term q^e that falls on finished blocks.  Each finished block is
     kept as B packed slots, and pairs[j] holds blocks j-1 and j side by side
@@ -221,15 +240,16 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
     subtracted, those with c' < 0 added.  Each sign is cut into chunks whose
     slot bound (mod-1) * (1 + sum|c'|) fits the carry width, the narrowest
     that holds `_CHUNK_TERMS` terms of the heaviest weight or every term of
-    one sign: 16 bits for mod 192 and weights +-1 or +-2, which halves the
-    bytes of every shift against 32.  A chunk is summed on its packed slots,
-    by weight, and unpacked once per block by ``_unpack``.  When G or the
-    carry fits no width, or the order is at most B, every coefficient runs
-    the scalar recurrence, as every one does on the exact route
-    (`mod` == 0).  That recurrence is one loop over the quotient index n:
-    each divisor term q^e with e <= n takes its coefficient times r[n-e]
-    off, the terms grouped as +1, -1 and the rest, so a divisor with
-    coefficients +-1, such as an eta factor, multiplies nothing.
+    one sign: 16 bits for mod 192 and weights +-1 or +-2, two thirds of the
+    bytes of every shift that 24-bit slots would take.  A chunk is summed
+    on its packed slots, by weight, and unpacked once per block by
+    ``_unpack``.  Every modulus has a width, however wide, so only an order
+    of at most B runs every coefficient through the scalar recurrence, as
+    every one does on the exact route (`mod` == 0).  That recurrence is one
+    loop over the quotient index n: each divisor term q^e with e <= n takes
+    its coefficient times r[n-e] off, the terms grouped as +1, -1 and the
+    rest, so a divisor with coefficients +-1, such as an eta factor,
+    multiplies nothing.
 
     An empty `dterms`, the zero divisor, raises NonUnitConstant; the Series
     and Poly divisions leave that check to this one place.
@@ -255,52 +275,51 @@ def _div_terms(u: Sequence[int], dterms, order: int, mod: int = 0) -> list[int]:
         most = max(sum(w for _, w in signed if w > 0), -sum(w for _, w in signed if w < 0))
         top = max((abs(w) for _, w in signed), default=0)
         width = _slot_width(mod, [min(most, _CHUNK_TERMS * top)])
-        if gwidth and width:
-            # (sign, {|c'|: [(dj, shift), ...]}) per chunk: block k reads the
-            # window of term e as pairs[k + dj] >> shift
-            chunks: list[tuple[int, dict[int, list[tuple[int, int]]]]] = []
-            for sign in (1, -1):
-                chunk: dict[int, list[tuple[int, int]]] = {}
-                total = 0
-                for e, w in signed:
-                    w *= sign
-                    if w < 0:
-                        continue
-                    if not chunk or not 0 < _slot_width(mod, [total + w]) <= width:
-                        chunk, total = {}, 0
-                        chunks.append((sign, chunk))
-                    total += w
-                    dj, o = divmod(step - 1 - e, step)
-                    chunk.setdefault(w, []).append((dj, (o + 1) * width))
-            size, gsize = width // 8, gwidth // 8
-            ginv = _pack(g, gsize)
-            rmod = mod.__rmod__
-            r = [0] * order
-            pairs: list[int] = []
-            prev = 0
-            for k, s in enumerate(range(0, order, step)):
-                pairs.append(prev)
-                hi = min(order, s + step)
-                acc = list(u[s:hi])
-                acc += [0] * (hi - s - len(acc))
-                for sign, chunk in chunks:
-                    carry = 0
-                    for w, terms in chunk.items():
-                        part = 0
-                        for dj, shift in terms:
-                            if k + dj < 0:
-                                break
-                            part += pairs[k + dj] >> shift
-                        carry += w * part
-                    if carry:
-                        acc = list(map(sub if sign > 0 else add, acc, _unpack(carry, size, hi - s)))
-                quot = _unpack(_pack(map(rmod, acc), gsize) * ginv, gsize, hi - s)
-                block = list(map(rmod, quot))
-                r[s:hi] = block
-                if hi < order:
-                    prev = _pack(block, size)
-                    pairs[k] |= prev << step * width
-            return r
+        # (sign, {|c'|: [(dj, shift), ...]}) per chunk: block k reads the
+        # window of term e as pairs[k + dj] >> shift
+        chunks: list[tuple[int, dict[int, list[tuple[int, int]]]]] = []
+        for sign in (1, -1):
+            chunk: dict[int, list[tuple[int, int]]] = {}
+            total = 0
+            for e, w in signed:
+                w *= sign
+                if w < 0:
+                    continue
+                if not chunk or _slot_width(mod, [total + w]) > width:
+                    chunk, total = {}, 0
+                    chunks.append((sign, chunk))
+                total += w
+                dj, o = divmod(step - 1 - e, step)
+                chunk.setdefault(w, []).append((dj, (o + 1) * width))
+        size, gsize = width // 8, gwidth // 8
+        ginv = _pack(g, gsize)
+        rmod = mod.__rmod__
+        r = [0] * order
+        pairs: list[int] = []
+        prev = 0
+        for k, s in enumerate(range(0, order, step)):
+            pairs.append(prev)
+            hi = min(order, s + step)
+            acc = list(u[s:hi])
+            acc += [0] * (hi - s - len(acc))
+            for sign, chunk in chunks:
+                carry = 0
+                for w, terms in chunk.items():
+                    part = 0
+                    for dj, shift in terms:
+                        if k + dj < 0:
+                            break
+                        part += pairs[k + dj] >> shift
+                    carry += w * part
+                if carry:
+                    acc = list(map(sub if sign > 0 else add, acc, _unpack(carry, size, hi - s)))
+            quot = _unpack(_pack(map(rmod, acc), gsize) * ginv, gsize, hi - s)
+            block = list(map(rmod, quot))
+            r[s:hi] = block
+            if hi < order:
+                prev = _pack(block, size)
+                pairs[k] |= prev << step * width
+        return r
     # split the terms into +1 / -1 / general coefficient groups so the
     # hot loop does no multiplications for eta-style divisors
     plus = [e for e, c in tail if c == 1]
@@ -348,28 +367,26 @@ def _conv_terms(u: Sequence[int], terms, args: Sequence[int], mod: int = 0) -> l
     packs once times w, and ``_unpack`` reads the one sum.  A slot then
     holds exactly the scalar sum, at most (mod-1) * sum(w), so it cannot
     carry while (mod-1) * (1 + sum(w)) < 2**width; ``_slot_width`` picks
-    the width.  When no width fits, and for `mod` == 0, every argument runs
-    in the scalar loop.
+    the width, which every modulus has.  Only the exact products
+    (`mod` == 0) run in the scalar loop.
     """
     if not args:
         return []
     low, top = min(args), max(args)
     if len(u) <= top:
         raise IndexError(f"u holds {len(u)} coefficients, argument {top} needs {top + 1}")
-    width = 0
-    if mod:
-        terms = [(e, c % mod) for e, c in terms if c % mod]
-        width = _slot_width(mod, [w for _, w in terms])
-    if not width:
+    if not mod:
         out = []
         for x in args:
             acc = 0
             for e, c in terms:
                 if e > x:
                     break
-                acc += c * (u[x - e] % mod if mod else u[x - e])
+                acc += c * u[x - e]
             out.append(acc)
         return out
+    terms = [(e, c % mod) for e, c in terms if c % mod]
+    width = _slot_width(mod, [w for _, w in terms])
     step = gcd(*map(low.__rsub__, args)) or top + 1
     base = low % step
     rows = (top - base) // step + 1

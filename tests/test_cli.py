@@ -355,6 +355,23 @@ def test_verify_j_needs_a_t_rule(capsys):
     assert code == 2 and out == "" and "no t rule" in err
 
 
+def test_verify_j_without_family_counts_the_families_without_a_t_rule(capsys):
+    # the message names the rule and the way out, not one family the user
+    # never chose
+    bare = [fam.id for fam in congruences.registry() if fam.t_rule is None]
+    code, out, err = run(capsys, "verify", "--j", "2")
+    assert code == 2 and out == ""
+    assert "--j needs families with a t rule" in err
+    assert f"{len(bare)} of the {len(congruences.registry())} selected families" in err
+    assert "--family" in err
+    assert "the family has no t rule" not in err
+    # one bare family among chosen ones: counted among those chosen
+    code, out, err = run(capsys, "verify", "--family", "v1-1", "--family", "ovc8",
+                         "--j", "1")
+    assert code == 2 and out == "" and "1 of the 2 selected families" in err
+    assert "ovc8" in err
+
+
 def test_lemmas(capsys):
     code, out, _ = run(capsys, "lemmas", "--order", "400")
     assert code == 0

@@ -1,7 +1,6 @@
 """Series/Poly kernel: exactness, order propagation, ring laws."""
 
 import random
-from array import array
 from math import gcd
 
 import pytest
@@ -19,9 +18,11 @@ from qlab.series import (
     _div_terms,
     _mul_kronecker,
     _pack,
+    _pack_signed,
     _slot_width,
     _terms_of,
     _unpack,
+    _unpack_signed,
     poly_pow_mod,
     series_of_rational,
 )
@@ -378,36 +379,44 @@ def _slot_bound(dterms, mod):
 
 
 def packed_widths(fn, *args):
-    """fn(*args), and the slot widths of every array `series` packs meanwhile.
+    """fn(*args), and the slot width in bits of every ``_pack`` and
+    ``_unpack`` that `series` runs meanwhile.
 
     The residue division packs G and the carry chunks; its scalar loop
     packs nothing, so an empty set means no coefficient was packed.
     """
     widths = set()
+    pack, unpack = series._pack, series._unpack
 
-    def spy(code, *rest):
-        widths.add(array(code).itemsize * 8)
-        return array(code, *rest)
+    def pack_spy(values, size):
+        widths.add(8 * size)
+        return pack(values, size)
+
+    def unpack_spy(x, size, n):
+        widths.add(8 * size)
+        return unpack(x, size, n)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "array", spy)
+        mp.setattr(series, "_pack", pack_spy)
+        mp.setattr(series, "_unpack", unpack_spy)
         return fn(*args), widths
 
 
-# the slot widths the divisor below takes, by modulus: the weights sum to
-# 441 per sign, so even mod 192 needs 32-bit carry slots, while G = 1/(1 - q^2)
-# sums to 256
+# the slot widths the divisor below takes, by modulus: its far weights sum
+# to 440 on the heavier sign, so the carry bound is (M-1) * 441, and
+# G = 1/(1 - q^2) sums to 256, so its bound is (M-1) * 257; each takes the
+# narrowest whole number of bytes above its bound
 SLOT_WIDTH_PATHS = {
-    192: {16, 32},                  # 16-bit G, 32-bit carry slots
+    192: {16, 24},                  # 16-bit G, 24-bit carry slots
     3 * 2 ** 20 + 1: {32},          # 32-bit G and carry slots
-    2 ** 61 - 1: set(),             # G fits no width: the scalar recurrence
+    2 ** 61 - 1: {72},              # 72-bit G and carry slots
 }
 
 
 @pytest.mark.parametrize("mod, lo, hi", [
-    (192, 0, 2 ** 32),              # 16-bit G, 32-bit carry slots
+    (192, 0, 2 ** 32),              # 16-bit G, 24-bit carry slots
     (3 * 2 ** 20 + 1, 2 ** 32, 2 ** 64),   # 32-bit G and carry slots
-    (2 ** 61 - 1, 2 ** 64, None),   # no width fits G: the scalar recurrence
+    (2 ** 61 - 1, 2 ** 64, None),   # past 64 bits: 72-bit G and carry slots
 ])
 def test_blocked_residue_division_slot_widths(mod, lo, hi):
     dterms = [(0, 1), (2, -1)] + [(B + 37 * k, (-1) ** k * (k + 2)) for k in range(40)]
@@ -421,9 +430,9 @@ def test_blocked_residue_division_slot_widths(mod, lo, hi):
 
 
 @pytest.mark.parametrize("mod, widths", [
-    (2 ** 17 + 1, {32, 64}),        # no 16-bit chunk holds a term; G on 64 bits
-    (3 * 2 ** 20 + 1, {32, 64}),    # G needs 64-bit slots
-    (2 ** 61 - 1, set()),           # G fits no width: the scalar recurrence
+    (2 ** 17 + 1, {24, 48}),        # no 16-bit chunk holds a term; G on 48 bits
+    (3 * 2 ** 20 + 1, {32, 56}),    # 32-bit chunks, G on 56 bits
+    (2 ** 61 - 1, {72, 136}),       # past 64 bits: 72-bit chunks, G on 136 bits
 ])
 def test_residue_division_wide_moduli(mod, widths):
     u = NUMERATORS["long"]
@@ -445,11 +454,12 @@ def test_residue_division_splits_chunks():
 
 
 def test_prefactor_takes_the_packed_route():
-    # psi(q) has weights +-1: 16-bit carry chunks, and 1/psi mod 192 needs
-    # 32-bit G slots; the division by f2 at order 342 runs the scalar loop
+    # psi(q) has weights +-1: 16-bit carry chunks, and 1/psi mod 192 sums
+    # to 47899, so G takes 24-bit slots; the division by f2 at order 342
+    # runs the scalar loop
     order = 2 * B + 1
     got, seen = packed_widths(prefactor_a, order, 192)
-    assert seen == {16, 32}
+    assert seen == {16, 24}
     assert got.coeffs == tuple(c % 192 for c in prefactor_a(order).coeffs)
 
 
@@ -464,6 +474,50 @@ def test_blocked_residue_division_small_blocks(tail, num, lead, mod, order):
         mp.setattr(series, "_BLOCK", 4)
         got = _div_terms(num, dterms, order, mod)
     assert got == [c % mod for c in naive_div(num, dterms, order)]
+
+
+# -- the one slot rule: whole bytes, no scalar fallback on residues ---------
+
+@pytest.mark.parametrize("mod, width", [
+    (1, 8),                         # bound 0: nothing to hold, still one byte
+    (2 ** 16, 16),                  # bound 2**16 - 1
+    (2 ** 16 + 1, 24),              # bound 2**16
+    (2 ** 64 + 1, 72),              # bound 2**64
+])
+def test_slot_width_is_the_narrowest_whole_byte_count(mod, width):
+    # with no weights the bound is mod - 1
+    assert _slot_width(mod, []) == width
+
+
+RESIDUE_MODS = [1, 3, 192, 1728, 2 ** 31 + 11, 2 ** 61 - 1, 2 ** 64 + 13]
+
+
+@pytest.mark.parametrize("mod", RESIDUE_MODS)
+def test_residue_kernels_never_run_the_scalar_loop(mod):
+    # past one block the division solves only G, at order B, by the scalar
+    # recurrence; every quotient coefficient comes from packed slots, and
+    # the convolution packs on every modulus
+    u = NUMERATORS["long"]
+    orders = []
+    divide = series._div_terms
+
+    def div_spy(u, dterms, order, mod=0):
+        orders.append(order)
+        return divide(u, dterms, order, mod)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_div_terms", div_spy)
+        quot, seen = packed_widths(div_spy, u, EDGE_DIVISOR, EDGE_ORDER, mod)
+    assert orders == [EDGE_ORDER, B]
+    assert seen
+    assert quot == [c % mod for c in naive_div(u, EDGE_DIVISOR, EDGE_ORDER)]
+    terms = [(0, 1), (2, -3), (5, 2 ** 70 + 1), (B + 3, -1)]
+    args = list(range(7, EDGE_ORDER, 5))
+    conv, seen = packed_widths(_conv_terms, u, terms, args, mod)
+    assert seen
+    assert conv == naive_conv(u, terms, args, mod)
+    if mod == 1:
+        assert set(quot) == set(conv) == {0}
 
 
 # -- the one slot format ------------------------------------------------
@@ -497,6 +551,36 @@ def test_odd_slot_sizes_match_the_byte_format(size, n):
         assert x == bytes_pack(values, size)
         assert list(_unpack(x, size, n)) == values
         assert list(_unpack(x + (top << 8 * size * n), size, n)) == values
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+def test_signed_pack_round_trip(size):
+    top = 2 ** (8 * size - 1) - 1
+    for values in ([], [0], [top], [-top], [0, top, -top, 0], [-top] * 5):
+        x = _pack_signed(values, size)
+        assert x == sum(v << 8 * size * i for i, v in enumerate(values))
+        assert _unpack_signed(x, size, len(values)) == values
+        # slots above the n read change nothing
+        assert _unpack_signed(x + (5 << 8 * size * len(values)), size, len(values)) == values
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+def test_mul_kronecker_at_the_signed_extremes(size):
+    # each operand is packed once, by _pack_signed
+    top = 2 ** (8 * size - 1) - 1
+    a, b = [top, -top, 0, -top, top], [-top, top, top]
+    calls = []
+    pack_signed = series._pack_signed
+
+    def spy(values, size):
+        calls.append(len(values))
+        return pack_signed(values, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_pack_signed", spy)
+        got = _mul_kronecker(a, b, 7)
+    assert got == naive_mul(a, b, 7)
+    assert calls == [len(a), len(b)]
 
 
 # -- the packed convolution against the scalar sums ---------------------
@@ -562,16 +646,18 @@ def test_conv_terms_equals_the_scalar_sums(case):
 
 @pytest.mark.parametrize("mod, weight, width", [
     (192, 5, 16),                   # (M-1)(1 + 30*5) < 2**16
-    (192, 191, 32),                 # (M-1)(1 + 30*191) < 2**32
-    (2 ** 31 + 11, 5, 64),          # fails 32 bits, fits 64
-    (2 ** 40, 2 ** 39, 0),          # fits neither: the scalar loop
+    (192, 191, 24),                 # (M-1)(1 + 30*191) < 2**24
+    (2 ** 31 + 11, 5, 40),          # (M-1)(1 + 30*5) < 2**40
+    (2 ** 40, 2 ** 39, 88),         # past 64 bits: (M-1)(1 + 30*2**39) < 2**88
 ])
 def test_conv_terms_slot_widths(mod, weight, width):
     terms = [(3 * k, weight) for k in range(30)]
     assert _slot_width(mod, [w for _, w in terms]) == width
     u = [(7 ** k) % mod for k in range(120)]
     args = list(range(5, 120, 3))
-    assert _conv_terms(u, terms, args, mod) == naive_conv(u, terms, args, mod)
+    got, seen = packed_widths(_conv_terms, u, terms, args, mod)
+    assert got == naive_conv(u, terms, args, mod)
+    assert seen == {width}
     # every route reads u mod M: entries off [0, M), negative ones too, change nothing
     off = [v + mod * (k % 3 - 1) for k, v in enumerate(u)]
     assert _conv_terms(off, terms, args, mod) == _conv_terms(u, terms, args, mod)
