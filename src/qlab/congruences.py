@@ -45,7 +45,6 @@ the exact value, and an exact value that passes raises ArithmeticError.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import islice, repeat
 from math import gcd, isqrt
@@ -91,32 +90,50 @@ class UnknownFamily(KeyError):
     pass
 
 
-@dataclass(frozen=True)
 class CongruenceFamily:
-    """One verifiable claim about a coefficient sequence."""
+    """One verifiable claim about a coefficient sequence; read-only, and
+    ``replace`` gives a changed copy."""
 
-    id: str
-    kind: str                     # MODD | COEFF | PREFACTOR_A | OVERPARTITION
-    a: int | None                 # the m_odd / c_n parameter; None for the others
-    expected: str                 # one of the expected outcomes above
-    modulus: int = 0              # >= 2 for CONG_ZERO; 0 for exact checks
-    t_rule: tuple[int, int] | None = None    # t = alpha*J + beta
-    j_min: int = 0
-    arg_mod: int = 1
-    arg_residues: tuple[int, ...] = (0,)
-    val_table: tuple[tuple[int, int], ...] = ()            # (residue, min nu_2)
-    dp_backed: bool = False       # stop at DP_WINDOW past t^2 whatever the budget (see _bound)
-    easy3_cross: bool = False     # also assert m_odd(1) == m_odd(-2) mod 3
-    note: str = ""
+    _FIELDS = ("id", "kind", "a", "expected", "modulus", "t_rule", "j_min", "arg_mod",
+              "arg_residues", "val_table", "dp_backed", "easy3_cross", "note")
 
-    def __post_init__(self):
-        if self.expected not in _EXPECTED:
-            raise ValueError(f"{self.id}: unknown expected kind {self.expected!r}")
+    def __init__(self, id: str,
+                 kind: str,                 # MODD | COEFF | PREFACTOR_A | OVERPARTITION
+                 a: int | None,             # the m_odd / c_n parameter; None for the others
+                 expected: str,             # one of the expected outcomes above
+                 modulus: int = 0,          # >= 2 for CONG_ZERO; 0 for exact checks
+                 t_rule: tuple[int, int] | None = None,    # t = alpha*J + beta
+                 j_min: int = 0,
+                 arg_mod: int = 1,
+                 arg_residues: tuple[int, ...] = (0,),
+                 val_table: tuple[tuple[int, int], ...] = (),   # (residue, min nu_2)
+                 # stop at DP_WINDOW past t^2 whatever the budget (see _bound)
+                 dp_backed: bool = False,
+                 easy3_cross: bool = False,  # also assert m_odd(1) == m_odd(-2) mod 3
+                 note: str = ""):
+        # stored without attribute syntax: only ``classes`` and
+        # ``arg_rule_str`` read the raw class fields by name
+        vars(self).update(zip(self._FIELDS, (id, kind, a, expected, modulus, t_rule, j_min,
+                                            arg_mod, arg_residues, val_table, dp_backed,
+                                            easy3_cross, note)))
+        if expected not in _EXPECTED:
+            raise ValueError(f"{id}: unknown expected kind {expected!r}")
         starts = [start for start, _ in self.classes]      # the layout ``_args_of`` needs
-        if not starts or starts[-1] - starts[0] >= self.arg_mod \
+        if not starts or starts[-1] - starts[0] >= arg_mod \
                 or len(self.class_modulus) < len(starts):
-            raise ValueError(f"{self.id}: argument classes must differ mod {self.arg_mod} "
+            raise ValueError(f"{id}: argument classes must differ mod {arg_mod} "
                              "and start less than arg_mod apart")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CongruenceFamily is read-only; replace() gives a changed copy")
+
+    def __delattr__(self, name):
+        raise AttributeError("CongruenceFamily is read-only; replace() gives a changed copy")
+
+    def replace(self, **changes) -> CongruenceFamily:
+        """A new family with `changes` applied, validated like any other."""
+        fields = vars(self)
+        return CongruenceFamily(**{name: fields[name] for name in self._FIELDS} | changes)
 
     @property
     def sequence(self) -> str:
@@ -173,23 +190,24 @@ class CongruenceFamily:
         return f"{self.arg_mod}N+{rs}"
 
 
-@dataclass
 class VerifyReport:
     """Outcome of sweeping one family; fail implies a counterexample."""
 
-    family_id: str
-    sequence: str
-    t_rule: str | None
-    arg_rule: str
-    modulus: int
-    ranges: dict
-    status: str                   # "pass" | "fail"
-    counterexample: dict | None
-    millis: float
-
-    def __post_init__(self):
-        if self.status == "fail" and self.counterexample is None:
-            raise ValueError(f"{self.family_id}: a failed report needs a counterexample")
+    def __init__(self, family_id: str, sequence: str, t_rule: str | None, arg_rule: str,
+                 modulus: int, ranges: dict,
+                 status: str,               # "pass" | "fail"
+                 counterexample: dict | None, millis: float):
+        if status == "fail" and counterexample is None:
+            raise ValueError(f"{family_id}: a failed report needs a counterexample")
+        self.family_id = family_id
+        self.sequence = sequence
+        self.t_rule = t_rule
+        self.arg_rule = arg_rule
+        self.modulus = modulus
+        self.ranges = ranges
+        self.status = status
+        self.counterexample = counterexample
+        self.millis = millis
 
     @property
     def passed(self) -> bool:

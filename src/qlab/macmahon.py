@@ -43,6 +43,7 @@ array, ``_binomial_c`` for the binomial forms.
 from __future__ import annotations
 
 from math import comb, isqrt
+from operator import add
 
 from .arith import exact_div
 from .series import (Poly, Series, _conv_terms, _mul_kronecker, _unpack_signed,
@@ -227,7 +228,7 @@ def _odd_power_sum(a: int, k: int, order: int) -> list[int]:
     h = series_of_rational(Poly([0] * k + [1]), Poly([1, a, 1]) ** k, order).coeffs[k:]
     p = [0] * order
     for n in range(1, (order - 1) // k + 1, 2):
-        p[n * k::n] = [x + y for x, y in zip(p[n * k::n], h)]
+        p[n * k::n] = map(add, p[n * k::n], h)
     return p
 
 

@@ -11,6 +11,11 @@ of the line):
     NAME   := 'phi' | 'psi' | 'P' | 'b' | 'aB'
     INT    := ASCII digits '0'..'9', one or more
 
+The parse tree is made of read-only nodes on one base, ``_Node``: each
+node class names its fields in ``__slots__``, and a node equals only a node
+of the same type with equal fields, so ``IntAtom(2) != EtaAtom(2)`` and
+``parse(pretty(t)) == t`` checks the type of every atom.
+
 Evaluation is exact: every expression becomes a `Series` at a requested
 order.  Quotients are handled by factoring the q-valuation out of the
 denominator and requiring the remaining constant term to be +1 or -1, so
@@ -37,7 +42,6 @@ from __future__ import annotations
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .series import Series
@@ -76,49 +80,77 @@ class NegativeValuation(ExprError):
 _THETA_BASE = {"phi": phi, "psi": psi, "P": pgen, "b": borwein_b, "aB": borwein_a}
 
 
-@dataclass(frozen=True)
-class IntAtom:
-    value: int
+class _ReadOnly:
+    """Refuses every attribute store and delete after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
 
-@dataclass(frozen=True)
-class QAtom:
-    pass
+class _Node(_ReadOnly):
+    """Immutable parse-tree node.  A subclass names its fields in
+    ``__slots__`` and is built from them in that order; a node equals only a
+    node of the same type with equal fields, and equal nodes hash alike."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}, "
+                            f"got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class EtaAtom:
-    scale: int
+class IntAtom(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class ThetaAtom:
-    name: str
-    negated: bool
-    arg_power: int
+class QAtom(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroupAtom:
-    expr: "SumExpr"
+class EtaAtom(_Node):
+    __slots__ = ("scale",)
 
 
-@dataclass(frozen=True)
-class FactorExpr:
-    atom: object
-    power: int = 1
+class ThetaAtom(_Node):
+    __slots__ = ("name", "negated", "arg_power")
 
 
-@dataclass(frozen=True)
-class TermExpr:
-    # first entry's op is always '*'
-    factors: tuple[tuple[str, FactorExpr], ...]
+class GroupAtom(_Node):
+    __slots__ = ("expr",)               # a SumExpr
 
 
-@dataclass(frozen=True)
-class SumExpr:
-    # signs are +1 / -1
-    terms: tuple[tuple[int, TermExpr], ...]
+class FactorExpr(_Node):
+    __slots__ = ("atom", "power")
+
+
+class TermExpr(_Node):
+    # (op, FactorExpr) pairs; the first entry's op is always '*'
+    __slots__ = ("factors",)
+
+
+class SumExpr(_Node):
+    # (sign, TermExpr) pairs; signs are +1 / -1
+    __slots__ = ("terms",)
 
 
 # ---------------------------------------------------------------------
@@ -474,36 +506,32 @@ def evaluate_text(text: str, order: int) -> Series:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaFixture:
-    """A named identity lhs = rhs, to be checked exactly below check_to."""
+class LemmaFixture(_ReadOnly):
+    """A named identity lhs = rhs, to be checked exactly below check_to;
+    read-only."""
 
-    name: str
-    lhs: str
-    rhs: str
-    check_to: int
-    # both sides parsed once, here, and evaluated by ``check_fixture``
-    lhs_ast: SumExpr = field(init=False, compare=False, repr=False)
-    rhs_ast: SumExpr = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.check_to < 50:
-            raise ValueError(f"{self.name}: check_to must be >= 50")
+    def __init__(self, name: str, lhs: str, rhs: str, check_to: int):
+        if check_to < 50:
+            raise ValueError(f"{name}: check_to must be >= 50")
+        fields = {"name": name, "lhs": lhs, "rhs": rhs, "check_to": check_to}
+        # both sides parsed once, here, and evaluated by ``check_fixture``
         for side in ("lhs", "rhs"):
             try:
-                object.__setattr__(self, side + "_ast", parse(getattr(self, side)))
+                fields[side + "_ast"] = parse(fields[side])
             except ExprError as exc:
-                raise ExprError(f"{self.name}: {side}: {exc}") from exc
+                raise ExprError(f"{name}: {side}: {exc}") from exc
+        vars(self).update(fields)
 
 
-@dataclass(frozen=True)
 class FixtureReport:
-    name: str
-    passed: bool
-    check_to: int
-    first_mismatch: int | None = None
-    error: str | None = None
-    millis: float = 0.0
+    def __init__(self, name: str, passed: bool, check_to: int, first_mismatch: int | None = None,
+                 error: str | None = None, millis: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.check_to = check_to
+        self.first_mismatch = first_mismatch
+        self.error = error
+        self.millis = millis
 
     def line(self) -> str:
         if self.passed:

@@ -494,10 +494,9 @@ def test_table_modd_mod_matches_exact_values_reduced(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import dataclasses
     from qlab import congruences as cong
 
-    broken = dataclasses.replace(cong.lookup("vm2A-3"), modulus=16)
+    broken = cong.lookup("vm2A-3").replace(modulus=16)
     monkeypatch.setitem(cong._BY_ID, "vm2A-3-broken", broken)
     code, out, err = run(capsys, "verify", "--family", "vm2A-3-broken",
                          "--budget", "2000")

@@ -1,6 +1,5 @@
 """Registry shape, sweep engine behavior, and failure reporting."""
 
-import dataclasses
 import json
 import random
 from itertools import repeat
@@ -176,7 +175,7 @@ def test_verify_family_passes():
 
 
 def test_bumped_modulus_fails_with_counterexample():
-    fam = dataclasses.replace(lookup("vm2A-3"), modulus=16)
+    fam = lookup("vm2A-3").replace(modulus=16)
     r = verify_family(fam, n_budget=2000)
     assert not r.passed
     cex = r.counterexample
@@ -191,17 +190,17 @@ def test_bumped_modulus_fails_with_counterexample():
 
 def test_counterexamples_carry_exact_values():
     # residue route: a(10) = 232 fails mod 16; its residue mod 192 is 40
-    fam = dataclasses.replace(lookup("ovc-16n10-mod8"), modulus=16)
+    fam = lookup("ovc-16n10-mod8").replace(modulus=16)
     assert _sweep_modulus(fam) == SWEEP_MOD
     r = verify_family(fam, n_budget=2000)
     assert r.counterexample == {"J": None, "N": 10, "value": "232", "modulus": 16}
-    fam = dataclasses.replace(lookup("v1-mod3-13"), modulus=6)
+    fam = lookup("v1-mod3-13").replace(modulus=6)
     assert _sweep_modulus(fam) == SWEEP_MOD
     cex = verify_family(fam, j_values=(0,), n_budget=2000).counterexample
     assert cex["N"] == 916 and cex["value"] == str(modd_explicit(1, 13, 916))
     assert cex["value"] == "-55617341180961"
     # a modulus that does not divide 192 reads exact expansions
-    fam = dataclasses.replace(lookup("vm2A-3"), modulus=5)
+    fam = lookup("vm2A-3").replace(modulus=5)
     assert _sweep_modulus(fam) == 0
     assert set(_sweep_plan(fam)[2]) == {("overpartition", 0)}
     cex = verify_family(fam, n_budget=2000).counterexample
@@ -247,7 +246,7 @@ def test_residue_exact_disagreement_raises(monkeypatch, family_id, kind, index):
      {"J": None, "N": 2, "value": "4", "modulus": 2, "expected": 1}),
 ])
 def test_counterexample_shape_per_expected_kind(family_id, change, cex):
-    fam = dataclasses.replace(lookup(family_id), **change)
+    fam = lookup(family_id).replace(**change)
     j_values = None if fam.t_rule is None else (fam.j_min,)
     r = verify_family(fam, j_values, n_budget=500)
     assert r.status == "fail" and r.counterexample == cex
@@ -258,7 +257,7 @@ def test_valuation_table_reports_its_smallest_failing_argument():
     # the table order used to reach class 4 first and report pbar(4) = 14
     # after 126 checks
     table = ((0, 1), (1, 1), (4, 5), (2, 5), (3, 3), (5, 3), (6, 3), (7, 6))
-    r = verify_family(dataclasses.replace(lookup("ovc8"), val_table=table), n_budget=500)
+    r = verify_family(lookup("ovc8").replace(val_table=table), n_budget=500)
     assert r.counterexample == {"J": None, "N": 2, "value": "4", "modulus": 32,
                                 "required_nu2": 5}
     assert r.checked == 2
@@ -268,14 +267,32 @@ def test_record_rejects_a_bad_claim_or_layout():
     with pytest.raises(ValueError, match="unknown expected kind"):
         CongruenceFamily("x", OVERPARTITION, None, "CONG_ONE", modulus=2)
     with pytest.raises(ValueError, match="unknown expected kind"):
-        dataclasses.replace(lookup("ovc8"), expected="VALUATION")
+        lookup("ovc8").replace(expected="VALUATION")
     # two rows for one class, and classes that open more than arg_mod apart
     with pytest.raises(ValueError, match="classes"):
-        dataclasses.replace(lookup("vm2A-1"), arg_residues=(3, 11))
+        lookup("vm2A-1").replace(arg_residues=(3, 11))
     with pytest.raises(ValueError, match="classes"):
-        dataclasses.replace(lookup("vm2A-1"), arg_residues=(3, 12))
+        lookup("vm2A-1").replace(arg_residues=(3, 12))
     with pytest.raises(ValueError, match="classes"):
-        dataclasses.replace(lookup("ovc8"), val_table=((1, 1), (1, 2)))
+        lookup("ovc8").replace(val_table=((1, 1), (1, 2)))
+
+
+def test_registry_records_are_read_only_and_replace_revalidates():
+    fam = lookup("vm2A-3")
+    before = dict(vars(fam))
+    with pytest.raises(AttributeError):
+        fam.modulus = 16
+    with pytest.raises(AttributeError):
+        del fam.note
+    changed = fam.replace(modulus=16)
+    # a new record whose derived classes follow the change
+    assert changed is not fam and changed.id == fam.id
+    assert {m for _, m in changed.classes} == {16} != {m for _, m in fam.classes}
+    with pytest.raises(ValueError, match="classes"):
+        fam.replace(arg_residues=(3, 11))
+    with pytest.raises(TypeError):
+        fam.replace(modulo=16)
+    assert lookup("vm2A-3") is fam and vars(fam) == before
 
 
 def test_arguments_repeat_the_classes_in_order():
@@ -326,7 +343,7 @@ def test_residue_route_agrees_with_exact_route_per_family():
 
 
 def test_bumped_coefficient_family_fails():
-    fam = dataclasses.replace(lookup("c1-1"), modulus=4)
+    fam = lookup("c1-1").replace(modulus=4)
     r = verify_family(fam, n_budget=200)
     assert not r.passed
     assert r.counterexample["N"] == 2  # c_2(1,1) = 2
@@ -514,7 +531,7 @@ def test_power_sum_route_equals_closed_form(family_id):
     # form's, on the claimed arguments (all zero) and on every n <= 3000
     fam = lookup(family_id)
     t = fam.t_of(0)
-    everywhere = dataclasses.replace(fam, arg_mod=1, arg_residues=(0,))
+    everywhere = fam.replace(arg_mod=1, arg_residues=(0,))
     for f in (fam, everywhere):
         args, bound = _args_of(f, t, 3000)
         assert bound == 3000
@@ -664,7 +681,7 @@ def scan_reference(fam, j_values, n_budget, values_of):
 @example(("pre1-24", {}), [(0, "middle")], 1)
 def test_bulk_verdict_equals_the_per_value_scan(case, fails, seed):
     family_id, change = case
-    fam = dataclasses.replace(lookup(family_id), **change)
+    fam = lookup(family_id).replace(**change)
     j_values, n_budget, _ = _sweep_plan(fam, n_budget=400)
     values_of = planted(fam, j_values, n_budget, fails, seed)
     want = scan_reference(fam, j_values, n_budget, values_of)

@@ -42,6 +42,17 @@ def test_report_invariant_survives_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_dataclasses_out():
+    # every CLI call and benchmark pass pays this import: dataclasses pulls
+    # in inspect, ast, dis and tokenize and compiles code for each class
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", "import sys, qlab, qlab.cli; "
+                           "sys.exit('dataclasses' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "qlab imported dataclasses"
+
+
 def test_exact_div():
     assert exact_div(12, 4) == 3
     assert exact_div(-12, 4) == -3

@@ -8,10 +8,14 @@ from qlab.series import Series
 from qlab.special import borwein_b, eta, eta_inv, prefactor_a, psi
 from qlab.qexpr import (
     DivisionByNonUnit,
+    EtaAtom,
     ExprError,
     ExprSyntaxError,
+    FactorExpr,
+    IntAtom,
     LemmaFixture,
     NegativeValuation,
+    QAtom,
     UnknownSymbol,
     check_fixture,
     check_fixtures,
@@ -92,6 +96,26 @@ def test_pretty_roundtrip():
         for side in (fx.lhs, fx.rhs):
             ast = parse(side)
             assert parse(pretty(ast)) == ast
+
+
+def test_nodes_are_read_only_and_equal_only_within_one_type():
+    # the round trip above is only as strict as node equality: an integer
+    # must not equal an eta factor with the same number
+    assert IntAtom(2) != EtaAtom(2)
+    assert FactorExpr(IntAtom(2), 1) != FactorExpr(EtaAtom(2), 1)
+    assert FactorExpr(IntAtom(2), 1) != FactorExpr(IntAtom(2), 2)
+    assert QAtom() == QAtom()
+    a, b = parse("f8*f12^2/(f1 - 2*q)"), parse("f8 * f12^2 / (f1-2*q)")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, parse("f8*f12^2/(f1 - 3*q)")}) == 2
+    with pytest.raises(AttributeError):
+        a.terms = ()
+    with pytest.raises(AttributeError):
+        IntAtom(2).value = 3
+    with pytest.raises(AttributeError):
+        del EtaAtom(2).scale
+    with pytest.raises(AttributeError):
+        load_fixtures()[0].lhs = "1"
 
 
 def test_comments_are_whitespace():
