@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import congruences, macmahon, qexpr
@@ -250,7 +251,15 @@ def main(argv=None) -> int:
     if getattr(args, "mod", 0) < 0:
         print("error: --mod must be >= 0", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`qlab table ... | head`): point stdout
+        # at devnull so the flush at exit is quiet too, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ never tolerates approximation: all checks are exact integer congruences.
 Every family runs through one loop, ``_sweep``.  For each swept J (once,
 with J = None, when no t is involved) ``_args_of`` lists the arguments in
 ascending order up to the bound the report gives, ``_values`` evaluates
-the sequence there, and ``_holds`` decides the whole J at once: a class
-holds iff its modulus divides the gcd of its values (with SWEEP_MOD on
-residues).  Only a J that test does not pass is scanned with ``_verdict``,
-the per-value test, for its first counterexample.  The gcd of the class
-gcds, with the count of nonzero values, is the per-J row of the report.
+the sequence there, one value per argument, and ``_holds`` decides the
+whole J at once: a class holds iff its modulus divides the gcd of its
+values (with SWEEP_MOD on residues).  Only a J that test does not pass is
+scanned with ``_verdict``, the per-value test, for its first
+counterexample.  The gcd of the class gcds, with the count of nonzero
+values, is the per-J row of the report.
 ``_bound`` is the one range policy.  ``_reads`` names and sizes every
 expansion a J reads, the power-sum rows included, for the plan and
 ``_values`` alike, and ``SweepCache`` is the one store that holds them.
@@ -40,6 +41,11 @@ expansions reduced mod SWEEP_MOD (see ``_sweep_modulus``); exact-value
 claims read exact integers.  The first failing point found on residues is
 evaluated again on the exact route, so a reported counterexample carries
 the exact value, and an exact value that passes raises ArithmeticError.
+
+Relations between families are not swept.  If m divides a - a', then
+U~_t(a) = U~_t(a') mod m term by term, so ``v1-mod3-13`` and ``v1-mod3-26``
+follow from ``vm2-10`` and ``vm2-11``; ``tests/test_macmahon.py`` holds
+that lemma.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ from functools import cached_property, reduce
 from itertools import islice, repeat
 from math import gcd, isqrt
 from operator import countOf, mod as remainder, sub
-from typing import Iterable
 
 from .macmahon import PREFACTORS, closed_form, coeff_column, modd_explicit_batch, powersum_utilde
 
@@ -95,7 +100,7 @@ class CongruenceFamily:
     ``replace`` gives a changed copy."""
 
     _FIELDS = ("id", "kind", "a", "expected", "modulus", "t_rule", "j_min", "arg_mod",
-              "arg_residues", "val_table", "dp_backed", "easy3_cross", "note")
+              "arg_residues", "val_table", "dp_backed", "note")
 
     def __init__(self, id: str,
                  kind: str,                 # MODD | COEFF | PREFACTOR_A | OVERPARTITION
@@ -109,13 +114,12 @@ class CongruenceFamily:
                  val_table: tuple[tuple[int, int], ...] = (),   # (residue, min nu_2)
                  # stop at DP_WINDOW past t^2 whatever the budget (see _bound)
                  dp_backed: bool = False,
-                 easy3_cross: bool = False,  # also assert m_odd(1) == m_odd(-2) mod 3
                  note: str = ""):
         # stored without attribute syntax: only ``classes`` and
         # ``arg_rule_str`` read the raw class fields by name
         vars(self).update(zip(self._FIELDS, (id, kind, a, expected, modulus, t_rule, j_min,
                                             arg_mod, arg_residues, val_table, dp_backed,
-                                            easy3_cross, note)))
+                                            note)))
         if expected not in _EXPECTED:
             raise ValueError(f"{id}: unknown expected kind {expected!r}")
         starts = [start for start, _ in self.classes]      # the layout ``_args_of`` needs
@@ -411,11 +415,9 @@ def _build_registry() -> list[CongruenceFamily]:
     add(CongruenceFamily("v1-2c", MODD, 1, CONG_ZERO, modulus=8,
                          t_rule=(64, 63), arg_mod=32, arg_residues=(29,)))
     add(CongruenceFamily("v1-mod3-13", MODD, 1, CONG_ZERO, modulus=3,
-                         t_rule=(27, 13), arg_mod=27, arg_residues=(25,),
-                         easy3_cross=True))
+                         t_rule=(27, 13), arg_mod=27, arg_residues=(25,)))
     add(CongruenceFamily("v1-mod3-26", MODD, 1, CONG_ZERO, modulus=3,
-                         t_rule=(27, 26), arg_mod=27, arg_residues=(19,),
-                         easy3_cross=True))
+                         t_rule=(27, 26), arg_mod=27, arg_residues=(19,)))
     add(CongruenceFamily("m1-t1-6n5", MODD, 1, EXACT_ZERO, t_rule=(0, 1),
                          arg_mod=6, arg_residues=(5,)))
 
@@ -484,8 +486,7 @@ def _sweep_modulus(fam: CongruenceFamily) -> int:
     family can read reduced expansions; 0 means the exact route, which a
     class modulus 0 (vanishing, the a=0 reinterpretation) always takes.
     """
-    moduli = [m for _, m in fam.classes] + [3] * fam.easy3_cross
-    return SWEEP_MOD if all(m and SWEEP_MOD % m == 0 for m in moduli) else 0
+    return SWEEP_MOD if all(m and SWEEP_MOD % m == 0 for _, m in fam.classes) else 0
 
 
 def _is_square(n: int) -> bool:
@@ -519,9 +520,8 @@ def _reads(fam: CongruenceFamily, t: int | None, top: int,
 
     Exact m_odd claims read the power-sum row (a, t).  A closed form reads
     the prefactor ``closed_form`` names, up to top // stride (the a=0 forms
-    read x//4); so do an easy3_cross family's m_odd(-2, t) partners.  The
-    reinterpretation's m_odd(-2, t/2) side reads the overpartition counts
-    at x//4.
+    read x//4).  The reinterpretation's m_odd(-2, t/2) side reads the
+    overpartition counts at x//4.
     """
     if fam.kind in (PREFACTOR_A, OVERPARTITION):
         return {(fam.kind.lower(), mod): top + 1}
@@ -532,11 +532,8 @@ def _reads(fam: CongruenceFamily, t: int | None, top: int,
         if fam.expected == EQUALS_MODD_M2:
             reads[("overpartition", mod)] = top // 4 + 1
         return reads
-    reads = {}
-    for a in (fam.a, -2) if fam.easy3_cross else (fam.a,):     # -2: the partners
-        name, stride, *_ = closed_form(a, t)
-        reads[(name, mod)] = top // stride + 1
-    return reads
+    name, stride, *_ = closed_form(fam.a, t)
+    return {(name, mod): top // stride + 1}
 
 
 def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[int], int]:
@@ -553,35 +550,29 @@ def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[
 
 
 def _values(fam: CongruenceFamily, t: int | None, args: list[int],
-            cache: SweepCache, mod: int) -> tuple[list[int], Iterable]:
-    """The family's sequence at `args` (a list), and the m_odd(-2, t)
-    partners an easy3_cross family checks mod 3 (a list, else Nones), each
-    in the order of `args` and read from expansions reduced mod `mod`
-    (0: exact).
+            cache: SweepCache, mod: int) -> list[int]:
+    """The family's sequence at `args`, in their order, read from
+    expansions reduced mod `mod` (0: exact).
 
     Every expansion is fetched by kind, at the lengths ``_reads`` names.
     Exact m_odd claims read the power-sum row (a, t).  The reinterpretation
     claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n), its right side
     from the closed form.
     """
-    partners = repeat(None, len(args))
     if fam.kind == COEFF:
         column = coeff_column(fam.a, t, max(args))
-        return list(map(column.__getitem__, args)), partners
+        return list(map(column.__getitem__, args))
     exps = {k: cache.coeffs(k, n, p) for (k, p), n in _reads(fam, t, max(args), mod).items()}
     if fam.kind != MODD:
-        return list(map(exps[fam.kind.lower()].__getitem__, args)), partners
+        return list(map(exps[fam.kind.lower()].__getitem__, args))
     if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
         values = list(map(exps["powersum"].__getitem__, args))
         if fam.expected == EQUALS_MODD_M2:
             rhs = modd_explicit_batch(-2, t // 2, [x // 4 for x in args],
                                       exps["overpartition"], mod)
             values = list(map(sub, values, rhs))
-        return values, partners
-    values = modd_explicit_batch(fam.a, t, args, exps[closed_form(fam.a, t)[0]], mod)
-    if fam.easy3_cross:
-        partners = modd_explicit_batch(-2, t, args, exps[closed_form(-2, t)[0]], mod)
-    return values, partners
+        return values
+    return modd_explicit_batch(fam.a, t, args, exps[closed_form(fam.a, t)[0]], mod)
 
 
 def _wants_odd(fam: CongruenceFamily, x: int) -> bool:
@@ -604,29 +595,25 @@ def _odd_support(fam: CongruenceFamily, top: int) -> set[int]:
     return {x for x in candidates if x <= top and _wants_odd(fam, x)}
 
 
-def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int, cross) -> dict | None:
-    """The counterexample the value `v` at argument `x` (and its mod-3
-    partner `cross`) makes against the family's claim, or None.
+def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int) -> dict | None:
+    """The counterexample the value `v` at argument `x` makes against the
+    family's claim, or None.
 
     The per-value test: ``_sweep`` calls it only on a J that ``_holds``
     did not pass, to find the first counterexample.
     """
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
         want = int(_wants_odd(fam, x))
-        if v % 2 != want:
-            return _cex(j, x, v, 2, expected=want)
-    else:
-        m = fam.class_modulus[x % fam.arg_mod]
-        if v % m if m else v:
-            if fam.expected == VALUATION_TABLE:
-                return _cex(j, x, v, m, required_nu2=m.bit_length() - 1)
-            return _cex(j, x, v, m)
-    if cross is not None and (v - cross) % 3:
-        return _cex(j, x, v, 3, cross_easy3=str(cross))
-    return None
+        return _cex(j, x, v, 2, expected=want) if v % 2 != want else None
+    m = fam.class_modulus[x % fam.arg_mod]
+    if not (v % m if m else v):
+        return None
+    if fam.expected == VALUATION_TABLE:
+        return _cex(j, x, v, m, required_nu2=m.bit_length() - 1)
+    return _cex(j, x, v, m)
 
 
-def _holds(fam: CongruenceFamily, args: list[int], values: list[int], partners,
+def _holds(fam: CongruenceFamily, args: list[int], values: list[int],
            gcds: list[int]) -> bool:
     """Whether ``_verdict`` passes every value of one J, decided on the whole list.
 
@@ -641,10 +628,8 @@ def _holds(fam: CongruenceFamily, args: list[int], values: list[int], partners,
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
         want = _odd_support(fam, max(args))
         odd = [x for x, v in zip(args, values) if v & 1]
-        ok = want.issuperset(odd) and len(odd) == countOf(map(want.__contains__, args), True)
-    else:
-        ok = all(g % m == 0 if m else g == 0 for (_, m), g in zip(fam.classes, gcds))
-    return ok and (not fam.easy3_cross or reduce(gcd, map(sub, values, partners), 3) == 3)
+        return want.issuperset(odd) and len(odd) == countOf(map(want.__contains__, args), True)
+    return all(g % m == 0 if m else g == 0 for (_, m), g in zip(fam.classes, gcds))
 
 
 def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
@@ -670,22 +655,22 @@ def _sweep(fam: CongruenceFamily, j_values: tuple, n_budget: int,
         if not args:
             raise BudgetTooSmall(f"{fam.id}: no arguments up to {bound}")
         top = max(top, bound)
-        values, partners = _values(fam, t, args, cache, mod)
+        values = _values(fam, t, args, cache, mod)
         gcds = [reduce(gcd, islice(values, i, None, k), mod) for i in range(k)]
         zeros = countOf(map(remainder, values, repeat(mod)) if mod else values, 0)
         observed = reduce(gcd, gcds)
         rows.append({"J": j, "nonzero": len(values) - zeros, "observed_modulus": observed})
-        if _holds(fam, args, values, partners, gcds):
+        if _holds(fam, args, values, gcds):
             checked += len(args)
             continue
-        for x, v, cross in zip(args, values, partners):
+        for x, v in zip(args, values):
             checked += 1
-            cex = _verdict(fam, j, x, v, cross)
+            cex = _verdict(fam, j, x, v)
             if cex is None:
                 continue
             if mod:     # the verdict came from residues: check the exact value
-                (v,), (cross,) = _values(fam, t, [x], cache, 0)
-                cex = _verdict(fam, j, x, v, cross)
+                (v,) = _values(fam, t, [x], cache, 0)
+                cex = _verdict(fam, j, x, v)
                 if cex is None:
                     raise ArithmeticError(
                         f"{fam.id}: residue and exact routes disagree at N={x}")

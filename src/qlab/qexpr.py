@@ -39,10 +39,10 @@ coefficientwise equality.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from collections import Counter
-from importlib import resources
 
 from .series import Series
 from .special import borwein_a, borwein_b, eta, eta_product, pgen, phi, psi
@@ -161,15 +161,22 @@ _DIGITS = frozenset("0123456789")
 _BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
 
 
+# The deepest nesting of '(' expr ')' groups a text may have.  Parsing a
+# group takes about four frames and evaluating it a few more, so 260 nested
+# groups ran past the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent that reads one token at a time, only when asked
     for it: blanks and '#' comments are skipped, an INT is ASCII digits only
     (so int() reads every INT), a word is a letter followed by letters or
-    ASCII digits, and a punctuation token is one of '+-*/^()'."""
+    ASCII digits, and a punctuation token is one of '+-*/^()'.  A group
+    nested deeper than MAX_NESTING is a syntax error at its '('."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = self.end = 0
+        self.pos = self.end = self.depth = 0
 
     def peek(self):
         """(kind, value, position) without consuming; the token ends at
@@ -253,8 +260,12 @@ class _Parser:
 
     def _atom(self):
         if self.accept("("):
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"groups nest more than {MAX_NESTING} deep", self.pos - 1)
+            self.depth += 1
             inner = self._expr()
             self.expect(")", "expected ')'")
+            self.depth -= 1
             return GroupAtom(inner)
         kind, value, pos = self.next()
         if kind == "int":
@@ -588,10 +599,9 @@ def load_fixtures(path=None) -> list[LemmaFixture]:
     """Fixtures from `path`, or the packaged dissection corpus by default;
     a file with none is a ValueError, since checking it would check nothing."""
     if path is None:
-        text = resources.files("qlab").joinpath("fixtures/dissections.qx").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "dissections.qx")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     fixtures = parse_fixture_file(text)
     if not fixtures:
         raise ValueError(f"{path}: holds no fixtures")

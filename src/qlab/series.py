@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Sequence
 
 
 class SeriesError(Exception):

@@ -19,8 +19,8 @@ one product, a negative one sparse division passes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import compress
-from typing import Sequence
 
 from .series import Series, _div_terms, _mul_kronecker
 

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -15,7 +17,8 @@ from qlab import congruences
 from qlab.cli import _ROUTE_LIMITS, _size, build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -440,6 +443,37 @@ def test_lemmas_check_to_past_max_order_is_refused(capsys, tmp_path):
                            f"{congruences.MAX_ORDER}")
     code, out, _ = run(capsys, "lemmas", str(path), "--order", "60")
     assert code == 0 and out.strip().splitlines()[-1] == "1/1 pass"
+
+
+def test_deep_nesting_is_refused(capsys, tmp_path):
+    # 260 nested groups used to end in a RecursionError traceback
+    deep = "(" * 260 + "q" + ")" * 260
+    message = "groups nest more than 100 deep (at offset 100)"
+    code, out, err = run(capsys, "expand", deep, "--order", "3")
+    assert code == 2 and out == "" and err.strip() == f"error: {message}"
+    path = tmp_path / "deep.qx"
+    path.write_text(f"name: deep\nlhs = {deep}\nrhs = q\ncheck_to = 60\n", encoding="utf-8")
+    code, out, err = run(capsys, "lemmas", str(path))
+    assert code == 2 and out == "" and err.strip() == f"error: deep: lhs: {message}"
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # `qlab table ... | head -1` used to end in a BrokenPipeError traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from qlab.cli import main; sys.exit(main())",
+         "table", "--seq", "prefA", "--n", "0..200000", "--mod", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().rstrip() == b"n,value"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 def test_table(capsys):

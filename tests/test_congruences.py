@@ -2,7 +2,6 @@
 
 import json
 import random
-from itertools import repeat
 from math import gcd
 
 import pytest
@@ -153,12 +152,6 @@ def test_quadratic_nonresidue_families():
     assert lookup("a2pn-mod2-p5").arg_residues == (4, 6)
     assert lookup("a2pn-mod2-p7").arg_residues == (6, 10, 12)
     assert lookup("a2pn-mod2-p11").arg_residues == (4, 12, 14, 16, 20)
-
-
-def test_easy3_cross_flags():
-    assert lookup("v1-mod3-13").easy3_cross
-    assert lookup("v1-mod3-26").easy3_cross
-    assert not lookup("v1-2c").easy3_cross
 
 
 def test_verify_family_passes():
@@ -327,19 +320,17 @@ def test_residue_route_covers_every_congruence_claim():
 def test_residue_route_agrees_with_exact_route_per_family():
     # every m_odd family on the residue route, at its own argument shape
     # (one or two residue classes, the a=0 quarters): the residue route's
-    # values and easy3 partners are congruent mod 192 to the exact route's
+    # values are congruent mod 192 to the exact route's
     cache = SweepCache()
     fams = [f for f in registry() if f.kind == MODD and _sweep_modulus(f)]
     assert len(fams) == 33
     for fam in fams:
         t = fam.t_of(fam.j_min)
         args, _ = _args_of(fam, t, 1500)
-        values, partners = _values(fam, t, args, cache, SWEEP_MOD)
-        exact, exact_partners = _values(fam, t, args, cache, 0)
-        for x, v, w, p, q in zip(args, values, exact, partners, exact_partners, strict=True):
+        values = _values(fam, t, args, cache, SWEEP_MOD)
+        exact = _values(fam, t, args, cache, 0)
+        for x, v, w in zip(args, values, exact, strict=True):
             assert (v - w) % SWEEP_MOD == 0, (fam.id, x)
-            assert (p is None) == (q is None) == (not fam.easy3_cross), (fam.id, x)
-            assert p is None or (p - q) % SWEEP_MOD == 0, (fam.id, x)
 
 
 def test_bumped_coefficient_family_fails():
@@ -535,9 +526,8 @@ def test_power_sum_route_equals_closed_form(family_id):
     for f in (fam, everywhere):
         args, bound = _args_of(f, t, 3000)
         assert bound == 3000
-        values, _ = _values(f, t, args, SweepCache(), 0)
-        assert list(values) == modd_explicit_batch(f.a, t, args), f
-    assert sum(1 for v in _values(everywhere, t, args, SweepCache(), 0)[0] if v) > 400
+        assert _values(f, t, args, SweepCache(), 0) == modd_explicit_batch(f.a, t, args), f
+    assert sum(1 for v in _values(everywhere, t, args, SweepCache(), 0) if v) > 400
 
 
 def test_repeated_j_is_rejected():
@@ -575,15 +565,14 @@ def test_bound_is_the_largest_argument_swept():
 # -- the bulk verdict against the per-value scan -------------------------
 
 # (family, change): every expected kind, on residues and on the exact
-# route, a family without a t rule, one with easy3 partners, and one whose
-# two J share one t
+# route, a family without a t rule, and one whose two J share one t
 BULK_CASES = [
     ("a24n13-mod2", {}),                    # CONG_ZERO, no t rule
     ("vm2A-3", {}),                         # CONG_ZERO, two J
     ("vm2A-3", {"modulus": 5}),             # CONG_ZERO on the exact route
     ("c1-1", {}),                           # CONG_ZERO on a c_n column
     ("c0-3", {}),                           # 25 c_n classes, two J
-    ("v1-mod3-13", {}),                     # easy3 partners
+    ("v1-mod3-13", {}),                     # CONG_ZERO mod 3
     ("ovc8", {}),                           # VALUATION_TABLE, nu_2 up to 6
     ("pre1-24", {}),
     ("m1-t1-6n5", {}),                      # EXACT_ZERO, t=1 for both J
@@ -596,7 +585,7 @@ WHERE = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n -
 
 def passing_value(fam, x, rnd):
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
-        odd = congruences._verdict(fam, None, x, 1, None) is None
+        odd = congruences._verdict(fam, None, x, 1) is None
         return 2 * rnd.randint(-3, 3) + odd
     return fam.class_modulus[x % fam.arg_mod] * rnd.randint(-3, 3)
 
@@ -628,20 +617,11 @@ def planted(fam, j_values, n_budget, fails, seed):
         bad = {WHERE[where](len(args)) for i, where in fails if i == index}
         row = table[t] = {}
         for pos, x in enumerate(args):
-            v = passing_value(fam, x, rnd)
-            cross = v - 3 * rnd.randint(-3, 3) if fam.easy3_cross else None
-            if pos in bad:      # break the value, its easy3 partner, or both
-                broken = rnd.choice(("value", "partner", "both")) if fam.easy3_cross else "value"
-                if broken != "partner":
-                    v = failing_value(fam, x, rnd)
-                if broken != "value":
-                    cross += rnd.choice((1, 2))
-            row[x] = (v, cross, rnd.randint(-2, 2))
+            v = failing_value(fam, x, rnd) if pos in bad else passing_value(fam, x, rnd)
+            row[x] = (v, rnd.randint(-2, 2))
 
     def values(fam, t, args, cache, mod):
-        got = [table[t][x] for x in args]
-        partners = [c + mod * k for _, c, k in got] if fam.easy3_cross else repeat(None, len(args))
-        return [v + mod * k for v, _, k in got], partners
+        return [v + mod * k for v, k in (table[t][x] for x in args)]
 
     return values
 
@@ -657,17 +637,16 @@ def scan_reference(fam, j_values, n_budget, values_of):
         t = None if j is None else fam.t_of(j)
         args, bound = _args_of(fam, t, n_budget)
         top = max(top, bound)
-        residues, _ = values_of(fam, t, args, None, mod)
+        residues = values_of(fam, t, args, None, mod)
         observed = mod
         nonzero = 0
         for v in residues:
             observed = gcd(observed, v)
             nonzero += (v % mod if mod else v) != 0
         rows.append({"J": j, "nonzero": nonzero, "observed_modulus": observed})
-        values, partners = values_of(fam, t, args, None, 0)
-        for x, v, cross in zip(args, values, partners):
+        for x, v in zip(args, values_of(fam, t, args, None, 0)):
             checked += 1
-            cex = congruences._verdict(fam, j, x, v, cross)
+            cex = congruences._verdict(fam, j, x, v)
             if cex is not None:
                 return checked, top, cex, rows
     return checked, top, None, rows

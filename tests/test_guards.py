@@ -53,6 +53,19 @@ def test_import_leaves_dataclasses_out():
     assert proc.returncode == 0, proc.stderr or "qlab imported dataclasses"
 
 
+def test_import_leaves_typing_and_importlib_resources_out():
+    # on an interpreter whose site does not import them (-S), typing cost
+    # about 14 ms and importlib.resources about 16 ms of `import qlab.cli`;
+    # the annotations need neither, and the corpus is a file beside qexpr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys, qlab, qlab.cli; "
+                           "found = {'typing', 'importlib.resources'} & set(sys.modules); "
+                           "sys.exit(str(sorted(found)) if found else None)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exact_div():
     assert exact_div(12, 4) == 3
     assert exact_div(-12, 4) == -3

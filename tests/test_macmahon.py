@@ -3,10 +3,12 @@ Chebyshev/Riordan machinery, and the classical t=1 identities."""
 
 import pytest
 
+from qlab.arith import is_prime
 from qlab.series import Poly, Series, series_of_rational
 from qlab.special import eta, eta_quotient
 from qlab.special import overpartition_gf, prefactor_a
 from qlab.macmahon import (
+    DP_AS,
     PREFACTORS,
     UnsupportedA,
     _binomial_c,
@@ -193,6 +195,34 @@ def test_sign_identity():
             if t % 2:
                 want = -want
             assert neg[t].eq(want), (a, t)
+
+
+def test_transfer_across_a():
+    # if m | a - a', then 1 + a q^n + q^2n = 1 + a' q^n + q^2n mod m, and
+    # unit inverses and elementary symmetric functions keep that, so
+    # U~_t(a) = U~_t(a') mod m; no pair of a is congruent mod m*p for a
+    # prime p | m, and some row says so
+    rows = {a: [r.coeffs for r in powersum_utilde(a, 5, 1000)] for a in DP_AS}
+    pairs = [(a, b) for a in DP_AS for b in DP_AS if b - a >= 2]
+    assert len(pairs) == 6
+    for a, b in pairs:
+        m = b - a
+        diffs = [u - v for ra, rb in zip(rows[a], rows[b]) for u, v in zip(ra, rb)]
+        assert all(d % m == 0 for d in diffs), (a, b)
+        for p in filter(is_prime, range(2, m + 1)):
+            if m % p == 0:
+                assert any(d % (m * p) for d in diffs), (a, b, m * p)
+
+
+@pytest.mark.parametrize("t", [13, 40, 26, 53])
+def test_transfer_mod3_on_the_swept_closed_forms(t):
+    # the a=1 m_odd congruences mod 3 are the a=-2 ones transferred, at the
+    # t of v1-mod3-13 / vm2-10 (27J+13) and v1-mod3-26 / vm2-11 (27J+26)
+    args = list(range(20001))
+    one = modd_explicit_batch(1, t, args, mod=3)
+    minus_two = modd_explicit_batch(-2, t, args, mod=3)
+    assert all((u - v) % 3 == 0 for u, v in zip(one, minus_two, strict=True)), t
+    assert sum(u % 3 != 0 for u in one) >= 10000, t
 
 
 # -- coefficient families ------------------------------------------------

@@ -59,6 +59,26 @@ def test_parse_syntax_errors_carry_offsets():
         parse("")
 
 
+def nested(depth: int, core: str = "q") -> str:
+    return "(" * depth + core + ")" * depth
+
+
+def test_groups_nest_at_most_max_nesting_deep():
+    # 260 nested groups used to end in a RecursionError
+    assert qexpr.MAX_NESTING == 100
+    assert evaluate_text(nested(100), 4).coeffs == (0, 1, 0, 0)
+    assert evaluate_text(nested(100, "f1^2") + "*f1", 4).coeffs == (1, -3, 0, 5)
+    for depth in (101, 260):
+        with pytest.raises(ExprSyntaxError, match="nest more than 100 deep") as err:
+            parse(nested(depth))
+        assert err.value.position == 100            # the 101st '('
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("f1 * " + nested(101))
+    assert err.value.position == 105
+    # sibling groups are not nested: each closes before the next opens
+    assert len(parse("*".join([nested(100)] * 3)).terms[0][1].factors) == 3
+
+
 def test_lexer_reads_ascii_digits_only():
     # str.isdigit() also holds for superscripts and other scripts' digits,
     # which int() rejects or reads as a different numeral
