@@ -22,11 +22,17 @@ _SEQUENCES = {"prefA": prefactor_a, "overp": overpartition_gf}
 
 # The largest `modd -n` each slow route is run at; `--method all` runs both.
 # The DP takes O(n) shift-adds per row, each on an n-slot int, so about n^2
-# bit operations: a=2, t=3 took 0.6 s at n = 5000 and 2.6-3.4 s at n = 10000.
+# bit operations: a=2, t=3 took 0.87 s at n = 5000 and 3.1-3.9 s at
+# n = 10000; a=-1, 0 and 1 took 0.22-0.25 s at n = 5000.
 # The oracle's enumeration grows faster still: for a=2 at most 0.25 s over
 # t <= 10 at n = 100, 8-11 s at n = 150, t = 6.  --method powersum took
 # 0.3 s at n = 10000, a=2, t=3 (one process, 2-vCPU VM, Python 3.11).
 _ROUTE_LIMITS = {"direct": 5000, "oracle": 100}
+
+# The largest order `lemmas` checks at, from --order or a fixture's
+# check_to: the 16-identity corpus took 0.28 s at order 1000, 1.4 s at 4000
+# and 3.9 s at 8000 (one process, 2-vCPU VM, Python 3.11).
+_LEMMAS_LIMIT = 4000
 
 
 def _parse_range(text: str) -> range:
@@ -123,12 +129,13 @@ def cmd_lemmas(args) -> int:
     except (OSError, ValueError, qexpr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.order is None:
-        for fx in fixtures:
-            if fx.check_to > congruences.MAX_ORDER:
-                print(f"error: {fx.name}: check_to {fx.check_to} is past MAX_ORDER = "
-                      f"{congruences.MAX_ORDER}", file=sys.stderr)
-                return 2
+    orders = ([("--order", args.order)] if args.order is not None
+              else [(f"{fx.name}: check_to", fx.check_to) for fx in fixtures])
+    for what, order in orders:
+        if order > _LEMMAS_LIMIT:
+            print(f"error: {what} {order} is past the lemmas limit of {_LEMMAS_LIMIT}",
+                  file=sys.stderr)
+            return 2
     reports = qexpr.check_fixtures(fixtures, args.order)
     for r in reports:
         print(r.line())
@@ -206,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", default=None,
                    help="fixture file (.qx; default: the packaged dissection corpus)")
     p.add_argument("--order", type=int, default=None,
-                   help="override each fixture's check order")
+                   help="override each fixture's check order; "
+                        f"orders past {_LEMMAS_LIMIT} are refused")
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("table", help="CSV table of a coefficient sequence")

@@ -13,8 +13,7 @@ Four independent evaluation routes are provided and cross-checked by the
 test suite:
 
 * ``direct_utilde``  -- dynamic program over the odd parts (any |a| <= 2),
-  each part taken term by term or, where that is cheaper, through the
-  recurrence of its local factor (``_FOLD``);
+  each part taken through the recurrence of its local factor (``_FOLD``);
 * ``powersum_utilde`` -- divisor sums for the power sums of the local
   factors, then Newton's identities (any |a| <= 2);
 * ``explicit_utilde`` -- closed form: an eta-quotient prefactor convolved
@@ -94,19 +93,13 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     Each row S_t is one int for the whole run.  Evaluating at q = 2^W maps
     Z[q]/q^order into Z/2^(W*order) as a ring homomorphism, since q^order
     goes to 0, so a product by g_n is a few shifts and adds of whole rows.
-    Each part takes whichever of two ways needs fewer of them:
-
-    * term by term, one shift-add per nonzero d_m (and a multiply when
-      |d_m| > 1), S_t += d_m * (S_(t-1) << W*m*n), reduced mod 2^(W*order)
-      once per (part, t);
-    * by its recurrence: g_n = X(1 + c1 X)/(1 - s X^p)^r at X = q^n, with
-      (c1, s, p, r) from ``_FOLD``.  As s^2 = 1, 1/(1 - s Y) =
-      (1 + s Y)(1 + Y^2)(1 + Y^4)..., each factor one masked shift-add,
-      and the chain stops where a shift passes the truncation, so the part
-      costs O(log(order/n)) steps where the term list has O(order/n).
-
-    Summed over the parts that is O(order) steps per row, each on an int of
-    W*order bits, where the term lists alone take O(order log order).
+    Each part goes through the recurrence of its local factor,
+    g_n = X(1 + c1 X)/(1 - s X^p)^r at X = q^n, with (c1, s, p, r) from
+    ``_FOLD``: a shift by X, then, as s^2 = 1, 1/(1 - s Y) =
+    (1 + s Y)(1 + Y^2)(1 + Y^4)..., each factor one masked shift-add.  The
+    chain stops where a shift passes the truncation, so the part costs
+    O(log(order/n)) steps, and the parts together O(order) steps per row,
+    each on an int of W*order bits.
     At the end each row is decoded once by ``series._unpack_signed``, which
     is exact when every coefficient c of the row has |c| < 2^(W-1).
     ``_dp_slot_bits`` takes W from the majorant |[q^n] U~_t| <= [q^n] h^t / t!,
@@ -119,7 +112,6 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
         raise ValueError("t_max must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    d = local_factor_coeffs(a, order - 1)
     c1, s, p, r = _FOLD[a]
     eff = min(t_max, isqrt(order - 1))
     width = _dp_slot_bits(a, eff, order)
@@ -127,9 +119,6 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     rows = [1] + [0] * eff
     reachable = 0
     for part in range(1, order, 2):
-        g = [(width * m * part, d[m]) for m in range(1, (order - 1) // part + 1) if d[m]]
-        if not g:
-            continue
         # (shift, sign) steps, each a product by 1 + sign * 2^shift, that
         # take S_(t-1) * X to S_(t-1) * g_n; a shift past order - 1 - part
         # lands wholly beyond the truncation
@@ -140,26 +129,12 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
             while e <= room:
                 chain.append((width * e, sign))
                 e, sign = 2 * e, 1
-        # big-int operations: the chain's steps and its shift by X, against
-        # the terms' shift-adds and a multiply for each |d_m| > 1
-        fold = len(chain) + 1 < len(g) + sum(abs(c) > 1 for _, c in g)
         reachable = min(eff, reachable + 1)
         for t in range(reachable, 0, -1):
-            src, acc = rows[t - 1], rows[t]
-            if fold:
-                v = src << width * part
-                for shift, sign in chain:
-                    v = (v + (v << shift) if sign > 0 else v - (v << shift)) & ring
-                rows[t] = (acc + v) & ring
-                continue
-            for shift, c in g:
-                if c == 1:
-                    acc += src << shift
-                elif c == -1:
-                    acc -= src << shift
-                else:
-                    acc += c * (src << shift)
-            rows[t] = acc & ring
+            v = rows[t - 1] << width * part
+            for shift, sign in chain:
+                v = (v + (v << shift) if sign > 0 else v - (v << shift)) & ring
+            rows[t] = (rows[t] + v) & ring
     out = [Series(_unpack_signed(row, width // 8, order)) for row in rows]
     return out + [Series([0] * order) for _ in range(t_max - eff)]
 

@@ -95,7 +95,9 @@ class _ReadOnly:
 class _Node(_ReadOnly):
     """Immutable parse-tree node.  A subclass names its fields in
     ``__slots__`` and is built from them in that order; a node equals only a
-    node of the same type with equal fields, and equal nodes hash alike."""
+    node of the same type with equal fields, and equal nodes hash alike.
+    Both read the tree by ``_walk``, without recursion, so trees as deep as
+    the parser accepts compare and hash."""
 
     __slots__ = ()
 
@@ -110,13 +112,31 @@ class _Node(_ReadOnly):
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
-        return type(other) is type(self) and other._fields() == self._fields()
+        return type(other) is type(self) and tuple(_walk(other)) == tuple(_walk(self))
 
     def __hash__(self):
-        return hash((type(self), self._fields()))
+        return hash(tuple(_walk(self)))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
+
+def _walk(node):
+    """The tree under `node` as a flat run of tokens, read with a stack: a
+    node as its type, a tuple as (tuple, its length), anything else as
+    itself.  Each token fixes how many follow from it, so two runs are equal
+    exactly when the trees are."""
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, _Node):
+            yield type(x)
+            todo += x._fields()
+        elif isinstance(x, tuple):
+            yield tuple, len(x)
+            todo += x
+        else:
+            yield x
 
 
 class IntAtom(_Node):

@@ -418,10 +418,8 @@ class Series:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable[int], order: int | None = None):
+    def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
-        if order is not None and order != len(cs):
-            raise ValueError(f"order {order} != number of coefficients {len(cs)}")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "order", len(cs))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from qlab import congruences
-from qlab.cli import _ROUTE_LIMITS, _size, build_parser, main
+from qlab.cli import _LEMMAS_LIMIT, _ROUTE_LIMITS, _size, build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -432,17 +432,42 @@ def test_lemmas_malformed_fixture_file_is_refused(capsys, tmp_path):
 
 def test_lemmas_check_to_past_max_order_is_refused(capsys, tmp_path):
     # a fixture's own check_to is a size too: past MAX_ORDER it used to end
-    # in a MemoryError traceback; an --order within MAX_ORDER still runs it
+    # in a MemoryError traceback; it is refused at the lemmas limit, and an
+    # --order within that limit still runs it
     path = tmp_path / "huge.qx"
     path.write_text("name: huge\nlhs = f1\nrhs = f1\ncheck_to = 100000000\n", encoding="utf-8")
     start = time.perf_counter()
     code, out, err = run(capsys, "lemmas", str(path))
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "Traceback" not in err
-    assert err.strip() == (f"error: huge: check_to 100000000 is past MAX_ORDER = "
-                           f"{congruences.MAX_ORDER}")
+    assert err.strip() == (f"error: huge: check_to 100000000 is past the lemmas limit "
+                           f"of {_LEMMAS_LIMIT}")
     code, out, _ = run(capsys, "lemmas", str(path), "--order", "60")
     assert code == 0 and out.strip().splitlines()[-1] == "1/1 pass"
+
+
+def test_lemmas_orders_past_the_limit_are_refused(capsys, tmp_path):
+    # the corpus took 3.9 s at order 8000, and --order took up to MAX_ORDER;
+    # past the limit --order and check_to are refused before any expansion,
+    # and the limit itself runs
+    over = str(_LEMMAS_LIMIT + 1)
+    path = tmp_path / "edge.qx"
+    for text, argv, what in (
+        ("check_to = 60", ["--order", over], f"--order {over}"),
+        (f"check_to = {over}", [], f"edge: check_to {over}"),
+    ):
+        path.write_text(f"name: edge\nlhs = f1\nrhs = f1\n{text}\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lemmas", str(path), *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "", argv
+        assert err.strip() == f"error: {what} is past the lemmas limit of {_LEMMAS_LIMIT}"
+    for text, argv in ((f"check_to = {_LEMMAS_LIMIT}", []),
+                       ("check_to = 60", ["--order", str(_LEMMAS_LIMIT)])):
+        path.write_text(f"name: edge\nlhs = f1\nrhs = f1\n{text}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "lemmas", str(path), *argv)
+        assert code == 0 and out.strip().splitlines()[-1] == "1/1 pass", argv
+        assert f"(order {_LEMMAS_LIMIT}," in out
 
 
 def test_deep_nesting_is_refused(capsys, tmp_path):

@@ -117,6 +117,17 @@ def test_direct_route_names_no_other_route():
     assert {"local_factor_coeffs", "_dp_slot_bits", "_unpack_signed"} <= seen
     others = CLOSED_FORMS | {"powersum_utilde", "_odd_power_sum", "oracle_modd"}
     assert not named & others, sorted(named & others)
+    # one way through a part: its _FOLD chain; only the slot width reads
+    # the term list d_m, and no term-by-term route or switch remains
+    tree = ast.parse((SRC / "qlab" / "macmahon.py").read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "direct_utilde"]
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    bound = {node.id for node in ast.walk(body)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "_FOLD" in names
+    assert "local_factor_coeffs" not in names
+    assert not bound & {"fold", "g"}, sorted(bound & {"fold", "g"})
 
 
 def test_oracle_names_no_other_route():

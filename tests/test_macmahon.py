@@ -134,7 +134,7 @@ def test_dp_slot_bits_hold_every_coefficient(a):
 
 def test_powersum_matches_direct():
     # at order 1001 every a folds its small parts through chains of three or
-    # more steps and takes its large ones term by term
+    # more steps and its large ones through a shift alone
     for a in (-2, -1, 0, 1, 2):
         for t_max, order in ((5, 400), (6, 1001)):
             want = direct_utilde(a, t_max, order)
@@ -145,10 +145,12 @@ def test_powersum_matches_direct():
 
 
 def test_powersum_small_orders_and_zero_rows():
+    # every order to 64 meets each (part, room) edge where a part's chain
+    # gains a step, and at t <= 8 every row that is nonzero there
     for a in (-2, -1, 0, 1, 2):
-        for order in (1, 2, 4, 5, 10, 17):
-            want = [r.coeffs for r in direct_utilde(a, 6, order)]
-            assert [r.coeffs for r in powersum_utilde(a, 6, order)] == want, (a, order)
+        for order in range(1, 65):
+            want = [r.coeffs for r in direct_utilde(a, 8, order)]
+            assert [r.coeffs for r in powersum_utilde(a, 8, order)] == want, (a, order)
     rows = powersum_utilde(1, 4, 9)           # t^2 >= 9 for t = 3, 4
     assert rows[3].is_zero() and rows[4].is_zero() and rows[3].order == 9
 

@@ -138,6 +138,18 @@ def test_nodes_are_read_only_and_equal_only_within_one_type():
         load_fixtures()[0].lhs = "1"
 
 
+def test_nodes_compare_and_hash_at_the_nesting_limit():
+    # equality and hashing read the tree without recursion: from 64 nested
+    # groups they raised RecursionError, below the parser's limit
+    depth = qexpr.MAX_NESTING
+    a, b = parse(nested(depth, "f1^2")), parse(nested(depth, "f1^2"))
+    assert a == b and a is not b and hash(a) == hash(b)
+    for inner in ("f2^2", "f1^3", "2^2"):
+        c = parse(nested(depth, inner))
+        assert a != c and c != a, inner
+    assert len({a, b, parse(nested(depth, "f2^2"))}) == 2
+
+
 def test_comments_are_whitespace():
     a = evaluate_text("f2/f1^2  # overpartitions", 6)
     assert a.coeffs == (1, 2, 4, 8, 14, 24)

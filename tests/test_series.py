@@ -196,8 +196,6 @@ def test_truncate():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        Series([1, 2], order=3)
-    with pytest.raises(ValueError):
         Series.from_terms([(-1, 1)], 4)
     with pytest.raises(AttributeError):
         S(1).order = 5
