@@ -20,14 +20,36 @@ from .special import overpartition_gf, prefactor_a
 # named sequences, built on residues when --mod is given
 _SEQUENCES = {"prefA": prefactor_a, "overp": overpartition_gf}
 
-# The largest `modd -n` each slow route is run at; `--method all` runs both.
-# The DP takes O(n) shift-adds per row, each on an n-slot int, so about n^2
-# bit operations: a=2, t=3 took 0.87 s at n = 5000 and 3.1-3.9 s at
-# n = 10000; a=-1, 0 and 1 took 0.22-0.25 s at n = 5000.
-# The oracle's enumeration grows faster still: for a=2 at most 0.25 s over
-# t <= 10 at n = 100, 8-11 s at n = 150, t = 6.  --method powersum took
-# 0.3 s at n = 10000, a=2, t=3 (one process, 2-vCPU VM, Python 3.11).
-_ROUTE_LIMITS = {"direct": 5000, "oracle": 100}
+# Each slow route's limit as steps {rows: n}, rows ascending: a call that
+# builds at most `rows` rows (one per t up to -t) takes -n up to n.  A -t
+# past the last step is refused unless t^2 > n, which every route answers
+# with 0 at once.  `--method all` runs direct, oracle and powersum, so all
+# three limits apply.  The DP costs about rows * n^2 bit operations, the
+# power sums rows^2 products of n slots.  Each step's corner at a = 2, the
+# slowest a, in three runs: direct t=3 n=5000 0.7-1.2 s, t=10 n=2000
+# 1.1-1.7 s, t=20 n=1000 0.7-1.4 s (t=20 n=5000 took 29-34 s); powersum
+# t=2 n=50000 0.8-1.2 s, t=3 n=20000 0.7-1.1 s, t=6 n=5000 0.6-0.7 s,
+# t=10 n=2000 0.6-1.1 s, t=15 n=1200 0.9-1.3 s, t=20 n=700 0.7-0.9 s
+# (a = -2: 0.9-1.3 s; t=10 n=10000 took 9.4 s); oracle t=6 n=100
+# 0.3-0.5 s (t=6 n=150 took 8-11 s).  One process, 2-vCPU VM, Python 3.11.
+_ROUTE_LIMITS = {
+    "direct": {3: 5000, 10: 2000, 20: 1000},
+    "oracle": {10: 100},
+    "powersum": {2: 50000, 3: 20000, 6: 5000, 10: 2000, 15: 1200, 20: 700},
+}
+
+
+def _past_limit(route: str, t: int, n: int) -> str | None:
+    """Why `route` refuses -t t -n n, or None when it takes them."""
+    if t * t > n:                   # no t distinct odd parts sum to n
+        return None
+    for rows, most in _ROUTE_LIMITS[route].items():
+        if t <= rows:
+            if n <= most:
+                return None
+            return f"-n {n} is past the {route} route's limit of {most} at -t <= {rows}"
+    return f"-t {t} is past the {route} route's limit of {rows} rows (at -n <= {most})"
+
 
 # The largest order `lemmas` checks at, from --order or a fixture's
 # check_to: the 16-identity corpus took 0.28 s at order 1000, 1.4 s at 4000
@@ -193,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--method", choices=(*_ROUTES, "all"),
                    help="route (default: explicit where a has a closed form, else "
-                        "direct); direct takes n <= {direct}, oracle n <= {oracle}, "
-                        "all both".format(**_ROUTE_LIMITS))
+                        "direct); direct takes n <= {}, oracle n <= {}, powersum "
+                        "n <= {}, less as t grows; all takes each limit".format(
+                            *(max(steps.values()) for steps in _ROUTE_LIMITS.values())))
     p.set_defaults(func=cmd_modd)
 
     p = sub.add_parser("verify", help="sweep congruence families")
@@ -251,10 +274,12 @@ def main(argv=None) -> int:
         return 2
     if args.command == "modd":
         args.method = args.method or ("explicit" if args.a in macmahon.EXPLICIT_AS else "direct")
-        for route, limit in _ROUTE_LIMITS.items():
-            if args.method in (route, "all") and args.n > limit:
-                print(f"error: -n {args.n} is past the {route} route's limit of {limit}; "
-                      f"--method powersum answers it", file=sys.stderr)
+        for route in _ROUTE_LIMITS:
+            why = args.method in (route, "all") and _past_limit(route, args.t, args.n)
+            if why:
+                if not _past_limit("powersum", args.t, args.n):
+                    why += "; --method powersum answers it"
+                print(f"error: {why}", file=sys.stderr)
                 return 2
     if getattr(args, "mod", 0) < 0:
         print("error: --mod must be >= 0", file=sys.stderr)

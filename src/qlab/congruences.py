@@ -32,7 +32,8 @@ expansion a J reads, the power-sum rows included, for the plan and
   read the power-sum route (``powersum_utilde``), which reads no closed
   form, so they are evidence independent of it; the a=0 support-pattern
   families would otherwise hold by construction of the closed form.  The
-  reinterpretation's m_odd(-2) side still reads the closed form.
+  reinterpretation compares that row with the closed form's a=0 even-t
+  form, m_odd(-2, t/2) on 4N.
 * prefactor / overpartition families read one shared expansion.
 * coefficient families read one c_n(a, t) column per swept t.
 
@@ -57,6 +58,7 @@ from math import gcd, isqrt
 from operator import countOf, mod as remainder, sub
 
 from .macmahon import PREFACTORS, closed_form, coeff_column, modd_explicit_batch, powersum_utilde
+from .series import _ReadOnly
 
 DEFAULT_BUDGET = 20000
 FULL_BUDGET = 150000
@@ -95,12 +97,13 @@ class UnknownFamily(KeyError):
     pass
 
 
-class CongruenceFamily:
+class CongruenceFamily(_ReadOnly):
     """One verifiable claim about a coefficient sequence; read-only, and
-    ``replace`` gives a changed copy."""
+    ``replace`` gives a changed copy.  The record stores the claim alone:
+    what its fields determine (``j_min``, ``classes``) is derived."""
 
-    _FIELDS = ("id", "kind", "a", "expected", "modulus", "t_rule", "j_min", "arg_mod",
-              "arg_residues", "val_table", "dp_backed", "note")
+    _FIELDS = ("id", "kind", "a", "expected", "modulus", "t_rule", "arg_mod",
+               "arg_residues", "val_table")
 
     def __init__(self, id: str,
                  kind: str,                 # MODD | COEFF | PREFACTOR_A | OVERPARTITION
@@ -108,18 +111,13 @@ class CongruenceFamily:
                  expected: str,             # one of the expected outcomes above
                  modulus: int = 0,          # >= 2 for CONG_ZERO; 0 for exact checks
                  t_rule: tuple[int, int] | None = None,    # t = alpha*J + beta
-                 j_min: int = 0,
                  arg_mod: int = 1,
                  arg_residues: tuple[int, ...] = (0,),
-                 val_table: tuple[tuple[int, int], ...] = (),   # (residue, min nu_2)
-                 # stop at DP_WINDOW past t^2 whatever the budget (see _bound)
-                 dp_backed: bool = False,
-                 note: str = ""):
+                 val_table: tuple[tuple[int, int], ...] = ()):  # (residue, min nu_2)
         # stored without attribute syntax: only ``classes`` and
         # ``arg_rule_str`` read the raw class fields by name
-        vars(self).update(zip(self._FIELDS, (id, kind, a, expected, modulus, t_rule, j_min,
-                                            arg_mod, arg_residues, val_table, dp_backed,
-                                            note)))
+        vars(self).update(zip(self._FIELDS, (id, kind, a, expected, modulus, t_rule,
+                                            arg_mod, arg_residues, val_table)))
         if expected not in _EXPECTED:
             raise ValueError(f"{id}: unknown expected kind {expected!r}")
         starts = [start for start, _ in self.classes]      # the layout ``_args_of`` needs
@@ -127,12 +125,6 @@ class CongruenceFamily:
                 or len(self.class_modulus) < len(starts):
             raise ValueError(f"{id}: argument classes must differ mod {arg_mod} "
                              "and start less than arg_mod apart")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CongruenceFamily is read-only; replace() gives a changed copy")
-
-    def __delattr__(self, name):
-        raise AttributeError("CongruenceFamily is read-only; replace() gives a changed copy")
 
     def replace(self, **changes) -> CongruenceFamily:
         """A new family with `changes` applied, validated like any other."""
@@ -143,6 +135,12 @@ class CongruenceFamily:
     def sequence(self) -> str:
         """The report label: MODD(a), COEFF(a), PREFACTOR_A or OVERPARTITION."""
         return self.kind if self.a is None else f"{self.kind}({self.a})"
+
+    @property
+    def j_min(self) -> int:
+        """The least J >= 0 with t = alpha*J + beta >= 0; 0 without a t rule."""
+        alpha, beta = self.t_rule or (0, 0)
+        return max(0, -(beta // alpha)) if alpha else 0
 
     @cached_property
     def classes(self) -> tuple[tuple[int, int], ...]:
@@ -251,9 +249,8 @@ def _build_registry() -> list[CongruenceFamily]:
     add = fams.append
 
     # ----- prefactor a(n) = [q^n] f1 f6/(f2^2 f3) ---------------------
-    add(CongruenceFamily(
-        "a2n-parity", PREFACTOR_A, None, PARITY_A2N, modulus=2, arg_mod=2,
-        note="a(2n) odd exactly when n=0 or n is a square not divisible by 3"))
+    # a(2n) odd exactly when n=0 or n is a square not divisible by 3
+    add(CongruenceFamily("a2n-parity", PREFACTOR_A, None, PARITY_A2N, modulus=2, arg_mod=2))
     for label, mod_, m, r in (
         ("a6n4-mod2", 2, 6, 4), ("a6n6-mod2", 2, 6, 6),
         ("a8n4-mod2", 2, 8, 4), ("a8n6-mod2", 2, 8, 6),
@@ -265,12 +262,12 @@ def _build_registry() -> list[CongruenceFamily]:
     ):
         add(CongruenceFamily(label, PREFACTOR_A, None, CONG_ZERO, modulus=mod_,
                              arg_mod=m, arg_residues=(r,)))
+    # arguments 2(pn+r), r a quadratic nonresidue mod p
     for p in (5, 7, 11):
         residues = tuple(2 * r for r in _quadratic_nonresidues(p))
         add(CongruenceFamily(
             f"a2pn-mod2-p{p}", PREFACTOR_A, None, CONG_ZERO, modulus=2,
-            arg_mod=2 * p, arg_residues=residues,
-            note=f"arguments 2(pn+r), r a quadratic nonresidue mod {p}"))
+            arg_mod=2 * p, arg_residues=residues))
     add(CongruenceFamily(
         "pre1-24", PREFACTOR_A, None, VALUATION_TABLE, arg_mod=24,
         val_table=((0, 1), (4, 1), (10, 1), (12, 1), (13, 1), (14, 1), (20, 1),
@@ -295,46 +292,43 @@ def _build_registry() -> list[CongruenceFamily]:
         arg_mod=27, arg_residues=(18,)))
 
     # ----- coefficient families c_n(a, t) -----------------------------
-    for s in range(1, 6):
+    for s in range(1, 6):       # even n only
         add(CongruenceFamily(
             f"cm2-1-s{s}", COEFF, -2, CONG_ZERO, modulus=2 ** (s + 1),
-            t_rule=(2 ** s, -1), j_min=1, **_off(2, 1),
-            note="even n only"))
+            t_rule=(2 ** s, -1), **_off(2, 1)))
     add(CongruenceFamily("cm2-2", COEFF, -2, CONG_ZERO, modulus=3,
-                         t_rule=(27, 13), j_min=0, **_off(27, 13, 14)))
+                         t_rule=(27, 13), **_off(27, 13, 14)))
     add(CongruenceFamily("cm2-3", COEFF, -2, CONG_ZERO, modulus=3,
-                         t_rule=(27, -1), j_min=1, **_off(27, 1, 26)))
+                         t_rule=(27, -1), **_off(27, 1, 26)))
     add(CongruenceFamily("c0-1a", COEFF, 0, CONG_ZERO, modulus=4,
-                         t_rule=(4, -1), j_min=1, **_off(4, 0, 1)))
+                         t_rule=(4, -1), **_off(4, 0, 1)))
     add(CongruenceFamily("c0-1b", COEFF, 0, CONG_ZERO, modulus=8,
-                         t_rule=(8, -1), j_min=1, **_off(4, 0, 1)))
+                         t_rule=(8, -1), **_off(4, 0, 1)))
     add(CongruenceFamily("c0-2a", COEFF, 0, CONG_ZERO, modulus=16,
-                         t_rule=(32, -1), j_min=1, **_off(8, 0, 1)))
+                         t_rule=(32, -1), **_off(8, 0, 1)))
     add(CongruenceFamily("c0-2b", COEFF, 0, CONG_ZERO, modulus=32,
-                         t_rule=(64, -1), j_min=1, **_off(8, 0, 1)))
+                         t_rule=(64, -1), **_off(8, 0, 1)))
     add(CongruenceFamily("c0-3", COEFF, 0, CONG_ZERO, modulus=3,
-                         t_rule=(27, 12), j_min=0, **_off(27, 13, 15)))
+                         t_rule=(27, 12), **_off(27, 13, 15)))
     # exceptional set {0,1} mod 27: the n(n-1) support is symmetric under
     # n -> 1-n, and the leading coefficient sits at n = t+1 = 27J
     add(CongruenceFamily("c0-4", COEFF, 0, CONG_ZERO, modulus=3,
-                         t_rule=(27, -1), j_min=1, **_off(27, 0, 1)))
+                         t_rule=(27, -1), **_off(27, 0, 1)))
     add(CongruenceFamily("c1-1", COEFF, 1, CONG_ZERO, modulus=2,
-                         t_rule=(2, -1), j_min=1, **_off(2, 1)))
+                         t_rule=(2, -1), **_off(2, 1)))
     for s in range(2, 6):
         half = 2 ** (s - 1)
         add(CongruenceFamily(
             f"c1-2-s{s}", COEFF, 1, CONG_ZERO, modulus=4,
-            t_rule=(2 ** s, -1), j_min=1,
-            **_off(half, 1 % half, (half - 1) % half)))
+            t_rule=(2 ** s, -1), **_off(half, 1 % half, (half - 1) % half)))
     # halving (1+z)^(64J) mod 8 stops at (1+z^16)^(4J), so the mod-8
     # support of c_n(1,64J-1) is n = +-1 mod 16 (and n^2 = 1 mod 32 still)
     add(CongruenceFamily("c1-3", COEFF, 1, CONG_ZERO, modulus=8,
-                         t_rule=(64, -1), j_min=1, **_off(16, 1, 15)))
+                         t_rule=(64, -1), **_off(16, 1, 15)))
 
     # ----- m_odd(-2, t; .) --------------------------------------------
-    add(CongruenceFamily(
-        "m2-parity-t1", MODD, -2, PARITY_M2_T1, modulus=2, t_rule=(0, 1),
-        note="m_odd(-2,1;N) odd exactly when N is an odd square"))
+    # m_odd(-2,1;N) odd exactly when N is an odd square
+    add(CongruenceFamily("m2-parity-t1", MODD, -2, PARITY_M2_T1, modulus=2, t_rule=(0, 1)))
     add(CongruenceFamily("m2-6n5-mod6", MODD, -2, CONG_ZERO, modulus=6,
                          t_rule=(0, 1), arg_mod=6, arg_residues=(5,)))
     add(CongruenceFamily("vm2A-1", MODD, -2, CONG_ZERO, modulus=4,
@@ -369,18 +363,15 @@ def _build_registry() -> list[CongruenceFamily]:
                          t_rule=(27, 26), arg_mod=27, arg_residues=(19,)))
 
     # ----- m_odd(0, t; .) ---------------------------------------------
-    add(CongruenceFamily(
-        "m0-even-vanish", MODD, 0, EXACT_ZERO, t_rule=(2, 0),
-        arg_mod=4, arg_residues=(1, 2, 3), dp_backed=True,
-        note="even t: support lies on 4N"))
-    add(CongruenceFamily(
-        "m0-even-reinterp", MODD, 0, EQUALS_MODD_M2, t_rule=(2, 0),
-        arg_mod=4, arg_residues=(0,), dp_backed=True,
-        note="m_odd(0,2t;4N) = m_odd(-2,t;N)"))
-    add(CongruenceFamily(
-        "m0-odd-vanish", MODD, 0, EXACT_ZERO, t_rule=(2, 1),
-        arg_mod=4, arg_residues=(0, 2, 3), dp_backed=True,
-        note="odd t: support lies on 4N+1"))
+    # even t: support lies on 4N
+    add(CongruenceFamily("m0-even-vanish", MODD, 0, EXACT_ZERO, t_rule=(2, 0),
+                         arg_mod=4, arg_residues=(1, 2, 3)))
+    # m_odd(0,2t;4N) = m_odd(-2,t;N)
+    add(CongruenceFamily("m0-even-reinterp", MODD, 0, EQUALS_MODD_M2, t_rule=(2, 0),
+                         arg_mod=4, arg_residues=(0,)))
+    # odd t: support lies on 4N+1
+    add(CongruenceFamily("m0-odd-vanish", MODD, 0, EXACT_ZERO, t_rule=(2, 1),
+                         arg_mod=4, arg_residues=(0, 2, 3)))
     add(CongruenceFamily("m0-36n-mod4", MODD, 0, CONG_ZERO, modulus=4,
                          t_rule=(2, 1), arg_mod=36, arg_residues=(21, 33)))
     add(CongruenceFamily("v0odd-1", MODD, 0, CONG_ZERO, modulus=4,
@@ -395,9 +386,9 @@ def _build_registry() -> list[CongruenceFamily]:
                          t_rule=(54, 25), arg_mod=108, arg_residues=(49,)))
     add(CongruenceFamily("v0odd-5", MODD, 0, CONG_ZERO, modulus=3,
                          t_rule=(54, 53), arg_mod=108, arg_residues=(73,)))
+    # t=1: arguments 4(9n+5)+1 and 4(9n+8)+1
     add(CongruenceFamily("m0-t1-vanish", MODD, 0, EXACT_ZERO, t_rule=(0, 1),
-                         arg_mod=36, arg_residues=(21, 33),
-                         note="t=1: arguments 4(9n+5)+1 and 4(9n+8)+1"))
+                         arg_mod=36, arg_residues=(21, 33)))
 
     # ----- m_odd(1, t; .) ---------------------------------------------
     add(CongruenceFamily("v1-0", MODD, 1, CONG_ZERO, modulus=2,
@@ -503,12 +494,14 @@ def _bound(fam: CongruenceFamily, t: int | None, n_budget: int) -> int:
     """The largest argument one J sweeps: the whole range policy.
 
     Families that are not m_odd stop at the budget.  An m_odd sweep reaches
-    DP_WINDOW past the series' leading exponent t^2: the dp_backed
-    families stop there, the others at the budget when it lies further.
+    DP_WINDOW past the series' leading exponent t^2.  An exact claim whose
+    t grows with J (alpha > 0) stops there, since each J reads a power-sum
+    row whose cost grows with t; the others stop at the budget when it lies
+    further.
     """
     if fam.kind != MODD:
         return n_budget
-    if fam.dp_backed:
+    if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2) and fam.t_rule[0] > 0:
         return t * t + DP_WINDOW
     return max(n_budget, t * t + DP_WINDOW)
 
@@ -520,20 +513,19 @@ def _reads(fam: CongruenceFamily, t: int | None, top: int,
 
     Exact m_odd claims read the power-sum row (a, t).  A closed form reads
     the prefactor ``closed_form`` names, up to top // stride (the a=0 forms
-    read x//4).  The reinterpretation's m_odd(-2, t/2) side reads the
-    overpartition counts at x//4.
+    read x//4); the reinterpretation claim reads both.
     """
     if fam.kind in (PREFACTOR_A, OVERPARTITION):
         return {(fam.kind.lower(), mod): top + 1}
     if fam.kind != MODD:
         return {}
+    reads = {}
     if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        reads = {("powersum", (fam.a, t)): top + 1}
-        if fam.expected == EQUALS_MODD_M2:
-            reads[("overpartition", mod)] = top // 4 + 1
-        return reads
-    name, stride, *_ = closed_form(fam.a, t)
-    return {(name, mod): top // stride + 1}
+        reads[("powersum", (fam.a, t))] = top + 1
+    if fam.expected != EXACT_ZERO:
+        name, stride, *_ = closed_form(fam.a, t)
+        reads[(name, mod)] = top // stride + 1
+    return reads
 
 
 def _args_of(fam: CongruenceFamily, t: int | None, n_budget: int) -> tuple[list[int], int]:
@@ -555,9 +547,9 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int],
     expansions reduced mod `mod` (0: exact).
 
     Every expansion is fetched by kind, at the lengths ``_reads`` names.
-    Exact m_odd claims read the power-sum row (a, t).  The reinterpretation
-    claim's value is m_odd(0, t; 4n) - m_odd(-2, t/2; n), its right side
-    from the closed form.
+    Exact m_odd claims read the power-sum row (a, t), the others the closed
+    form.  The reinterpretation claim's value is the power-sum row less the
+    closed form, whose a=0 even-t form is m_odd(-2, t/2; x/4).
     """
     if fam.kind == COEFF:
         column = coeff_column(fam.a, t, max(args))
@@ -565,14 +557,12 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int],
     exps = {k: cache.coeffs(k, n, p) for (k, p), n in _reads(fam, t, max(args), mod).items()}
     if fam.kind != MODD:
         return list(map(exps[fam.kind.lower()].__getitem__, args))
-    if fam.expected in (EXACT_ZERO, EQUALS_MODD_M2):
-        values = list(map(exps["powersum"].__getitem__, args))
-        if fam.expected == EQUALS_MODD_M2:
-            rhs = modd_explicit_batch(-2, t // 2, [x // 4 for x in args],
-                                      exps["overpartition"], mod)
-            values = list(map(sub, values, rhs))
-        return values
-    return modd_explicit_batch(fam.a, t, args, exps[closed_form(fam.a, t)[0]], mod)
+    if fam.expected == EXACT_ZERO:
+        return list(map(exps["powersum"].__getitem__, args))
+    values = modd_explicit_batch(fam.a, t, args, exps[closed_form(fam.a, t)[0]], mod)
+    if fam.expected == EQUALS_MODD_M2:
+        return list(map(sub, map(exps["powersum"].__getitem__, args), values))
+    return values
 
 
 def _wants_odd(fam: CongruenceFamily, x: int) -> bool:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qlab import congruences
+from qlab import congruences, macmahon
 from qlab.cli import _LEMMAS_LIMIT, _ROUTE_LIMITS, _size, build_parser, main
 from qlab.macmahon import modd_explicit_batch
 
@@ -307,7 +307,60 @@ def test_slow_routes_past_their_limit_are_refused(capsys, argv, route):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert route in err and str(_ROUTE_LIMITS[route]) in err and "powersum" in err
+    t = int(argv[argv.index("-t") + 1])
+    most = next(most for rows, most in _ROUTE_LIMITS[route].items() if t <= rows)
+    assert f"the {route} route's limit of {most}" in err and "powersum" in err
+
+
+ROUTE_REFUSALS = {
+    "-t 20 -n 5000 --method direct":
+        "-n 5000 is past the direct route's limit of 1000 at -t <= 20",
+    "-t 21 -n 1000 --method direct":
+        "-t 21 is past the direct route's limit of 20 rows (at -n <= 1000)",
+    "-t 4 -n 3000":
+        "-n 3000 is past the direct route's limit of 2000 at -t <= 10; "
+        "--method powersum answers it",
+    "-t 3 -n 300000 --method powersum":
+        "-n 300000 is past the powersum route's limit of 20000 at -t <= 3",
+    "-t 10 -n 10000 --method powersum":
+        "-n 10000 is past the powersum route's limit of 2000 at -t <= 10",
+    "-t 15 -n 5000 --method powersum":
+        "-n 5000 is past the powersum route's limit of 1200 at -t <= 15",
+    "-t 30 -n 2000 --method powersum":
+        "-t 30 is past the powersum route's limit of 20 rows (at -n <= 700)",
+    "-t 10 -n 10000 --method all":
+        "-n 10000 is past the direct route's limit of 2000 at -t <= 10",
+}
+
+
+@pytest.mark.parametrize("argv", ROUTE_REFUSALS)
+def test_route_limits_bound_rows_and_n(capsys, argv):
+    # the direct route took 29-34 s at t = 20, n = 5000 and powersum had no
+    # limit; "--method powersum" is suggested only where powersum takes it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "modd", "-a", "2", *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {ROUTE_REFUSALS[argv]}\n")
+
+
+def test_route_limits_accept_each_step(capsys, monkeypatch):
+    # every (rows, n) corner gets through the limits to its route (stubbed
+    # here: the comment above _ROUTE_LIMITS times each corner), and one more
+    # n or t does not
+    ran = []
+
+    def modd(route, t, n):
+        return run(capsys, "modd", "-a", "2", "-t", str(t), "-n", str(n), "--method", route)[0]
+
+    for route, name in (("direct", "modd_direct"), ("oracle", "oracle_modd"),
+                        ("powersum", "modd_powersum")):
+        monkeypatch.setattr(macmahon, name, lambda a, t, n, route=route: ran.append((route, t, n)))
+        for rows, most in _ROUTE_LIMITS[route].items():
+            assert (modd(route, rows, most), modd(route, rows, most + 1)) == (0, 2), route
+        # past the last step only a t with t^2 > n still runs: 11^2 > 100
+        assert modd(route, rows + 1, most) == (0 if route == "oracle" else 2)
+    corners = [(route, *step) for route, steps in _ROUTE_LIMITS.items() for step in steps.items()]
+    assert sorted(ran) == sorted(corners + [("oracle", 11, 100)])
 
 
 def test_powersum_runs_past_the_slow_routes_limits(capsys):
@@ -315,11 +368,17 @@ def test_powersum_runs_past_the_slow_routes_limits(capsys):
                        "--method", "powersum")
     assert code == 0 and int(out) != 0
     # each limit itself is accepted (t^2 > n keeps the DP from running)
-    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "100", "-n", str(_ROUTE_LIMITS["direct"]))
+    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "100", "-n",
+                       str(max(_ROUTE_LIMITS["direct"].values())))
     assert code == 0 and out.strip() == "0"
-    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "2", "-n", str(_ROUTE_LIMITS["oracle"]),
-                       "--method", "all")
+    code, out, _ = run(capsys, "modd", "-a", "2", "-t", "2", "-n",
+                       str(max(_ROUTE_LIMITS["oracle"].values())), "--method", "all")
     assert code == 0 and len(set(out.split()) - {"-"}) == 1
+    # a t with t^2 > n is 0 at once on every route, however large n is
+    for method in ("direct", "powersum", "all"):
+        code, out, _ = run(capsys, "modd", "-a", "2", "-t", "1000", "-n", "5000",
+                           "--method", method)
+        assert code == 0 and set(out.split()) <= {"0", "-"}, method
 
 
 def test_sizes_up_to_max_order_are_accepted():

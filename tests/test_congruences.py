@@ -28,6 +28,7 @@ from qlab.congruences import (
     UnknownFamily,
     VerifyReport,
     _args_of,
+    _bound,
     _sweep,
     _sweep_modulus,
     _sweep_plan,
@@ -109,6 +110,28 @@ def test_registry_shape():
     ids = [f.id for f in fams]
     assert len(set(ids)) == len(ids)
     assert all(isinstance(f, CongruenceFamily) for f in fams)
+
+
+def test_records_store_only_the_claim():
+    # j_min and the power-sum window follow from the t rule and the claim
+    assert len(CongruenceFamily._FIELDS) == 9
+    assert not {"j_min", "dp_backed", "note"} & set(CongruenceFamily._FIELDS)
+    for fam in registry():
+        if fam.t_rule is None:
+            assert fam.j_min == 0, fam.id
+            continue
+        j = fam.j_min
+        assert fam.t_of(j) >= 0 and (j == 0 or fam.t_of(j - 1) < 0), fam.id
+    assert {f.id for f in registry() if f.j_min == 1} == {
+        f.id for f in registry() if f.kind == COEFF and f.t_rule[1] == -1}
+    assert len([f for f in registry() if f.j_min == 1]) == 17
+    assert all(f.j_min == 0 for f in registry() if f.j_min != 1)
+    # the families that stop DP_WINDOW past t^2 whatever the budget
+    windowed = {f.id for f in registry()
+                if _bound(f, 9, 10 ** 6) == 9 * 9 + congruences.DP_WINDOW}
+    assert windowed == {"m0-even-vanish", "m0-even-reinterp", "m0-odd-vanish"}
+    assert CongruenceFamily("x", MODD, 0, EXACT_ZERO, t_rule=(0, 1)).j_min == 0
+    assert CongruenceFamily("x", MODD, 0, EXACT_ZERO, t_rule=(3, -7)).j_min == 3
 
 
 def test_manifest_covers_every_statement_once():
@@ -276,7 +299,7 @@ def test_registry_records_are_read_only_and_replace_revalidates():
     with pytest.raises(AttributeError):
         fam.modulus = 16
     with pytest.raises(AttributeError):
-        del fam.note
+        del fam.modulus
     changed = fam.replace(modulus=16)
     # a new record whose derived classes follow the change
     assert changed is not fam and changed.id == fam.id

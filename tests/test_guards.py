@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from qlab import congruences, qexpr
 from qlab.arith import InexactDivision, exact_div
+from qlab.macmahon import PREFACTORS
+from qlab.series import Poly, Series
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -172,14 +175,19 @@ PREFACTOR_BUILDERS = {"prefactor_a", "overpartition_gf"}
 def test_closed_forms_are_stated_once():
     # macmahon.closed_form is the one record of the m_odd closed forms:
     # the sweep compares no a with a number (``self.a is None`` only tells
-    # the m_odd and c_n records from the rest), only PREFACTORS names a
-    # builder, and the per-a batch and its a=0 self-recursion stay gone
+    # the m_odd and c_n records from the rest) and spells no prefactor's
+    # name (the a=0 reinterpretation reads its right side through
+    # closed_form too), only PREFACTORS names a builder, and the per-a batch
+    # and its a=0 self-recursion stay gone
     tree = ast.parse((SRC / "qlab" / "congruences.py").read_text(encoding="utf-8"))
     by_value = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 and any(isinstance(o, ast.Attribute) and o.attr == "a"
                         for o in (node.left, *node.comparators))
                 and any(map(_names_a_value, (node.left, *node.comparators)))]
     assert not by_value, by_value
+    spelled = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and node.value in PREFACTORS]
+    assert not spelled, spelled
     tree = ast.parse((SRC / "qlab" / "macmahon.py").read_text(encoding="utf-8"))
     table, = [node for node in tree.body if isinstance(node, ast.Assign)
               and [ast.unparse(t) for t in node.targets] == ["PREFACTORS"]]
@@ -366,3 +374,33 @@ def test_dsl_is_read_by_one_parser():
     opens = [ast.unparse(node) for node in ast.walk(functions["_atom"])
              if isinstance(node, ast.Call)]
     assert "self.accept('(')" in opens, opens
+
+
+def test_one_immutability_rule():
+    # series._ReadOnly is the only class in qlab that refuses stores and
+    # deletes; every record inherits it instead of keeping a copy
+    found = [f"{path.name}:{cls.name}" for path in sorted((SRC / "qlab").glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(cls, ast.ClassDef)
+             and {"__setattr__", "__delattr__"} & {f.name for f in cls.body
+                                                   if isinstance(f, ast.FunctionDef)}]
+    assert found == ["series.py:_ReadOnly"]
+
+
+@pytest.mark.parametrize("record, field", [
+    (Series([1, 2]), "coeffs"),
+    (Poly([1, 2]), "coeffs"),
+    (congruences.lookup("vm2A-3"), "modulus"),
+    (qexpr.load_fixtures()[0], "lhs"),
+    (qexpr.parse("f1*q"), "terms"),
+], ids=["Series", "Poly", "CongruenceFamily", "LemmaFixture", "SumExpr"])
+def test_records_refuse_stores_and_deletes(record, field):
+    # a delete used to leave a Series or a Poly without its coefficients
+    before = getattr(record, field)
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError, match="read-only"):
+        delattr(record, field)
+    with pytest.raises(AttributeError, match="read-only"):
+        record.extra = 1
+    assert getattr(record, field) == before

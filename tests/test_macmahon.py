@@ -23,6 +23,7 @@ from qlab.macmahon import (
     modd_direct,
     modd_explicit,
     modd_explicit_batch,
+    modd_powersum,
     oracle_modd,
     powersum_utilde,
     riordan_series,
@@ -159,6 +160,28 @@ def test_powersum_argument_guards():
     for bad in ((3, 2, 10), (-3, 2, 10), (0, -1, 10), (0, 2, 0), (0, 2, -5)):
         with pytest.raises(ValueError):
             powersum_utilde(*bad)
+
+
+NEED_A = "need a in (-2, -1, 0, 1, 2), got 3"
+
+
+@pytest.mark.parametrize("route, args, message", [
+    (route, args, message)
+    for route, (t_name, n_name, n_bad, n_least) in {
+        direct_utilde: ("t_max", "order", 0, 1), powersum_utilde: ("t_max", "order", 0, 1),
+        oracle_modd: ("t", "n", -1, 0), modd_direct: ("t", "n", -1, 0),
+        modd_powersum: ("t", "n", -1, 0),
+    }.items()
+    for args, message in (((3, 2, 10), NEED_A),
+                          ((0, -1, 10), f"{t_name} must be >= 0"),
+                          ((0, 2, n_bad), f"{n_name} must be >= {n_least}"))
+], ids=lambda x: getattr(x, "__name__", None))
+def test_route_guards_refuse_bad_arguments(route, args, message):
+    # the CLI's -a choices keep a = 3 from every route, so only these calls
+    # run the checks
+    with pytest.raises(ValueError) as err:
+        route(*args)
+    assert str(err.value) == message
 
 
 def test_explicit_matches_direct():

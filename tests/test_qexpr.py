@@ -1,5 +1,7 @@
 """Expression DSL: parser, pretty-printer, evaluator, fixture corpus."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from qlab.qexpr import (
     LemmaFixture,
     NegativeValuation,
     QAtom,
+    ThetaAtom,
     UnknownSymbol,
     check_fixture,
     check_fixtures,
@@ -148,6 +151,41 @@ def test_nodes_compare_and_hash_at_the_nesting_limit():
         c = parse(nested(depth, inner))
         assert a != c and c != a, inner
     assert len({a, b, parse(nested(depth, "f2^2"))}) == 2
+
+
+def test_nodes_print_at_the_nesting_limit():
+    # repr read the tree by recursion and raised RecursionError from 50
+    # nested groups on, below the parser's limit
+    depth = qexpr.MAX_NESTING
+    text = repr(parse(nested(depth, "f1^2")))
+    assert text.count("GroupAtom(") == depth and "EtaAtom(1)" in text
+    assert text.startswith("SumExpr(((1, TermExpr((('*', FactorExpr(GroupAtom(")
+    assert repr(parse("2*f3 - q")) == (
+        "SumExpr(((1, TermExpr((('*', FactorExpr(IntAtom(2), 1)), "
+        "('*', FactorExpr(EtaAtom(3), 1))))), (-1, TermExpr((('*', FactorExpr(QAtom(), 1)),)))))")
+    assert repr(ThetaAtom("phi", True, 3)) == "ThetaAtom('phi', True, 3)"
+
+
+def test_constant_powers_are_one_int():
+    # a constant's power is c ** e, not e squarings of a padded series;
+    # 2^100000 took 11.8 s
+    start = time.perf_counter()
+    for text in ("2^100000", "(1+1)^100000", "(-2)^99999*q", "(2*q)^100000"):
+        s = evaluate_text(text, 3)
+        assert s.order == 3, text
+    assert time.perf_counter() - start < 1
+    assert evaluate_text("2^100000", 3).coeffs == (2 ** 100000, 0, 0)
+    assert evaluate_text("(1+1)^100000", 2).coeffs == (2 ** 100000, 0)
+    assert evaluate_text("(-2)^99999*q", 3).coeffs == (0, -2 ** 99999, 0)
+    assert evaluate_text("(-1)^-7 * 3^4 * (q*5)^2", 4).coeffs == (0, 0, -81 * 25, 0)
+    assert evaluate_text("(-1)^1000000001", 2).coeffs == (-1, 0)
+    bits = qexpr.MAX_POWER_BITS
+    assert evaluate_text(f"2^{bits}", 1).coeffs == (2 ** bits,)
+    for text in (f"2^{bits + 1}", f"(3^2)^{bits // 4 + 1}", f"(1+1)^{10 ** 12}"):
+        start = time.perf_counter()
+        with pytest.raises(ExprError, match=f"past MAX_POWER_BITS = {bits}"):
+            evaluate_text(text, 1)
+        assert time.perf_counter() - start < 1, text
 
 
 def test_comments_are_whitespace():

@@ -1,6 +1,7 @@
 """Series/Poly kernel: exactness, order propagation, ring laws."""
 
 import random
+import time
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from qlab.series import (
     Poly,
     Series,
     _BLOCK,
+    _bias,
     _conv_terms,
     _div_terms,
     _mul_kronecker,
@@ -199,6 +201,9 @@ def test_constructor_validation():
         Series.from_terms([(-1, 1)], 4)
     with pytest.raises(AttributeError):
         S(1).order = 5
+    # the order is the coefficient count, not a second stored field
+    assert Series.__slots__ == ("coeffs",)
+    assert S(1, 2, 3).order == 3 and Series([]).order == 0
 
 
 # -- polynomials --------------------------------------------------------
@@ -560,6 +565,19 @@ def test_signed_pack_round_trip(size):
         assert _unpack_signed(x, size, len(values)) == values
         # slots above the n read change nothing
         assert _unpack_signed(x + (5 << 8 * size * len(values)), size, len(values)) == values
+
+
+def test_bias_fills_each_slot_with_half():
+    # built by doubling runs of slots: the closed form divided by a number
+    # as wide as a slot, 1.5 s for the 67 slots of 12501 bytes that a
+    # product with 2**100000 packs
+    for size in (1, 2, 3, 8, 9, 17):
+        for n in range(0, 70):
+            half = 1 << 8 * size - 1
+            assert _bias(size, n) == sum(half << 8 * size * i for i in range(n)), (size, n)
+    start = time.perf_counter()
+    assert _bias(12501, 67).bit_length() == 8 * 12501 * 67
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
