@@ -193,27 +193,27 @@ class CongruenceFamily(_ReadOnly):
 
 
 class VerifyReport:
-    """Outcome of sweeping one family; fail implies a counterexample."""
+    """Outcome of sweeping one family: its labels are read from the family
+    record, and it fails exactly when it holds a counterexample."""
 
-    def __init__(self, family_id: str, sequence: str, t_rule: str | None, arg_rule: str,
-                 modulus: int, ranges: dict,
-                 status: str,               # "pass" | "fail"
+    def __init__(self, family: CongruenceFamily, ranges: dict,
                  counterexample: dict | None, millis: float):
-        if status == "fail" and counterexample is None:
-            raise ValueError(f"{family_id}: a failed report needs a counterexample")
-        self.family_id = family_id
-        self.sequence = sequence
-        self.t_rule = t_rule
-        self.arg_rule = arg_rule
-        self.modulus = modulus
+        self.family = family
         self.ranges = ranges
-        self.status = status
         self.counterexample = counterexample
         self.millis = millis
 
     @property
+    def family_id(self) -> str:
+        return self.family.id
+
+    @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     @property
     def checked(self) -> int:
@@ -221,12 +221,13 @@ class VerifyReport:
         return self.ranges.get("checked", 0)
 
     def to_json(self) -> dict:
+        fam = self.family
         return {
-            "id": self.family_id,
-            "sequence": self.sequence,
-            "t_rule": self.t_rule,
-            "arg_rule": self.arg_rule,
-            "modulus": self.modulus,
+            "id": fam.id,
+            "sequence": fam.sequence,
+            "t_rule": fam.t_rule_str(),
+            "arg_rule": fam.arg_rule_str(),
+            "modulus": fam.modulus,
             "ranges": self.ranges,
             "status": self.status,
             "counterexample": self.counterexample,
@@ -480,11 +481,6 @@ def _sweep_modulus(fam: CongruenceFamily) -> int:
     return SWEEP_MOD if all(m and SWEEP_MOD % m == 0 for _, m in fam.classes) else 0
 
 
-def _is_square(n: int) -> bool:
-    r = isqrt(n)
-    return r * r == n
-
-
 # ---------------------------------------------------------------------
 # The sweep: arguments, values, verdict
 # ---------------------------------------------------------------------
@@ -565,24 +561,13 @@ def _values(fam: CongruenceFamily, t: int | None, args: list[int],
     return values
 
 
-def _wants_odd(fam: CongruenceFamily, x: int) -> bool:
-    """Whether a parity claim wants the value at argument `x` odd."""
-    if fam.expected == PARITY_A2N:      # a(2n) odd iff n=0 or n a square prime to 3
-        return x == 0 or (_is_square(x // 2) and x % 6 != 0)
-    return x % 2 == 1 and _is_square(x)     # m_odd(-2,1;N) odd iff N an odd square
-
-
 def _odd_support(fam: CongruenceFamily, top: int) -> set[int]:
-    """The x <= top where ``_wants_odd`` holds.
-
-    The candidates are a superset of that support: x = 0 or x//2 a square
-    k^2 for PARITY_A2N, the odd squares for PARITY_M2_T1.
-    """
+    """The arguments x <= top at which a parity claim wants an odd value:
+    a(2n) is odd iff n = 0 or n = k^2 with 3 not dividing k (PARITY_A2N),
+    and m_odd(-2,1;N) iff N is an odd square (PARITY_M2_T1)."""
     if fam.expected == PARITY_A2N:
-        candidates = [x for k in range(isqrt(top // 2) + 1) for x in (2 * k * k, 2 * k * k + 1)]
-    else:
-        candidates = [k * k for k in range(1, isqrt(top) + 1, 2)]
-    return {x for x in candidates if x <= top and _wants_odd(fam, x)}
+        return {0} | {2 * k * k for k in range(1, isqrt(top // 2) + 1) if k % 3}
+    return {k * k for k in range(1, isqrt(top) + 1, 2)}
 
 
 def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int) -> dict | None:
@@ -593,7 +578,7 @@ def _verdict(fam: CongruenceFamily, j: int | None, x: int, v: int) -> dict | Non
     did not pass, to find the first counterexample.
     """
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
-        want = int(_wants_odd(fam, x))
+        want = int(x in _odd_support(fam, x))
         return _cex(j, x, v, 2, expected=want) if v % 2 != want else None
     m = fam.class_modulus[x % fam.arg_mod]
     if not (v % m if m else v):
@@ -612,13 +597,10 @@ def _holds(fam: CongruenceFamily, args: list[int], values: list[int],
     class of ``fam.classes``, the gcd of `mod` and the class's values: a
     class modulus m divides every value iff it divides that gcd (m divides
     `mod` on residues), and modulus 0 holds iff the gcd is 0.  A parity
-    claim holds when every argument with an odd value is one it wants odd,
-    and as many of the (distinct) arguments are.
+    claim holds when the arguments with odd values are its odd support.
     """
     if fam.expected in (PARITY_A2N, PARITY_M2_T1):
-        want = _odd_support(fam, max(args))
-        odd = [x for x, v in zip(args, values) if v & 1]
-        return want.issuperset(odd) and len(odd) == countOf(map(want.__contains__, args), True)
+        return {x for x, v in zip(args, values) if v & 1} == _odd_support(fam, max(args))
     return all(g % m == 0 if m else g == 0 for (_, m), g in zip(fam.classes, gcds))
 
 
@@ -714,39 +696,33 @@ def _sweep_plan(fam: CongruenceFamily, j_values=None, n_budget: int | None = Non
     return j_values, n_budget, {key: max(r.get(key, 0) for r in reads) for r in reads for key in r}
 
 
+def _verify(fams: list[CongruenceFamily], profile: str, j_values, n_budget: int | None,
+            cache: SweepCache) -> list[VerifyReport]:
+    """Sweep `fams` in order, each planned once by ``_sweep_plan``: one
+    ``reserve`` builds what the plans read before the first sweep, so a
+    report's millis times its sweep alone."""
+    plans = [(fam, *_sweep_plan(fam, j_values, n_budget, profile)) for fam in fams]
+    cache.reserve(*(lengths for *_, lengths in plans))
+    reports = []
+    for fam, js, budget, _ in plans:
+        start = time.perf_counter()
+        checked, top, cex, per_j = _sweep(fam, js, budget, cache)
+        ranges = {"J": list(js)} if fam.t_rule is not None else {}
+        ranges["max_n" if fam.kind == COEFF else "max_arg"] = top
+        ranges["checked"] = checked
+        ranges["per_j"] = per_j
+        reports.append(VerifyReport(fam, ranges, cex, 1000 * (time.perf_counter() - start)))
+    return reports
+
+
 def verify_family(family, j_values=None, n_budget: int | None = None,
                   cache: SweepCache | None = None) -> VerifyReport:
-    """Sweep one family (by id or record) and report pass/fail.
-
-    Without `n_budget` the family's quick-profile budget applies (see
-    ``_budget_for``), and ``_bound`` turns it into each J's largest argument,
-    the reported max_arg.  Each expansion is sized once, before the J loop.
-    Raises BudgetTooSmall if some J has no argument to check, and
-    ArithmeticError if the residue and exact routes disagree.
-    """
+    """``verify_all`` over one family (by id or record) at the quick
+    profile, reading and filling `cache` when one is given.  Raises
+    BudgetTooSmall if some J has no argument to check, and ArithmeticError
+    if the residue and exact routes disagree."""
     fam = lookup(family) if isinstance(family, str) else family
-    j_values, n_budget, lengths = _sweep_plan(fam, j_values, n_budget)
-    if cache is None:
-        cache = SweepCache()
-    start = time.perf_counter()
-    cache.reserve(lengths)
-    checked, bound, cex, per_j = _sweep(fam, j_values, n_budget, cache)
-    ranges = {"J": list(j_values)} if fam.t_rule is not None else {}
-    ranges["max_n" if fam.kind == COEFF else "max_arg"] = bound
-    ranges["checked"] = checked
-    ranges["per_j"] = per_j
-    millis = 1000 * (time.perf_counter() - start)
-    return VerifyReport(
-        family_id=fam.id,
-        sequence=fam.sequence,
-        t_rule=fam.t_rule_str(),
-        arg_rule=fam.arg_rule_str(),
-        modulus=fam.modulus,
-        ranges=ranges,
-        status="pass" if cex is None else "fail",
-        counterexample=cex,
-        millis=millis,
-    )
+    return _verify([fam], "quick", j_values, n_budget, cache or SweepCache())[0]
 
 
 def _budget_for(fam: CongruenceFamily, profile: str) -> int:
@@ -768,8 +744,7 @@ def verify_all(profile: str = "quick", ids=None, j_values=None,
     full:  additionally pushes the deep a=1 families to 150000.
     `j_values` and `n_budget` apply to every selected family; `None` takes
     the profile's value.  A repeated id raises ValueError, as a repeated J
-    does.  Families share one cache, sized once up front
-    at the largest order any of them reads.
+    does.  The families share one fresh cache (see ``_verify``).
     """
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
@@ -778,7 +753,4 @@ def verify_all(profile: str = "quick", ids=None, j_values=None,
         raise ValueError("no families selected")
     if len({fam.id for fam in fams}) != len(fams):
         raise ValueError(f"repeated families {[fam.id for fam in fams]}")
-    plans = [(fam, *_sweep_plan(fam, j_values, n_budget, profile)) for fam in fams]
-    cache = SweepCache()
-    cache.reserve(*(lengths for *_, lengths in plans))
-    return [verify_family(fam, js, budget, cache) for fam, js, budget, _ in plans]
+    return _verify(fams, profile, j_values, n_budget, SweepCache())

@@ -29,8 +29,8 @@ On top of these sit the coefficient families c_n(a, t), their Riordan-array
 representation, and the even Chebyshev polynomials te_n used to derive them.
 Batches of c_n(a, t) come from ``coeff_column`` in O(n) exact integer
 steps for any t.  Every column is a difference of one Gegenbauer expansion
-g of (1 - a' z + z^2)^-(t+1), run by the recurrence ``riordan_series``
-uses (``_gegenbauer``): for a = 1 and a = -2 (a' = a) it is the Riordan
+g of (1 - a' z + z^2)^-(t+1), by the recurrence ``riordan_series`` reads
+too (``_gegenbauer``): for a = 1 and a = -2 (a' = a) it is the Riordan
 array, c_n = g_(n-t) - g_(n-t-2); for a = 0 (a' = -2) it is
 c_n = g_(n-t-1) - g_(n-t-2), the expansion of
 (z^(t+1) - z^(t+2)) / (1 + z)^(2t+2).
@@ -81,6 +81,19 @@ _FOLD = {0: (0, -1, 2, 1), 1: (-1, 1, 3, 1), -1: (1, -1, 3, 1),
          2: (0, -1, 1, 2), -2: (0, 1, 1, 2)}
 
 
+def _check_route_args(a: int, t: int, n: int, rows: bool = False) -> None:
+    """The one argument check of the m_odd routes: a in DP_AS, then t >= 0,
+    then n >= 0; a route that builds `rows` names them t_max and an order
+    >= 1."""
+    t_name, n_name, least = ("t_max", "order", 1) if rows else ("t", "n", 0)
+    if a not in DP_AS:
+        raise ValueError(f"need a in {DP_AS}, got {a}")
+    if t < 0:
+        raise ValueError(f"{t_name} must be >= 0")
+    if n < least:
+        raise ValueError(f"{n_name} must be >= {least}")
+
+
 def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     """U~_t(a; q) for t = 0..t_max by dynamic programming, exact to `order`.
 
@@ -106,12 +119,7 @@ def direct_utilde(a: int, t_max: int, order: int) -> list[Series]:
     with h the sum of |d_m| q^(m*k) over odd k and m >= 1, computed without
     the DP.
     """
-    if a not in DP_AS:
-        raise ValueError(f"need a in {DP_AS}, got {a}")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_route_args(a, t_max, order, rows=True)
     c1, s, p, r = _FOLD[a]
     eff = min(t_max, isqrt(order - 1))
     width = _dp_slot_bits(a, eff, order)
@@ -175,12 +183,7 @@ def powersum_utilde(a: int, t_max: int, order: int) -> list[Series]:
     Rows with t^2 >= order are zero at this truncation, as in
     ``direct_utilde``.
     """
-    if a not in DP_AS:
-        raise ValueError(f"need a in {DP_AS}, got {a}")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_route_args(a, t_max, order, rows=True)
     eff = min(t_max, isqrt(order - 1))
     p = [None] + [_odd_power_sum(a, k, order) for k in range(1, eff + 1)]
     rows = [[1] + [0] * (order - 1)]
@@ -217,12 +220,7 @@ def oracle_modd(a: int, t: int, n: int) -> int:
     is left.  Independent of the DP and closed-form code paths; only usable
     for small n.
     """
-    if a not in DP_AS:
-        raise ValueError(f"need a in {DP_AS}, got {a}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_route_args(a, t, n)
     if t == 0:
         return 1 if n == 0 else 0
     if n < t * t:
@@ -298,8 +296,7 @@ def coeff_column(a: int, t: int, n_top: int) -> list[int]:
     if n_top < 0:
         raise ValueError("n_top must be >= 0")
     a_g, lead, lag = (-2, t + 1, 1) if a == 0 else (a, t, 2)
-    g = _gegenbauer(a_g, t + 1, n_top - lead + 1)
-    column = [0] * min(lead, n_top + 1) + [x - y for x, y in zip(g, [0] * lag + g)]
+    column = _gegenbauer(a_g, t, lead, lag, n_top)
     column[0] = 0
     return column
 
@@ -361,21 +358,22 @@ def riordan_series(a: int, t: int, nmax: int) -> Series:
         raise ValueError("t must be >= 0")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    g = _gegenbauer(a, t + 1, nmax - t + 1)
-    return Series([0] * min(t, nmax + 1) + [x - y for x, y in zip(g, [0, 0] + g)])
+    return Series(_gegenbauer(a, t, t, 2, nmax))
 
 
-def _gegenbauer(a: int, m: int, size: int) -> list[int]:
-    """g_0 .. g_(size-1) of (1 - a z + z^2)^(-m) = sum g_n z^n, m >= 1.
+def _gegenbauer(a: int, t: int, lead: int, lag: int, n_top: int) -> list[int]:
+    """[z^0 .. z^n_top] of (z^lead - z^(lead+lag)) * g, that is
+    g_(n-lead) - g_(n-lead-lag), for g = (1 - a z + z^2)^(-m), m = t+1.
 
     A Gegenbauer generating function: g_0 = 1, g_1 = a*m and
     n*g_n = a(n+m-1) g_(n-1) - (n+2m-2) g_(n-2), each division checked
-    exact.  A size <= 0 gives no terms.
+    exact, for n up to n_top - lead.
     """
+    m, size = t + 1, n_top - lead + 1
     g = [1, a * m][:max(size, 0)]
     for n in range(2, size):
         g.append(exact_div(a * (n + m - 1) * g[n - 1] - (n + 2 * m - 2) * g[n - 2], n))
-    return g
+    return [0] * min(lead, n_top + 1) + [x - y for x, y in zip(g, [0] * lag + g)]
 
 
 def chebyshev_T(k: int) -> Poly:
@@ -499,12 +497,7 @@ def modd_powersum(a: int, t: int, n: int) -> int:
 def _modd_row(route, a: int, t: int, n: int) -> int:
     """[q^n] of row t from `route`; 0 when t^2 > n, as t distinct odd parts
     sum to at least t^2, so no row past isqrt(n) is built."""
-    if a not in DP_AS:
-        raise ValueError(f"need a in {DP_AS}, got {a}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_route_args(a, t, n)
     if t * t > n:
         return 0
     return route(a, t, n + 1)[t].coeff(n)

@@ -198,6 +198,14 @@ MAX_NESTING = 100
 # process, 2-vCPU VM, Python 3.11).
 MAX_POWER_BITS = 1 << 17
 
+# The most bits a product, quotient or power in a term may pack (see
+# ``_Evaluator._check_packing``).  One multiply of two 2^21-bit ints took
+# 0.18 s and of 2^22 bits 1.6 s; at this bound `expand "phi(q)^25" --order
+# 10000` took 0.66 s, the lemma corpus at order 4000 packs at most 56896
+# bits, and `"2^131072*f1" --order 3000` (6.6 s and 289 MB without the
+# bound) is refused at once (one process, 2-vCPU VM, Python 3.11).
+MAX_PACKED_BITS = 1 << 21
+
 
 class _Parser:
     """Recursive descent that reads one token at a time, only when asked
@@ -416,10 +424,20 @@ class _Evaluator:
                 return _Val(lo + i, Series(cs[i:]))
         return _Val(0, None)
 
+    def _check_packing(self, *units: Series, times: int = 1) -> None:
+        """Refuse a product, quotient or power of `units` past MAX_PACKED_BITS:
+        the order times the bits of each unit's sum of |coefficients|, added
+        (`times` over for a power), a width every coefficient fits in."""
+        bits = times * sum(sum(map(abs, u.coeffs)).bit_length() for u in units) * self.order
+        if bits > MAX_PACKED_BITS:
+            raise ExprError(f"a product, quotient or power at working order {self.order} "
+                            f"would pack about {bits} bits, past MAX_PACKED_BITS = {MAX_PACKED_BITS}")
+
     def term(self, node: TermExpr) -> _Val:
-        """The term's other factors left to right, then its eta quotient."""
-        val, etas = 0, Counter()
-        acc = _Val(0, Series.one(self.order))
+        """The term's other factors left to right, the first one starting
+        the product (a lone factor packs nothing), then its eta quotient."""
+        val, etas, one = 0, Counter(), _Val(0, Series.one(self.order))
+        acc = None                  # no factor yet: the product is `one`
         for op, factor in node.factors:
             form = _eta_form(factor)
             if form is not None:
@@ -429,9 +447,12 @@ class _Evaluator:
                 continue
             v = self.factor(factor)
             if op == "*":
-                if acc.unit is None or v.unit is None:
+                if acc is None:
+                    acc = v
+                elif acc.unit is None or v.unit is None:
                     acc = _Val(0, None)
                 else:
+                    self._check_packing(acc.unit, v.unit)
                     acc = _Val(acc.val + v.val, acc.unit * v.unit)
             else:
                 if v.unit is None:
@@ -440,13 +461,18 @@ class _Evaluator:
                     raise DivisionByNonUnit(
                         f"denominator unit constant is {v.unit.coeffs[0]}, need +-1"
                     )
+                acc = acc or one
                 if acc.unit is not None:
+                    self._check_packing(acc.unit, v.unit)
                     acc = _Val(acc.val - v.val, acc.unit.div(v.unit))
+        acc = acc or one
         if acc.unit is None:
             return acc
         factors = [(r, e) for r, e in etas.items() if e]
-        unit = Series(eta_product(acc.unit.coeffs, factors, acc.unit.order)) if factors else acc.unit
-        return _Val(acc.val + val, unit)
+        if not factors:
+            return _Val(acc.val + val, acc.unit)
+        self._check_packing(acc.unit)
+        return _Val(acc.val + val, Series(eta_product(acc.unit.coeffs, factors, acc.unit.order)))
 
     def factor(self, node: FactorExpr) -> _Val:
         base = self.atom(node.atom)
@@ -464,10 +490,12 @@ class _Evaluator:
                 raise DivisionByNonUnit(
                     f"cannot invert unit with constant {base.unit.coeffs[0]}"
                 )
+            self._check_packing(base.unit)
             base = _Val(-base.val, base.unit.invert())
             e = -e
         unit = base.unit
         if any(unit.coeffs[1:]):
+            self._check_packing(unit, times=e)
             return _Val(base.val * e, unit ** e)
         c = unit.coeffs[0]          # a constant: its power is one int
         bits = e * (abs(c) - 1).bit_length()

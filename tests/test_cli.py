@@ -86,6 +86,15 @@ def test_expand_huge_q_power_is_cheap(capsys, expr, want):
     assert code == 0 and out.strip() == want and err == ""
 
 
+@pytest.mark.parametrize("expr", ["2^131072*f1*f2", "2^131072/(1-q)"])
+def test_expand_refuses_a_wide_constant_in_a_long_product(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", expr, "--order", "10000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "MAX_PACKED_BITS" in err and "Traceback" not in err
+
+
 def test_expand_prints_coefficients_past_4300_digits(capsys):
     # str(int) refuses more than 4300 digits by default since CPython 3.10.7
     if hasattr(sys, "set_int_max_str_digits"):

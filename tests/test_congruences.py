@@ -2,13 +2,14 @@
 
 import json
 import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlab import congruences
-from qlab.macmahon import modd_explicit, modd_explicit_batch
+from qlab.macmahon import modd_explicit, modd_explicit_batch, powersum_utilde
 from qlab.series import Series
 from qlab.special import prefactor_a
 from qlab.congruences import (
@@ -188,6 +189,43 @@ def test_verify_family_passes():
     a = prefactor_a(20).coeffs
     assert a[2] % 2 == 1      # n = 1: square, not divisible by 3
     assert a[18] % 2 == 0     # n = 9: square divisible by 3
+
+
+def test_parity_sets_match_a_route_the_sweep_does_not_read():
+    # a(x) for even x: the sweep reads prefactor_a reduced mod SWEEP_MOD
+    a = prefactor_a(20001, 2).coeffs
+    want = congruences._odd_support(lookup("a2n-parity"), 20000)
+    assert {x for x in range(0, 20001, 2) if a[x] & 1} == want
+    # m_odd(-2,1;N): the sweep reads the closed form, not the power-sum row
+    m = powersum_utilde(-2, 1, 20001)[1].coeffs
+    want = congruences._odd_support(lookup("m2-parity-t1"), 20000)
+    assert {n for n in range(20001) if m[n] & 1} == want
+
+
+def test_verify_all_plans_each_family_once(monkeypatch):
+    calls = []
+    real = congruences._sweep_plan
+
+    def counted(fam, *args):
+        calls.append(fam.id)
+        return real(fam, *args)
+
+    monkeypatch.setattr(congruences, "_sweep_plan", counted)
+    reports = verify_all("quick")
+    assert len(reports) == 80 and calls == [r.family_id for r in reports]
+
+
+def test_millis_times_the_sweep_alone(monkeypatch):
+    # a direct verify_family call builds its expansions before the clock starts
+    real = SweepCache.reserve
+
+    def slow(self, *needs):
+        time.sleep(0.3)
+        real(self, *needs)
+
+    monkeypatch.setattr(SweepCache, "reserve", slow)
+    assert verify_family("vm2A-3", n_budget=2000).millis < 300
+    assert verify_all("quick", ids=["vm2A-3"], n_budget=2000)[0].millis < 300
 
 
 def test_bumped_modulus_fails_with_counterexample():
@@ -392,9 +430,20 @@ def test_report_json_shape():
     assert blob["t_rule"] is None
 
 
-def test_report_invariant():
-    with pytest.raises(ValueError):
-        VerifyReport("x", "MODD(1)", None, "8N+7", 8, {}, "fail", None, 1.0)
+def test_status_and_passed_follow_the_counterexample():
+    fam = lookup("vm2A-3")
+    ok = VerifyReport(fam, {"checked": 3}, None, 1.0)
+    assert ok.passed and ok.status == "pass" and ok.family_id == "vm2A-3"
+    cex = {"J": 1, "N": 7, "value": "4", "modulus": 8}
+    bad = VerifyReport(fam, {"checked": 3}, cex, 1.0)
+    assert not bad.passed and bad.status == "fail"
+    blob = bad.to_json()
+    assert (blob["status"], blob["counterexample"]) == ("fail", cex)
+    # every label is the family's, so none can disagree with it
+    assert [blob[k] for k in ("id", "sequence", "t_rule", "arg_rule", "modulus")] == \
+        [fam.id, fam.sequence, fam.t_rule_str(), fam.arg_rule_str(), fam.modulus]
+    with pytest.raises(AttributeError):
+        bad.status = "pass"
 
 
 def test_coeff_budget_is_honoured():

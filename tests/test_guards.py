@@ -26,25 +26,6 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
-def test_report_invariant_survives_optimize():
-    code = (
-        "from qlab.congruences import VerifyReport\n"
-        "assert False, 'asserts must be off under -O'\n"
-        "try:\n"
-        "    VerifyReport(family_id='x', sequence='MODD(1)', t_rule=None,\n"
-        "                 arg_rule='8N+7', modulus=8, ranges={}, status='fail',\n"
-        "                 counterexample=None, millis=1.0)\n"
-        "except ValueError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(3)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_import_leaves_dataclasses_out():
     # every CLI call and benchmark pass pays this import: dataclasses pulls
     # in inspect, ast, dis and tokenize and compiles code for each class
