@@ -1,8 +1,11 @@
 """Command-line front door: expand series, evaluate single coefficients,
 run verification sweeps, check lemma fixtures, and emit coefficient tables.
 
-Exit status is 0 only when every requested check passes; structured output
-(verify) is JSON lines, tables are CSV, and everything is UTF-8.
+Exit status is 0 only when every requested check passes, 1 when one fails,
+and 2 when the input is refused: every refusal is raised as a ValueError (or
+an OSError for an unreadable file), and `main` alone prints it as one
+`error: <message>` line.  Structured output (verify) is JSON lines, tables
+are CSV, and everything is UTF-8.
 """
 
 from __future__ import annotations
@@ -66,11 +69,7 @@ def _parse_range(text: str) -> range:
 
 def cmd_expand(args) -> int:
     build = _SEQUENCES.get(args.expr)
-    try:
-        series = build(args.order, args.mod) if build else qexpr.evaluate_text(args.expr, args.order)
-    except qexpr.ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    series = build(args.order, args.mod) if build else qexpr.evaluate_text(args.expr, args.order)
     coeffs = list(series.coeffs)
     if args.mod:
         coeffs = [c % args.mod for c in coeffs]
@@ -105,39 +104,29 @@ def _modd_all(a: int, t: int, n: int) -> list[int | None]:
 
 
 def cmd_modd(args) -> int:
-    method = args.method
-    try:
-        if method == "all":
-            values = _modd_all(args.a, args.t, args.n)
-            print(" ".join("-" if v is None else str(v) for v in values))
-            if len({v for v in values if v is not None}) != 1:
-                print("error: evaluation methods disagree", file=sys.stderr)
-                return 1
-        else:
-            print(getattr(macmahon, _ROUTES[method])(args.a, args.t, args.n))
-    except (UnsupportedA, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.method == "all":
+        values = _modd_all(args.a, args.t, args.n)
+        print(" ".join("-" if v is None else str(v) for v in values))
+        if len({v for v in values if v is not None}) != 1:
+            print("error: evaluation methods disagree", file=sys.stderr)
+            return 1
+    else:
+        print(getattr(macmahon, _ROUTES[args.method])(args.a, args.t, args.n))
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.j is not None:
-            fams = (congruences.registry() if args.family is None
-                    else [congruences.lookup(i) for i in args.family])
-            bare = [fam.id for fam in fams if fam.t_rule is None]
-            if bare:
-                named = ", ".join(bare[:3]) + (", ..." if len(bare) > 3 else "")
-                print(f"error: --j needs families with a t rule, and {len(bare)} of the "
-                      f"{len(fams)} selected families have no t rule ({named}); "
-                      f"choose families with one by --family", file=sys.stderr)
-                return 2
-        reports = congruences.verify_all(args.profile, ids=args.family,
-                                         j_values=args.j, n_budget=args.budget)
-    except (congruences.UnknownFamily, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    if args.j is not None:
+        fams = (congruences.registry() if args.family is None
+                else [congruences.lookup(i) for i in args.family])
+        bare = [fam.id for fam in fams if fam.t_rule is None]
+        if bare:
+            named = ", ".join(bare[:3]) + (", ..." if len(bare) > 3 else "")
+            raise ValueError(f"--j needs families with a t rule, and {len(bare)} of the "
+                             f"{len(fams)} selected families have no t rule ({named}); "
+                             f"choose families with one by --family")
+    reports = congruences.verify_all(args.profile, ids=args.family,
+                                     j_values=args.j, n_budget=args.budget)
     for r in reports:
         print(json.dumps(r.to_json()))
     failed = [r for r in reports if not r.passed]
@@ -146,18 +135,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    try:
-        fixtures = qexpr.load_fixtures(args.path)
-    except (OSError, ValueError, qexpr.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fixtures = qexpr.load_fixtures(args.path)
     orders = ([("--order", args.order)] if args.order is not None
               else [(f"{fx.name}: check_to", fx.check_to) for fx in fixtures])
     for what, order in orders:
         if order > _LEMMAS_LIMIT:
-            print(f"error: {what} {order} is past the lemmas limit of {_LEMMAS_LIMIT}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"{what} {order} is past the lemmas limit of {_LEMMAS_LIMIT}")
     reports = qexpr.check_fixtures(fixtures, args.order)
     for r in reports:
         print(r.line())
@@ -168,27 +151,18 @@ def cmd_lemmas(args) -> int:
 
 def cmd_table(args) -> int:
     if not len(args.n):
-        print("error: empty range", file=sys.stderr)
-        return 2
+        raise ValueError("empty range")
     if args.n.start < 0:
-        print("error: the range must start at n >= 0", file=sys.stderr)
-        return 2
-    top = args.n[-1]
+        raise ValueError("the range must start at n >= 0")
     if args.seq != "modd" and (args.a is not None or args.t is not None):
-        print("error: -a and -t apply only to --seq modd", file=sys.stderr)
-        return 2
+        raise ValueError("-a and -t apply only to --seq modd")
     if args.seq in _SEQUENCES:
-        coeffs = _SEQUENCES[args.seq](top + 1, args.mod).coeffs
+        coeffs = _SEQUENCES[args.seq](args.n[-1] + 1, args.mod).coeffs
         values = [coeffs[n] for n in args.n]
     else:
         if args.a is None or args.t is None:
-            print("error: --seq modd needs -a and -t", file=sys.stderr)
-            return 2
-        try:
-            values = macmahon.modd_explicit_batch(args.a, args.t, list(args.n), mod=args.mod)
-        except (UnsupportedA, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("--seq modd needs -a and -t")
+        values = macmahon.modd_explicit_batch(args.a, args.t, list(args.n), mod=args.mod)
     w = csv.writer(sys.stdout)
     w.writerow(["n", "value"])
     for n, v in zip(args.n, values):
@@ -259,19 +233,14 @@ def _size(args) -> tuple[str, int]:
     return "--order", getattr(args, "order", None) or 0
 
 
-def main(argv=None) -> int:
-    # exact coefficients may pass the 4300-digit default of str(int)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+def _refuse_sizes(args) -> None:
+    """Raise ValueError for an order, size, route limit or modulus that no
+    command takes, before anything is built."""
     if getattr(args, "order", None) is not None and args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--order must be >= 1")
     flag, size = _size(args)
     if size > congruences.MAX_ORDER:
-        print(f"error: {flag} {size} is past MAX_ORDER = {congruences.MAX_ORDER}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"{flag} {size} is past MAX_ORDER = {congruences.MAX_ORDER}")
     if args.command == "modd":
         args.method = args.method or ("explicit" if args.a in macmahon.EXPLICIT_AS else "direct")
         for route in _ROUTE_LIMITS:
@@ -279,12 +248,18 @@ def main(argv=None) -> int:
             if why:
                 if not _past_limit("powersum", args.t, args.n):
                     why += "; --method powersum answers it"
-                print(f"error: {why}", file=sys.stderr)
-                return 2
+                raise ValueError(why)
     if getattr(args, "mod", 0) < 0:
-        print("error: --mod must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--mod must be >= 0")
+
+
+def main(argv=None) -> int:
+    # exact coefficients may pass the 4300-digit default of str(int)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     try:
+        _refuse_sizes(args)
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -292,6 +267,11 @@ def main(argv=None) -> int:
         # at devnull so the flush at exit is quiet too, and exit 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, ValueError) as exc:
+        # refused input, a library refusal or an unreadable file; routes
+        # that disagree (ArithmeticError) and any other fault stay tracebacks
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -93,8 +93,8 @@ class BudgetTooSmall(ValueError):
     """No nontrivial coefficient falls inside the requested range."""
 
 
-class UnknownFamily(KeyError):
-    pass
+class UnknownFamily(ValueError):
+    """No family has the id."""
 
 
 class CongruenceFamily(_ReadOnly):
@@ -432,7 +432,7 @@ def lookup(family_id: str) -> CongruenceFamily:
     try:
         return _BY_ID[family_id]
     except KeyError:
-        raise UnknownFamily(family_id) from None
+        raise UnknownFamily(f"unknown family {family_id!r}") from None
 
 
 # ---------------------------------------------------------------------

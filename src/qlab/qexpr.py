@@ -26,8 +26,9 @@ Each term reads its eta-quotient part in the one walk over its factors:
 positive term made only of such factors (nested, raised to any power), as
 a q-valuation and an exponent map {scale: e}, and the term adds these up
 into one map, equal scales cancelling.  The other factors (integers, theta atoms, groups
-holding a sum) are multiplied and divided left to right as before, and
-``special.eta_product`` then applies each f_r^e: one product by f_r^e
+holding a sum) are multiplied and divided left to right as before, and,
+once ``_check_eta`` has bounded the bits the quotient may take,
+``special.eta_product`` applies each f_r^e: one product by f_r^e
 for e > 0, |e| sparse division passes (``series._div_terms``) for e < 0.
 A denominator such as /(f2^5*f6^5) thus costs ten sparse passes, not an
 O(order^2) division by one dense series.
@@ -39,6 +40,7 @@ coefficientwise equality.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
@@ -48,8 +50,8 @@ from .series import Series, _ReadOnly
 from .special import borwein_a, borwein_b, eta, eta_product, pgen, phi, psi
 
 
-class ExprError(Exception):
-    """Base class for DSL errors."""
+class ExprError(ValueError):
+    """Base class for DSL errors: refused input, so a ValueError."""
 
 
 class ExprSyntaxError(ExprError):
@@ -205,6 +207,17 @@ MAX_POWER_BITS = 1 << 17
 # bits, and `"2^131072*f1" --order 3000` (6.6 s and 289 MB without the
 # bound) is refused at once (one process, 2-vCPU VM, Python 3.11).
 MAX_PACKED_BITS = 1 << 21
+
+# The most bits a term's eta quotient may pack, estimated before it is built
+# (see ``_Evaluator._check_eta``).  The lemma corpus at order 4000 estimates
+# at most 2955647 bits and `expand "f1^-64" --order 2000` (0.6-0.8 s) 2.8
+# Mbit, while `"f1^-256" --order 3000` (10.0 Mbit; 5.4-6.8 s without the
+# bound) and `"f1^20000" --order 1000` (12.8 Mbit; 11-14 s) are refused at
+# once.  Just inside the bound, f1^-256 at order 1647 took 1.6 s, f1^20000 at
+# 440 1.9 s, and f1^-1000 at 1022, past the division passes, 4.3 s (one
+# process, 2-vCPU VM, Python 3.11).  f1^e is refused at every order for e
+# past about 9*10^6 or below about -4.7*10^6.
+MAX_ETA_BITS = 1 << 22
 
 
 class _Parser:
@@ -433,18 +446,27 @@ class _Evaluator:
             raise ExprError(f"a product, quotient or power at working order {self.order} "
                             f"would pack about {bits} bits, past MAX_PACKED_BITS = {MAX_PACKED_BITS}")
 
+    def _check_eta(self, factors) -> None:
+        """Refuse an eta quotient prod f_r^e past MAX_ETA_BITS.  Below the
+        order n, with g the gcd of the scales and W the sum of the positive e
+        plus twice the sum of the negative |e|, every coefficient is at most
+        exp(pi*sqrt(W*n/(3g))), the saddle-point bound on the coefficients of
+        prod (1 + q^k)^e / (1 - q^k)^|e|.  The estimate is n times its log2,
+        at most sqrt(6.85 * n^3 * W / g), computed in integers."""
+        n = self.order
+        weight = sum(e if e > 0 else -2 * e for _, e in factors)
+        bits = math.isqrt(n ** 3 * weight * 685 // (100 * math.gcd(*(r for r, _ in factors))))
+        if bits > MAX_ETA_BITS:
+            raise ExprError(f"an eta quotient at working order {n} would pack about {bits} "
+                            f"bits, past MAX_ETA_BITS = {MAX_ETA_BITS}")
+
     def term(self, node: TermExpr) -> _Val:
         """The term's other factors left to right, the first one starting
         the product (a lone factor packs nothing), then its eta quotient."""
-        val, etas, one = 0, Counter(), _Val(0, Series.one(self.order))
+        val, etas, others = _gather(node.factors)
+        one = _Val(0, Series.one(self.order))
         acc = None                  # no factor yet: the product is `one`
-        for op, factor in node.factors:
-            form = _eta_form(factor)
-            if form is not None:
-                e = 1 if op == "*" else -1
-                val += e * form[0]
-                etas.update({r: e * x for r, x in form[1].items()})
-                continue
+        for op, factor in others:
             v = self.factor(factor)
             if op == "*":
                 if acc is None:
@@ -472,6 +494,7 @@ class _Evaluator:
         if not factors:
             return _Val(acc.val + val, acc.unit)
         self._check_packing(acc.unit)
+        self._check_eta(factors)
         return _Val(acc.val + val, Series(eta_product(acc.unit.coeffs, factors, acc.unit.order)))
 
     def factor(self, node: FactorExpr) -> _Val:
@@ -526,6 +549,22 @@ class _Evaluator:
         raise TypeError(f"not an atom: {node!r}")
 
 
+def _gather(factors, power: int = 1):
+    """(q-valuation, {scale: exponent}, other pairs) of the (op, factor)
+    pairs of a term raised to `power`: every factor with an eta form adds
+    into the valuation and the map, and the other pairs keep their order."""
+    val, etas, others = 0, Counter(), []
+    for op, factor in factors:
+        form = _eta_form(factor)
+        if form is None:
+            others.append((op, factor))
+            continue
+        e = power if op == "*" else -power
+        val += e * form[0]
+        etas.update({r: e * x for r, x in form[1].items()})
+    return val, etas, others
+
+
 def _eta_form(factor: FactorExpr):
     """(q-valuation, {scale: exponent}) of an eta or q factor, or of a group
     holding one positive term made only of such factors (nested, raised to
@@ -538,15 +577,8 @@ def _eta_form(factor: FactorExpr):
     terms = atom.expr.terms if isinstance(atom, GroupAtom) else ()
     if len(terms) != 1 or terms[0][0] < 0:
         return None
-    val, etas = 0, Counter()
-    for op, inner in terms[0][1].factors:
-        form = _eta_form(inner)
-        if form is None:
-            return None
-        e = power if op == "*" else -power
-        val += e * form[0]
-        etas.update({r: e * x for r, x in form[1].items()})
-    return val, etas
+    val, etas, others = _gather(terms[0][1].factors, power)
+    return None if others else (val, etas)
 
 
 def evaluate(ast: SumExpr, order: int) -> Series:

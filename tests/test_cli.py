@@ -95,6 +95,16 @@ def test_expand_refuses_a_wide_constant_in_a_long_product(capsys, expr):
     assert "MAX_PACKED_BITS" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr, order", [("f1^-256", "3000"), ("f1^20000", "1000")])
+def test_expand_refuses_eta_powers_past_max_eta_bits(capsys, expr, order):
+    # they ran 5.4-6.8 s and 11-14 s and exited 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", expr, "--order", order)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_ETA_BITS" in err
+
+
 def test_expand_prints_coefficients_past_4300_digits(capsys):
     # str(int) refuses more than 4300 digits by default since CPython 3.10.7
     if hasattr(sys, "set_int_max_str_digits"):
@@ -220,34 +230,34 @@ def test_verify_j_without_budget_uses_family_budget(capsys):
 
 
 def test_verify_unknown_family(capsys):
-    code, _, err = run(capsys, "verify", "--family", "nonexistent")
-    assert code == 2 and "nonexistent" in err
+    code, out, err = run(capsys, "verify", "--family", "nonexistent")
+    assert code == 2 and out == "" and err == "error: unknown family 'nonexistent'\n"
 
 
 def test_verify_budget_zero_is_honoured(capsys):
     code, out, err = run(capsys, "verify", "--family", "c1-1", "--budget", "0")
     assert code == 2 and out == ""
-    assert "BudgetTooSmall" in err
+    assert err == "error: c1-1: no arguments up to 0\n"
 
 
 def test_verify_repeated_j_is_rejected(capsys):
     code, out, err = run(capsys, "verify", "--family", "m1-t1-6n5", "--j", "0", "0",
                          "--budget", "100")
     assert code == 2 and out == ""
-    assert "ValueError" in err and "repeated J" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "repeated J" in err
 
 
 def test_verify_repeated_family_is_rejected(capsys):
     # a repeated --family used to sweep the family twice: "2/2 families pass"
     code, out, err = run(capsys, "verify", "--family", "vm2A-3", "--family", "vm2A-3")
     assert code == 2 and out == ""
-    assert "ValueError" in err and "repeated famil" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "repeated famil" in err
 
 
 def test_verify_negative_budget_is_rejected(capsys):
     code, out, err = run(capsys, "verify", "--family", "v1-1", "--budget", "-5")
     assert code == 2 and out == ""
-    assert "ValueError" in err and "-5" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget -5" in err
 
 
 def test_verify_rejects_a_sweep_past_max_order(capsys):
@@ -258,7 +268,8 @@ def test_verify_rejects_a_sweep_past_max_order(capsys):
     code, out, err = run(capsys, "verify", "--family", "v1-1", "--j", "100000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert "ValueError" in err and "40000402001" in err and str(congruences.MAX_ORDER) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "40000402001" in err and str(congruences.MAX_ORDER) in err
     code, out, err = run(capsys, "verify", "--family", "ovc8",
                          "--budget", str(congruences.MAX_ORDER + 1))
     assert code == 2 and out == "" and str(congruences.MAX_ORDER + 1) in err
@@ -449,8 +460,9 @@ def test_lemmas(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "16/16 pass"
     assert sum(1 for line in lines if line.startswith("PASS")) == 16
-    code, _, err = run(capsys, "lemmas", "no/such/file.qx")
-    assert code == 2
+    for path in ("no/such/file.qx", "."):       # "." is a directory
+        code, out, err = run(capsys, "lemmas", path)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
     # an order below 1 compares no coefficients, so it cannot pass
     for order in ("0", "-5"):
         code, out, err = run(capsys, "lemmas", "--order", order)
@@ -548,6 +560,18 @@ def test_deep_nesting_is_refused(capsys, tmp_path):
     path.write_text(f"name: deep\nlhs = {deep}\nrhs = q\ncheck_to = 60\n", encoding="utf-8")
     code, out, err = run(capsys, "lemmas", str(path))
     assert code == 2 and out == "" and err.strip() == f"error: deep: lhs: {message}"
+
+
+def test_faults_that_are_not_refusals_stay_tracebacks(monkeypatch):
+    # the residue and exact routes disagreeing is a fault, not bad input, and
+    # so is any other exception that is not a ValueError or an OSError
+    for fault in (ArithmeticError("the residue and exact routes disagree"),
+                  RuntimeError("a fault")):
+        def raise_fault(*args, **kwargs):
+            raise fault
+        monkeypatch.setattr(congruences, "verify_all", raise_fault)
+        with pytest.raises(type(fault)):
+            main(["verify", "--family", "v1-1"])
 
 
 def test_closed_pipe_exits_1_without_traceback():

@@ -270,6 +270,26 @@ def test_huge_eta_exponents_are_raised_by_squaring():
     assert evaluate_text("(f1*f2)^40/f2^39", 60).eq(eta(1, 60) ** 40 * eta(2, 60))
 
 
+@pytest.mark.parametrize("text, order", [("f1^-256", 3000), ("f1^20000", 1000),
+                                         ("(f2*f4)^-200", 6000)])
+def test_eta_quotients_past_max_eta_bits_are_refused(text, order):
+    # the first two ran 5.4-6.8 s and 11-14 s, and were accepted
+    start = time.perf_counter()
+    with pytest.raises(ExprError, match="MAX_ETA_BITS"):
+        evaluate_text(text, order)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_corpus_at_the_lemmas_limit_stays_inside_max_eta_bits(monkeypatch):
+    # every term of every side, nested ones too, is estimated at its working
+    # order; the stub skips the products, so the values are not compared
+    from qlab.cli import _LEMMAS_LIMIT
+    monkeypatch.setattr(qexpr, "eta_product", lambda u, factors, order: list(u))
+    reports = check_fixtures(load_fixtures(), order=_LEMMAS_LIMIT)
+    assert not [r.error for r in reports if r.error and "MAX_ETA_BITS" in r.error]
+    qexpr._Evaluator(2000 + 64)._check_eta([(1, -64)])     # expand "f1^-64" --order 2000
+
+
 class LeftToRight(qexpr._Evaluator):
     """The evaluation before eta-quotient terms were flattened: every
     factor becomes a Series (``special.eta`` for f_r) and the term
